@@ -57,6 +57,10 @@ class Cache(abc.ABC):
         """Whether the line holding byte address ``addr`` is resident."""
         return self.geometry.line_address(addr) in self.resident_lines()
 
+    def is_empty(self) -> bool:
+        """Whether no line is resident (models override with a cheap check)."""
+        return not self.resident_lines()
+
     def reset(self) -> None:
         """Clear contents and statistics."""
         self.stats = CacheStats()

@@ -132,3 +132,7 @@ class DirectMappedCache(Cache):
 
     def resident_lines(self) -> FrozenSet[int]:
         return frozenset(tag for tag in self._tags if tag is not None)
+
+    def is_empty(self) -> bool:
+        tags = self._tags
+        return tags.count(None) == len(tags)

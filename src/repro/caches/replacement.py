@@ -99,14 +99,19 @@ _POLICIES = {
 }
 
 
-def make_policy(name: str, ways: int, seed: int = 0) -> ReplacementPolicy:
-    """Create a policy by name: ``lru``, ``fifo``, or ``random``."""
+def policy_class(name: str) -> type:
+    """The policy class for ``name``; ``ValueError`` if unknown."""
     try:
-        cls = _POLICIES[name]
+        return _POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown replacement policy {name!r}; expected one of {sorted(_POLICIES)}"
         ) from None
+
+
+def make_policy(name: str, ways: int, seed: int = 0) -> ReplacementPolicy:
+    """Create a policy by name: ``lru``, ``fifo``, or ``random``."""
+    cls = policy_class(name)
     if cls is RandomPolicy:
         return RandomPolicy(ways, seed=seed)
     return cls(ways)

@@ -3,12 +3,12 @@ direct-mapped caches against)."""
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..trace.reference import RefKind
 from .base import AccessResult, Cache
 from .geometry import CacheGeometry
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import ReplacementPolicy, make_policy, policy_class
 
 _HIT = AccessResult(hit=True)
 _COLD_MISS = AccessResult(hit=False)
@@ -37,36 +37,44 @@ class SetAssociativeCache(Cache):
         name: str = "",
     ) -> None:
         super().__init__(geometry, name=name or f"{geometry.associativity}-way-{policy}")
+        policy_class(policy)  # reject an unknown name here, not at first access
         self._policy_name = policy
         self._seed = seed
         self._offset_bits = geometry.offset_bits
         self._index_mask = geometry.num_sets - 1
-        self._build_sets()
+        # Set index -> (tags, policy), materialised on first touch so
+        # building even a 32k-set cache costs O(1).
+        self._sets: Dict[int, Tuple[List[Optional[int]], ReplacementPolicy]] = {}
 
-    def _build_sets(self) -> None:
+    def _materialise(self, index: int) -> Tuple[List[Optional[int]], ReplacementPolicy]:
         ways = self.geometry.associativity
-        sets = self.geometry.num_sets
-        self._tags: List[List[Optional[int]]] = [[None] * ways for _ in range(sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(self._policy_name, ways, seed=self._seed + i)
-            for i in range(sets)
-        ]
+        entry = self._sets[index] = (
+            [None] * ways,
+            make_policy(self._policy_name, ways, seed=self._seed + index),
+        )
+        return entry
 
     def _reset_state(self) -> None:
-        self._build_sets()
+        self._sets = {}
 
     @property
     def policy_name(self) -> str:
         """The replacement policy name this cache was built with."""
         return self._policy_name
 
+    def is_empty(self) -> bool:
+        # A set is only materialised by a miss that fills one of its ways.
+        return not self._sets
+
     def access(self, addr: int, kind: RefKind = RefKind.IFETCH) -> AccessResult:
         line = addr >> self._offset_bits
         index = line & self._index_mask
         stats = self.stats
         stats.accesses += 1
-        tags = self._tags[index]
-        policy = self._policies[index]
+        try:
+            tags, policy = self._sets[index]
+        except KeyError:
+            tags, policy = self._materialise(index)
         try:
             way = tags.index(line)
         except ValueError:
@@ -95,15 +103,13 @@ class SetAssociativeCache(Cache):
     def contains(self, addr: int) -> bool:
         # O(ways) override of the base-class full scan.
         line = addr >> self._offset_bits
-        return line in self._tags[line & self._index_mask]
+        entry = self._sets.get(line & self._index_mask)
+        return entry is not None and line in entry[0]
 
     def resident_lines(self) -> FrozenSet[int]:
-        resident = set()
-        for tags in self._tags:
-            for tag in tags:
-                if tag is not None:
-                    resident.add(tag)
-        return frozenset(resident)
+        return frozenset(
+            tag for tags, _ in self._sets.values() for tag in tags if tag is not None
+        )
 
 
 class FullyAssociativeCache(SetAssociativeCache):

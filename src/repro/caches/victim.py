@@ -82,3 +82,7 @@ class VictimCache(Cache):
         resident = {tag for tag in self._tags if tag is not None}
         resident.update(self._buffer)
         return frozenset(resident)
+
+    def is_empty(self) -> bool:
+        tags = self._tags
+        return not self._buffer and tags.count(None) == len(tags)

@@ -211,6 +211,10 @@ class DynamicExclusionCache(Cache):
     def resident_lines(self) -> FrozenSet[int]:
         return frozenset(tag for tag in self._tags if tag is not None)
 
+    def is_empty(self) -> bool:
+        tags = self._tags
+        return tags.count(None) == len(tags)
+
     # -- introspection (tests, hierarchy) ----------------------------------
 
     def line_state(self, index: int) -> LineState:

@@ -24,7 +24,7 @@ paper's ``(ab)^n`` — plain LRU misses everything, exclusion pins
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..caches.base import AccessResult, Cache
 from ..caches.geometry import CacheGeometry
@@ -72,23 +72,27 @@ class SetAssociativeExclusionCache(Cache):
         self.sticky_levels = sticky_levels
         self._offset_bits = geometry.offset_bits
         self._index_mask = geometry.num_sets - 1
-        self._sets = [
-            _ExclusionSet(geometry.associativity) for _ in range(geometry.num_sets)
-        ]
+        # Set index -> state, materialised on first touch so building
+        # even a 32k-set cache costs O(1).
+        self._sets: Dict[int, _ExclusionSet] = {}
 
     def _reset_state(self) -> None:
-        self._sets = [
-            _ExclusionSet(self.geometry.associativity)
-            for _ in range(self.geometry.num_sets)
-        ]
+        self._sets = {}
         self.store.reset()
+
+    def is_empty(self) -> bool:
+        # A set is only materialised by a miss that fills one of its ways.
+        return not self._sets
 
     def access(self, addr: int, kind: RefKind = RefKind.IFETCH) -> AccessResult:
         line = addr >> self._offset_bits
         index = line & self._index_mask
         stats = self.stats
         stats.accesses += 1
-        cache_set = self._sets[index]
+        try:
+            cache_set = self._sets[index]
+        except KeyError:
+            cache_set = self._sets[index] = _ExclusionSet(self.geometry.associativity)
         tags = cache_set.tags
         try:
             way = tags.index(line)
@@ -139,10 +143,16 @@ class SetAssociativeExclusionCache(Cache):
         stats.bypasses += 1
         return _BYPASS
 
+    def contains(self, addr: int) -> bool:
+        # O(ways) override of the base-class full scan.
+        line = addr >> self._offset_bits
+        cache_set = self._sets.get(line & self._index_mask)
+        return cache_set is not None and line in cache_set.tags
+
     def resident_lines(self) -> FrozenSet[int]:
-        resident = set()
-        for cache_set in self._sets:
-            for tag in cache_set.tags:
-                if tag is not None:
-                    resident.add(tag)
-        return frozenset(resident)
+        return frozenset(
+            tag
+            for cache_set in self._sets.values()
+            for tag in cache_set.tags
+            if tag is not None
+        )

@@ -82,7 +82,7 @@ def register_kernel(cache_type: type):
 def _is_cold(cache: Cache) -> bool:
     """Freshly built: no accesses counted and nothing resident."""
     stats = cache.stats
-    return stats.accesses == 0 and stats.misses == 0 and not cache.resident_lines()
+    return stats.accesses == 0 and stats.misses == 0 and cache.is_empty()
 
 
 @register_kernel(DirectMappedCache)

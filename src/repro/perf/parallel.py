@@ -29,8 +29,8 @@ Worker count resolution, in priority order:
 The split history: trace recipes live in
 :mod:`repro.perf.trace_cache`, identity/envelope types in
 :mod:`repro.perf.cells`, telemetry in :mod:`repro.perf.telemetry`, and
-the execution strategies in :mod:`repro.perf.backends`.  Everything
-historically importable from this module still is.
+the execution strategies in :mod:`repro.perf.backends`.  Every public
+name historically importable from this module still is.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from .backends import (
     resolve_backend,
     set_default_backend,  # noqa: F401 (public API, re-exported)
 )
-from .backends.base import cell_attrs as _cell_attrs  # noqa: F401 (compat)
 from .backends.base import report_outcome as _report_outcome
-from .backends.batched import group_pending as _group_pending  # noqa: F401 (compat)
 from .cells import (  # noqa: F401 (public API, re-exported)
     Cell,
     CellEvaluator,
@@ -63,7 +61,6 @@ from .cells import (  # noqa: F401 (public API, re-exported)
     CellOutcome,
     LabeledCell,
     SweepCellError,
-    cell_task as _cell_task,  # compat alias: the pre-split private name
     evaluate_cell,
     identity_for,
     simulate_cell,
@@ -73,7 +70,7 @@ from .telemetry import (  # noqa: F401 (public API, re-exported)
     TELEMETRY_LOG_LIMIT,
     SweepTelemetry,
     drain_telemetry,
-    log_telemetry as _log_telemetry,  # compat alias: the pre-split private name
+    log_telemetry,
     publish_metrics as _publish_metrics,
 )
 from .trace_cache import (  # noqa: F401 (public API, re-exported)
@@ -312,7 +309,7 @@ def run_labeled_cells(
             sweep_span.attrs["completed"] = telemetry.completed
             sweep_span.attrs["failed"] = telemetry.failed
             sweep_span.attrs["cached"] = telemetry.cached
-    _log_telemetry(telemetry)
+    log_telemetry(telemetry)
     _publish_metrics(telemetry)
     return outcomes
 

@@ -5,6 +5,10 @@ import pytest
 from repro.caches.base import AccessResult, Cache, OfflineCache
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.geometry import CacheGeometry
+from repro.caches.set_associative import SetAssociativeCache
+from repro.caches.victim import VictimCache
+from repro.core.exclusion_cache import DynamicExclusionCache
+from repro.core.set_assoc_exclusion import SetAssociativeExclusionCache
 from repro.trace.reference import RefKind
 from repro.trace.trace import Trace
 
@@ -79,3 +83,25 @@ class TestCacheBase:
             Cache(CacheGeometry(64, 4))  # type: ignore[abstract]
         with pytest.raises(TypeError):
             OfflineCache(CacheGeometry(64, 4))  # type: ignore[abstract]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _MinimalCache,
+        lambda: DirectMappedCache(CacheGeometry(64, 4)),
+        lambda: DynamicExclusionCache(CacheGeometry(64, 4)),
+        lambda: VictimCache(CacheGeometry(64, 4)),
+        lambda: SetAssociativeCache(CacheGeometry(64, 4, associativity=2)),
+        lambda: SetAssociativeExclusionCache(CacheGeometry(64, 4, associativity=2)),
+    ],
+)
+def test_is_empty_agrees_with_resident_lines(build):
+    cache = build()
+    assert cache.is_empty() and not cache.resident_lines()
+    for addr in (0, 64, 128, 0):
+        cache.access(addr)
+        assert cache.is_empty() == (not cache.resident_lines())
+        assert not cache.is_empty()
+    cache.reset()
+    assert cache.is_empty() and not cache.resident_lines()

@@ -1,5 +1,7 @@
 """Tests for the set-associative cache."""
 
+import tracemalloc
+
 import pytest
 
 from repro.caches.direct_mapped import DirectMappedCache
@@ -123,3 +125,72 @@ class TestFullyAssociative:
         stats = cache.simulate(trace)
         stats.check()
         assert stats.misses == 100  # pure streaming never hits
+
+
+def lcg_trace(refs=600, lines=40):
+    """Pseudo-random references over ``lines`` 4-byte lines."""
+    addrs, x = [], 1
+    for _ in range(refs):
+        x = (x * 1103515245 + 12345) % (1 << 31)
+        addrs.append(((x >> 8) % lines) * 4)
+    return Trace(addrs, [0] * len(addrs))
+
+
+class TestPolicyStreams:
+    """Exact counts over 8 sets of 2 ways, five lines per set.
+
+    Each set's policy is seeded with ``seed + index``; seeding every set
+    alike or shifting the index changes these counts.
+    """
+
+    GEOMETRY = CacheGeometry(64, 4, associativity=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({"policy": "random", "seed": 3}, (245, 355, 339)),
+            ({"policy": "fifo"}, (245, 355, 339)),
+            ({"policy": "lru"}, (244, 356, 340)),
+        ],
+    )
+    def test_pinned_counts(self, kwargs, expected):
+        stats = SetAssociativeCache(self.GEOMETRY, **kwargs).simulate(lcg_trace())
+        assert (stats.hits, stats.misses, stats.evictions) == expected
+
+
+class TestLazySets:
+    GEOMETRY = CacheGeometry(256 * 1024, 4, associativity=2)  # 32,768 sets
+
+    def test_construction_materialises_nothing(self):
+        assert self.GEOMETRY.num_sets == 32768
+        SetAssociativeCache(self.GEOMETRY, policy="random")  # warm imports
+        tracemalloc.start()
+        try:
+            cache = SetAssociativeCache(self.GEOMETRY, policy="random")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not cache._sets
+        assert cache.is_empty()
+        assert peak < 64 * 1024
+
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="plru"):
+            SetAssociativeCache(self.GEOMETRY, policy="plru")
+
+    def test_untouched_set_not_contained(self):
+        cache = SetAssociativeCache(self.GEOMETRY)
+        cache.access(0)
+        assert cache.contains(0)
+        assert not cache.contains(4)
+        assert len(cache._sets) == 1
+
+    def test_reset_drops_materialised_sets(self):
+        cache = SetAssociativeCache(self.GEOMETRY)
+        for addr in range(0, 4096, 4):
+            cache.access(addr)
+        assert len(cache._sets) == 1024
+        cache.reset()
+        assert not cache._sets
+        assert cache.is_empty()
+        assert not cache.contains(0)

@@ -1,6 +1,7 @@
 """Tests for the set-associative dynamic-exclusion extension."""
 
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -166,3 +167,37 @@ def test_hits_require_prior_access(addrs):
         if cache.access(addr).hit:
             assert line in seen
         seen.add(line)
+
+
+class TestLazySets:
+    GEOMETRY = CacheGeometry(256 * 1024, 4, associativity=2)  # 32,768 sets
+
+    def test_construction_materialises_nothing(self):
+        assert self.GEOMETRY.num_sets == 32768
+        SetAssociativeExclusionCache(self.GEOMETRY)  # warm imports
+        tracemalloc.start()
+        try:
+            cache = SetAssociativeExclusionCache(self.GEOMETRY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not cache._sets
+        assert cache.is_empty()
+        assert peak < 64 * 1024
+
+    def test_untouched_set_not_contained(self):
+        cache = SetAssociativeExclusionCache(self.GEOMETRY)
+        cache.access(0)
+        assert cache.contains(0)
+        assert not cache.contains(4)
+        assert len(cache._sets) == 1
+
+    def test_reset_drops_materialised_sets(self):
+        cache = SetAssociativeExclusionCache(self.GEOMETRY)
+        for addr in range(0, 4096, 4):
+            cache.access(addr)
+        assert len(cache._sets) == 1024
+        cache.reset()
+        assert not cache._sets
+        assert cache.is_empty()
+        assert not cache.contains(0)

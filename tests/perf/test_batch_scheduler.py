@@ -21,6 +21,7 @@ from repro.caches.geometry import CacheGeometry
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import IdealHitLastStore
 from repro.perf import parallel
+from repro.perf.backends.batched import group_pending
 from repro.perf.batch import DEBatchSpec
 from repro.perf.journal import JOURNAL_FILENAME
 from repro.perf.parallel import (
@@ -188,7 +189,7 @@ class TestGroupingProperty:
             for i, t in enumerate(trace_of_cell)
         ]
         pending = [i for i in range(len(cells)) if pending_mask[i]]
-        groups = parallel._group_pending(cells, pending, limit)
+        groups = group_pending(cells, pending, limit)
         dispatched = [index for group in groups for index in group]
         # exactly-once, regardless of grouping
         assert sorted(dispatched) == sorted(pending)

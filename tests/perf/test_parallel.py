@@ -6,6 +6,7 @@ from repro.analysis.sweep import run_sweep
 from repro.experiments.common import StandardFactory, standard_factories
 from repro.perf import parallel
 from repro.perf.parallel import TraceKey
+from repro.perf.telemetry import log_telemetry
 
 
 class TestWorkerResolution:
@@ -149,7 +150,7 @@ class TestSweepTelemetry:
 class TestTelemetryLog:
     def test_drain_returns_and_clears(self):
         parallel.drain_telemetry()
-        parallel._log_telemetry(parallel.SweepTelemetry(engine="reference", workers=1))
+        log_telemetry(parallel.SweepTelemetry(engine="reference", workers=1))
         drained = parallel.drain_telemetry()
         assert len(drained) == 1
         assert parallel.drain_telemetry() == []
@@ -158,7 +159,7 @@ class TestTelemetryLog:
         parallel.drain_telemetry()
         limit = parallel.TELEMETRY_LOG_LIMIT
         for index in range(limit + 10):
-            parallel._log_telemetry(
+            log_telemetry(
                 parallel.SweepTelemetry(engine="reference", workers=1, total=index)
             )
         drained = parallel.drain_telemetry()
@@ -176,7 +177,7 @@ class TestTelemetryLog:
 
         def writer():
             for _ in range(50):
-                parallel._log_telemetry(
+                log_telemetry(
                     parallel.SweepTelemetry(engine="reference", workers=1)
                 )
 
