@@ -70,12 +70,17 @@ class HashedHitLastStore(HitLastStore):
     """
 
     def __init__(self, num_bits: int, default: bool = True) -> None:
-        if num_bits <= 0 or num_bits & (num_bits - 1):
-            raise ValueError("num_bits must be a positive power of two")
+        self.validate(num_bits)
         self.num_bits = num_bits
         self.default = default
         self._bits = [default] * num_bits
         self._mask = num_bits - 1
+
+    @staticmethod
+    def validate(num_bits: int) -> None:
+        """Raise :class:`ValueError` unless ``num_bits`` is a positive power of two."""
+        if num_bits <= 0 or num_bits & (num_bits - 1):
+            raise ValueError("num_bits must be a positive power of two")
 
     def _index(self, word: int) -> int:
         # Plain low-address indexing: with k bits per cache line the

@@ -15,7 +15,7 @@ capacity:
   says it pays).
 
 The split configurations need a custom cell evaluator — the "model" is
-a *pair* of caches and the references are routed by kind — which is
+a *pair* of caches, each fed the references of its kind — which is
 exactly what the spec layer's ``evaluator`` hook exists for.
 """
 
@@ -32,8 +32,9 @@ from ..caches.direct_mapped import DirectMappedCache
 from ..caches.geometry import CacheGeometry
 from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import IdealHitLastStore
-from ..trace.reference import RefKind
+from ..perf import engine as engine_mod
 from ..trace.trace import Trace
+from ..trace.transforms import only_data, only_instructions
 from .spec import BenchmarkSuite, ExperimentSpec, register, run_spec
 
 TITLE = "Extension: split I/D caches vs unified (b=4B)"
@@ -44,24 +45,12 @@ _LABELS = ["unified DM", "unified DE", "split DM", "split DM+DE(I)"]
 
 
 class SplitPair:
-    """An I-cache and a D-cache posing as one model."""
+    """An I-cache and a D-cache posing as one model: instruction fetches
+    go to ``icache``, loads and stores to ``dcache``."""
 
     def __init__(self, icache: Cache, dcache: Cache) -> None:
         self.icache = icache
         self.dcache = dcache
-
-    def miss_rate(self, trace: Trace) -> float:
-        """Route references by kind and pool the misses."""
-        ifetch = int(RefKind.IFETCH)
-        icache, dcache = self.icache, self.dcache
-        for addr, kind in trace.pairs():
-            if kind == ifetch:
-                icache.access(addr, kind)  # type: ignore[arg-type]
-            else:
-                dcache.access(addr, kind)  # type: ignore[arg-type]
-        total_misses = icache.stats.misses + dcache.stats.misses
-        total_accesses = icache.stats.accesses + dcache.stats.accesses
-        return total_misses / total_accesses if total_accesses else 0.0
 
 
 def _unified(size: int, exclusion: bool) -> Cache:
@@ -94,12 +83,18 @@ class SplitFactory:
 
 @dataclass(frozen=True)
 class SplitEvaluator:
-    """Simulate either a plain cache or a routed I/D pair."""
+    """Simulate either a plain cache or an I/D pair, pooling the pair's misses."""
 
     def __call__(self, model: object, trace: Trace, engine: Optional[str]) -> dict:
         if isinstance(model, SplitPair):
-            return {"miss_rate": model.miss_rate(trace)}
-        return {"miss_rate": model.simulate(trace).miss_rate}  # type: ignore[attr-defined]
+            # The halves never interact, so each runs alone over the
+            # sub-trace of its reference kinds.
+            stats = engine_mod.simulate(
+                model.icache, only_instructions(trace), engine
+            ).merge(engine_mod.simulate(model.dcache, only_data(trace), engine))
+        else:
+            stats = engine_mod.simulate(model, trace, engine)  # type: ignore[arg-type]
+        return {"miss_rate": stats.miss_rate}
 
 
 def _render(result: SweepResult) -> str:

@@ -28,6 +28,7 @@ from ..caches.set_associative import SetAssociativeCache
 from ..caches.write_policy import WritePolicyCache
 from ..core.hitlast import IdealHitLastStore
 from ..core.long_lines import make_long_line_exclusion_cache
+from ..perf import engine as engine_mod
 from ..trace.trace import Trace
 from .common import REFERENCE_SIZE
 from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
@@ -73,7 +74,7 @@ class TrafficEvaluator:
     def __call__(
         self, model: WritePolicyCache, trace: Trace, engine: Optional[str]
     ) -> Dict[str, float]:
-        stats = model.simulate(trace)
+        stats = engine_mod.simulate(model, trace, engine)
         model.flush()
         per_kilo = 1000.0 / max(1, len(trace))
         return {

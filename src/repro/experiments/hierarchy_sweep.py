@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 
 from ..caches.geometry import CacheGeometry
 from ..hierarchy.two_level import Strategy, TwoLevelCache
+from ..perf import engine as engine_mod
 from ..trace.trace import Trace
 from .common import L2_RATIO_SWEEP, REFERENCE_LINE, REFERENCE_SIZE
 from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
@@ -72,7 +73,7 @@ class HierarchyEvaluator:
     """Per-cell metrics: all three rates from one hierarchy pass."""
 
     def __call__(self, model: TwoLevelCache, trace: Trace, engine: str) -> Dict[str, float]:
-        result = model.simulate(trace)
+        result = engine_mod.simulate(model, trace, engine)
         return {
             "l1_miss_rate": result.l1_miss_rate,
             "l2_global_miss_rate": result.l2_global_miss_rate,

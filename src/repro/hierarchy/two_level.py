@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..caches.direct_mapped import DirectMappedCache
@@ -87,6 +88,11 @@ class TwoLevelResult:
 class TwoLevelCache:
     """An L1 (+ optional dynamic exclusion) backed by a direct-mapped L2.
 
+    The levels (``l1``, ``l2``) and the hit-last ``store`` are built on
+    first attribute access, so constructing a hierarchy allocates
+    nothing whatever the L2 size; the fast engine's kernel never builds
+    them at all.
+
     Parameters
     ----------
     l1_geometry, l2_geometry:
@@ -115,29 +121,30 @@ class TwoLevelCache:
             raise ValueError("L2 line size must be >= L1 line size")
         if l2_geometry.size < l1_geometry.size:
             raise ValueError("L2 must be at least as large as L1")
+        # Reject what the lazily built levels would, here rather than at
+        # the first access.
+        if strategy.uses_exclusion and sticky_levels < 1:
+            raise ValueError("sticky_levels must be at least 1")
+        if strategy is Strategy.HASHED:
+            HashedHitLastStore.validate(l1_geometry.num_lines * hashed_bits_per_line)
         self.strategy = strategy
         self.l1_geometry = l1_geometry
         self.l2_geometry = l2_geometry
+        self.hashed_bits_per_line = hashed_bits_per_line
+        self.sticky_levels = sticky_levels
         # How many bits separate an L1 line address from its L2 line.
         self._l2_shift = l2_geometry.offset_bits - l1_geometry.offset_bits
 
-        self.l2 = DirectMappedCache(
-            l2_geometry,
-            allocate_on_miss=not strategy.exclusive_l2,
+    @cached_property
+    def l2(self) -> DirectMappedCache:
+        return DirectMappedCache(
+            self.l2_geometry,
+            allocate_on_miss=not self.strategy.exclusive_l2,
             name="L2",
         )
-        self.store = self._build_store(hashed_bits_per_line)
-        if strategy.uses_exclusion:
-            self.l1: "DirectMappedCache | DynamicExclusionCache" = DynamicExclusionCache(
-                l1_geometry,
-                store=self.store,
-                sticky_levels=sticky_levels,
-                name="L1-DE",
-            )
-        else:
-            self.l1 = DirectMappedCache(l1_geometry, name="L1-DM")
 
-    def _build_store(self, hashed_bits_per_line: int) -> Optional[HitLastStore]:
+    @cached_property
+    def store(self) -> Optional[HitLastStore]:
         strategy = self.strategy
         if strategy is Strategy.DIRECT_MAPPED:
             return None
@@ -145,22 +152,44 @@ class TwoLevelCache:
             return IdealHitLastStore()
         if strategy is Strategy.HASHED:
             return HashedHitLastStore(
-                num_bits=self.l1_geometry.num_lines * hashed_bits_per_line
+                num_bits=self.l1_geometry.num_lines * self.hashed_bits_per_line
             )
+        # The callables reach L2 without closing over the hierarchy, so
+        # no reference cycle keeps a dropped model (and its L2 tag
+        # list) alive until a full garbage collection.
+        shift = self._l2_shift
         return L2BackedHitLastStore(
-            resident=self._l2_resident,
-            l2_line_of=self._l2_line_of,
+            resident=self.l2.contains_line,
+            l2_line_of=lambda word: word >> shift,
             assume_hit=strategy is Strategy.ASSUME_HIT,
             record_when_absent=strategy.exclusive_l2,
         )
+
+    @cached_property
+    def l1(self) -> "DirectMappedCache | DynamicExclusionCache":
+        if self.strategy.uses_exclusion:
+            return DynamicExclusionCache(
+                self.l1_geometry,
+                store=self.store,
+                sticky_levels=self.sticky_levels,
+                name="L1-DE",
+            )
+        return DirectMappedCache(self.l1_geometry, name="L1-DM")
+
+    def is_cold(self) -> bool:
+        """Whether no level has been built yet.
+
+        Every access builds the levels first, so an unbuilt model has
+        simulated nothing.  This is the fast engine's cold check; it is
+        conservative, since a model whose levels were only inspected
+        counts as warm.
+        """
+        return not {"l1", "l2", "store"} & self.__dict__.keys()
 
     # -- L2 bookkeeping ----------------------------------------------------
 
     def _l2_line_of(self, l1_line: int) -> int:
         return l1_line >> self._l2_shift
-
-    def _l2_resident(self, l2_line: int) -> bool:
-        return self.l2.contains_line(l2_line)
 
     def _drop_hitlast_for(self, l2_line: int) -> None:
         if not isinstance(self.store, L2BackedHitLastStore):

@@ -2,7 +2,8 @@
 
 * :mod:`repro.perf.kernels` — numpy set-partitioned kernels for the
   direct-mapped, dynamic-exclusion, Belady-optimal (any associativity,
-  plus the last-line variant), and LRU set-associative caches;
+  plus the last-line variant), and LRU set-associative caches, and for
+  the two-level hierarchy of every hit-last strategy;
 * :mod:`repro.perf.engine` — ``simulate(model, trace, engine=...)``
   dispatch with a kernel registry and automatic reference fallback,
   plus ``simulate_batch`` for many cells sharing one trace;
@@ -53,6 +54,7 @@ from .kernels import (
     simulate_dynamic_exclusion,
     simulate_lru,
     simulate_optimal_last_line,
+    simulate_two_level,
 )
 from .backends import (
     BACKENDS,
@@ -158,6 +160,7 @@ __all__ = [
     "simulate_dynamic_exclusion_batch",
     "simulate_lru",
     "simulate_optimal_last_line",
+    "simulate_two_level",
     "worker_command",
     "worker_main",
 ]

@@ -5,17 +5,24 @@ through.  With ``engine="reference"`` it simply calls the model's own
 ``simulate`` (the per-reference Python loop).  With ``engine="fast"`` it
 consults the kernel registry: configurations with a set-partitioned
 kernel (:mod:`repro.perf.kernels`) — direct-mapped, dynamic exclusion
-with the ideal store, the Belady-optimal family, LRU set-associative —
-run through it, everything else — victim caches, FIFO/random
-replacement, hierarchies, non-ideal hit-last stores, multi-level sticky
-bits — silently falls back to the reference path, so callers never need
-to know which configurations are accelerated.
+with the ideal store, the Belady-optimal family, LRU set-associative,
+and two-level hierarchies of every hit-last strategy with one sticky
+bit and equal L1/L2 line sizes — run through it.  Everything else —
+victim caches, FIFO/random replacement, write-policy wrappers,
+non-ideal hit-last stores on a lone cache, multi-level sticky bits,
+hierarchies whose L2 lines are longer than L1's — falls back to the
+reference path, so callers never need to know which configurations are
+accelerated.  Every call names the engine that actually ran: the
+``simulate`` span's ``path`` attribute and the
+``engine.dispatch{model=,engine_used=}`` counter.
 
+Either way :func:`simulate` returns what the model's own ``simulate``
+returns: a :class:`~repro.caches.stats.CacheStats`, or a
+:class:`~repro.hierarchy.two_level.TwoLevelResult` for a hierarchy.
 The fast path is *pure*: it requires a freshly constructed model (cold
-arrays, zero stats) and does not mutate it, returning a standalone
-:class:`~repro.caches.stats.CacheStats`.  A model that has already been
-touched falls back to the reference engine, which accumulates into the
-model exactly as before.
+arrays, zero stats) and does not mutate it, returning standalone
+statistics.  A model that has already been touched falls back to the
+reference engine, which accumulates into the model exactly as before.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from ..caches.set_associative import SetAssociativeCache
 from ..caches.stats import CacheStats
 from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import IdealHitLastStore
+from ..hierarchy.two_level import TwoLevelCache, TwoLevelResult
 from ..trace.trace import Trace
 from . import kernels
 from .batch import DEBatchSpec, simulate_dynamic_exclusion_batch
@@ -55,8 +63,9 @@ class KernelExecutionError(RuntimeError):
     kernel during a 500-cell sweep is attributable without a debugger.
     """
 
-Simulator = Union[Cache, OfflineCache]
-KernelRunner = Callable[[Trace], CacheStats]
+Simulator = Union[Cache, OfflineCache, TwoLevelCache]
+SimulationStats = Union[CacheStats, TwoLevelResult]
+KernelRunner = Callable[[Trace], SimulationStats]
 
 #: Exact model type -> matcher returning a kernel runner (or None when
 #: the particular instance is not kernel-eligible).
@@ -67,8 +76,9 @@ def register_kernel(cache_type: type):
     """Class decorator target: register a kernel matcher for a model type.
 
     The matcher receives the model *instance* and returns a callable
-    ``trace -> CacheStats`` when the instance's configuration is
-    supported, else ``None``.  Matching is by exact type, so subclasses
+    ``trace -> stats`` (of the type the model's own ``simulate``
+    returns) when the instance's configuration is supported, else
+    ``None``.  Matching is by exact type, so subclasses
     with changed behaviour never inherit a kernel silently.
     """
 
@@ -147,6 +157,22 @@ def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
         return None
     geometry = cache.geometry
     return lambda trace: kernels.simulate_lru(trace, geometry)
+
+
+@register_kernel(TwoLevelCache)
+def _two_level_kernel(model: Simulator) -> Optional[KernelRunner]:
+    # Equal line sizes keep each L2 set inside one L1 set, which is what
+    # lets the kernel run the L1 set groups independently.
+    if type(model) is not TwoLevelCache or model.sticky_levels != 1:
+        return None
+    l1, l2 = model.l1_geometry, model.l2_geometry
+    if l1.line_size != l2.line_size or not model.is_cold():
+        return None
+    strategy = model.strategy
+    bits_per_line = model.hashed_bits_per_line
+    return lambda trace: kernels.simulate_two_level(
+        trace, l1, l2, strategy, hashed_bits_per_line=bits_per_line
+    )
 
 
 def registered_kernel_types() -> "tuple[type, ...]":
@@ -304,7 +330,7 @@ def simulate_batch(
     simulators: Sequence[Simulator],
     trace: Trace,
     engine: Optional[str] = None,
-) -> List[CacheStats]:
+) -> List[SimulationStats]:
     """Simulate many models against one shared trace.
 
     With ``engine="batch"``, models whose configuration has a batch
@@ -312,13 +338,14 @@ def simulate_batch(
     invocation per group (:func:`simulate_batch_specs`); the rest fall
     back to per-cell :func:`simulate` under the fast engine.  Any other
     engine simply maps :func:`simulate` over the models.  Results come
-    back in input order either way, one :class:`CacheStats` per model.
+    back in input order either way, one :func:`simulate` result per
+    model.
     """
     engine = resolve_engine(engine)
     if engine != "batch":
         return [simulate(sim, trace, engine=engine) for sim in simulators]
 
-    results: List[Optional[CacheStats]] = [None] * len(simulators)
+    results: List[Optional[SimulationStats]] = [None] * len(simulators)
     specs: List[Optional[object]] = [batch_spec_for(sim) for sim in simulators]
     vectorized = [i for i, spec in enumerate(specs) if spec is not None]
     obs_metrics.counter("batch.cells.vectorized", len(vectorized))
@@ -364,16 +391,23 @@ def default_engine() -> str:
 
 def simulate(
     simulator: Simulator, trace: Trace, engine: Optional[str] = None
-) -> CacheStats:
+) -> SimulationStats:
     """Run ``trace`` through ``simulator`` under the chosen engine.
 
     ``engine=None`` uses the process default (``reference`` unless the
-    experiments CLI was invoked with ``--engine fast``).
+    experiments CLI was invoked with ``--engine fast``).  Returns what
+    ``simulator.simulate`` returns (:class:`CacheStats`, or a
+    :class:`TwoLevelResult` for a hierarchy).
     """
     engine = resolve_engine(engine)
     model = type(simulator).__name__
     runner = kernel_for(simulator) if engine in ("fast", "batch") else None
     path = "kernel" if runner is not None else "reference"
+    obs_metrics.counter(
+        "engine.dispatch",
+        model=model,
+        engine_used="fast" if runner is not None else "reference",
+    )
     with obs_tracing.span(
         "simulate",
         model=model,

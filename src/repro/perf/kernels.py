@@ -34,7 +34,11 @@ per-set groups:
   O(1), and runs again collapse to one decision;
 * :func:`simulate_optimal_last_line` composes the Belady kernel with
   :func:`~repro.trace.transforms.collapse_sequential_lines`, mirroring
-  :class:`~repro.caches.optimal.OptimalLastLineCache`.
+  :class:`~repro.caches.optimal.OptimalLastLineCache`;
+* :func:`simulate_two_level` runs the two-level hierarchy of every
+  hit-last strategy over the L1 set groups: with equal line sizes each
+  L2 set, hashed-table slot and L2-backed bit belongs to one L1 set, so
+  the groups never interact, and a run costs at most two L1-miss steps.
 
 All kernels return a :class:`~repro.caches.stats.CacheStats` that is
 field-for-field identical to the reference simulators'
@@ -51,6 +55,7 @@ import numpy as np
 from ..caches.geometry import CacheGeometry
 from ..caches.optimal import NEVER, next_use_array
 from ..caches.stats import CacheStats, ExclusionEvents
+from ..hierarchy.two_level import Strategy, TwoLevelResult
 from ..trace.trace import Trace
 
 
@@ -410,3 +415,144 @@ def simulate_optimal_last_line(trace: Trace, geometry: CacheGeometry) -> CacheSt
     )
     stats.check()
     return stats
+
+
+def simulate_two_level(
+    trace: Trace,
+    l1_geometry: CacheGeometry,
+    l2_geometry: CacheGeometry,
+    strategy: "Strategy | str",
+    hashed_bits_per_line: int = 4,
+) -> TwoLevelResult:
+    """Set-partitioned, run-compressed two-level hierarchy simulation.
+
+    Models a cold :class:`~repro.hierarchy.two_level.TwoLevelCache` of
+    any strategy with ``sticky_levels=1`` and equal L1 and L2 line
+    sizes.  An L2 line is then an L1 line, and L2 has a multiple of
+    L1's sets, so every L2 set holds lines of one L1 set only; so does
+    every hashed-table slot (the table has at least one bit per L1
+    set) and every per-word hit-last bit.  Each L1 set group therefore
+    runs alone, against L2 tags and bits that no other group touches.
+
+    Within a group, a run of ``k`` references to one word costs at most
+    two L1-miss steps: a step that installs the word leaves ``k - 1``
+    L1 hits, and a bypass clears the sticky bit, so the run's second
+    reference replaces.  Each step follows the reference's order: the
+    L1 FSM reads and writes the hit-last store against the L2 contents
+    *before* this reference's L2 access, then L2 is accessed, then an
+    exclusive L2 takes the bypassed word or the L1 victim (a bypass
+    step precedes the replacing step, so within a run the bypassed
+    word is installed before the victim).  Installs count nothing, and
+    an exclusive L2's no-allocate misses count as bypasses.  L2-backed
+    bits die with their L2 line.  No ``fsm.*`` events are published,
+    matching the reference hierarchy.
+    """
+    strategy = Strategy(strategy)
+    if l1_geometry.line_size != l2_geometry.line_size:
+        raise ValueError("the two-level kernel requires equal L1 and L2 line sizes")
+    _require_direct_mapped(l1_geometry)
+    _require_direct_mapped(l2_geometry)
+    n = len(trace)
+    l1 = CacheStats(accesses=n)
+    l2 = CacheStats()
+    if n:
+        grouped_lines, new_set, _ = _set_partition(trace, l1_geometry)
+        starts = _run_starts(grouped_lines, new_set)
+        run_words = grouped_lines[starts].tolist()
+        run_lengths = np.diff(starts, append=n).tolist()
+        run_new_set = new_set[starts].tolist()
+
+        exclusion = strategy.uses_exclusion
+        exclusive = strategy.exclusive_l2
+        l2_backed = strategy in (Strategy.ASSUME_HIT, Strategy.ASSUME_MISS)
+        # Assume-hit drops write-backs of words whose L2 line is absent.
+        guarded = strategy is Strategy.ASSUME_HIT
+        default = strategy is not Strategy.ASSUME_MISS
+        bit_mask = -1  # per-word bits; the hashed table keeps the low bits
+        if strategy is Strategy.HASHED:
+            bit_mask = l1_geometry.num_lines * hashed_bits_per_line - 1
+        l2_mask = l2_geometry.num_sets - 1
+        bits: "dict[int, bool]" = {}
+        bits_get = bits.get
+        tags: "dict[int, int]" = {}  # L2 set index -> resident line
+        tags_get = tags.get
+        hits = cold = evictions = bypasses = 0
+        l2_hits = l2_cold = l2_evictions = l2_bypasses = 0
+        resident = -1
+        sticky = hit_last = False
+        for word, left, starts_set in zip(run_words, run_lengths, run_new_set):
+            if starts_set:
+                resident = -1
+                sticky = hit_last = False
+            if word == resident:
+                hits += left
+                sticky = hit_last = True
+                continue
+            while left:
+                left -= 1
+                bypassed = False
+                victim = -1
+                if resident < 0:
+                    cold += 1
+                    resident = word
+                    sticky = hit_last = True
+                elif exclusion and sticky and not (
+                    bits_get(word & bit_mask, default)
+                    if not l2_backed or tags_get(word & l2_mask) == word
+                    else default
+                ):
+                    sticky = False
+                    bypasses += 1
+                    bypassed = True
+                else:
+                    if exclusion and (
+                        not guarded or tags_get(resident & l2_mask) == resident
+                    ):
+                        bits[resident & bit_mask] = hit_last
+                    evictions += 1
+                    victim = resident
+                    resident = word
+                    # A hit-last load over a sticky resident starts at 0.
+                    hit_last = not sticky
+                    sticky = True
+                index = word & l2_mask
+                held = tags_get(index)
+                if held == word:
+                    l2_hits += 1
+                elif exclusive:
+                    l2_bypasses += 1
+                else:
+                    tags[index] = word
+                    if held is None:
+                        l2_cold += 1
+                    else:
+                        l2_evictions += 1
+                        if l2_backed:
+                            bits.pop(held, None)
+                if exclusive:
+                    moved = word if bypassed else victim
+                    if moved >= 0:
+                        index = moved & l2_mask
+                        held = tags_get(index)
+                        tags[index] = moved
+                        if l2_backed and held is not None and held != moved:
+                            bits.pop(held, None)
+                if not bypassed:
+                    if left:
+                        hits += left
+                        hit_last = True
+                    break
+        l1.hits = hits
+        l1.misses = n - hits
+        l1.cold_misses = cold
+        l1.evictions = evictions
+        l1.bypasses = bypasses
+        l2.accesses = l1.misses
+        l2.hits = l2_hits
+        l2.misses = l2.accesses - l2_hits
+        l2.cold_misses = l2_cold
+        l2.evictions = l2_evictions
+        l2.bypasses = l2_bypasses
+    l1.check()
+    l2.check()
+    return TwoLevelResult(strategy=strategy, l1=l1, l2=l2)

@@ -1,10 +1,19 @@
 """Tests for the two-level hierarchy (paper Section 5)."""
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
+from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.geometry import CacheGeometry
 from repro.core.exclusion_cache import DynamicExclusionCache
-from repro.core.hitlast import L2BackedHitLastStore
+from repro.core.hitlast import (
+    HashedHitLastStore,
+    IdealHitLastStore,
+    L2BackedHitLastStore,
+)
 from repro.hierarchy.two_level import Strategy, TwoLevelCache
 from repro.trace.trace import Trace
 
@@ -175,3 +184,74 @@ class TestDifferentLineSizes:
         hierarchy.simulate(itrace([0, 4, 8, 12]))
         # All four words share one 16B L2 line: one L2 miss, then hits.
         assert hierarchy.l2.stats.misses == 1
+
+
+class TestLazyLevels:
+    L1_BIG = CacheGeometry(32 * 1024, 4)
+    L2_BIG = CacheGeometry(2 * 1024 * 1024, 4)  # 524,288 L2 lines
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_construction_builds_no_level(self, strategy):
+        TwoLevelCache(self.L1_BIG, self.L2_BIG, strategy=strategy)  # warm imports
+        tracemalloc.start()
+        try:
+            hierarchy = TwoLevelCache(self.L1_BIG, self.L2_BIG, strategy=strategy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert not {"l1", "l2", "store"} & vars(hierarchy).keys()
+        assert hierarchy.is_cold()
+
+    @pytest.mark.parametrize(
+        "strategy, l1_type, store_type",
+        [
+            ("direct-mapped", DirectMappedCache, type(None)),
+            ("ideal", DynamicExclusionCache, IdealHitLastStore),
+            ("assume-hit", DynamicExclusionCache, L2BackedHitLastStore),
+            ("assume-miss", DynamicExclusionCache, L2BackedHitLastStore),
+            ("hashed", DynamicExclusionCache, HashedHitLastStore),
+        ],
+    )
+    def test_levels_appear_on_first_access(self, strategy, l1_type, store_type):
+        hierarchy = TwoLevelCache(L1, L2, strategy=strategy, sticky_levels=2)
+        assert type(hierarchy.l1) is l1_type
+        assert type(hierarchy.store) is store_type
+        assert hierarchy.l2.allocate_on_miss is not hierarchy.strategy.exclusive_l2
+        assert hierarchy.l2.geometry == L2
+        assert not hierarchy.is_cold()
+        if l1_type is DynamicExclusionCache:
+            assert hierarchy.l1.store is hierarchy.store
+            assert hierarchy.l1.sticky_levels == 2
+        # Built once: later lookups return the same objects.
+        assert hierarchy.l1 is hierarchy.l1 and hierarchy.l2 is hierarchy.l2
+
+    def test_hashed_table_size_from_bits_per_line(self):
+        hierarchy = TwoLevelCache(L1, L2, strategy="hashed", hashed_bits_per_line=8)
+        assert hierarchy.hashed_bits_per_line == 8
+        assert hierarchy.store.num_bits == L1.num_lines * 8
+
+    def test_invalid_configurations_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            TwoLevelCache(L1, L2, strategy="hashed", hashed_bits_per_line=3)
+        with pytest.raises(ValueError):
+            TwoLevelCache(L1, L2, strategy="ideal", sticky_levels=0)
+
+
+class TestNoReferenceCycle:
+    """A dropped hierarchy is freed by reference counting alone, so its
+    L2 tag list does not wait for a full garbage collection."""
+
+    @pytest.mark.parametrize("accesses", [0, 4], ids=["fresh", "accessed"])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_freed_without_gc(self, strategy, accesses):
+        gc.disable()
+        try:
+            hierarchy = TwoLevelCache(L1, L2, strategy=strategy)
+            for addr in [0, 64, 64, 128][:accesses]:
+                hierarchy.access(addr)
+            ref = weakref.ref(hierarchy)
+            del hierarchy
+            assert ref() is None
+        finally:
+            gc.enable()

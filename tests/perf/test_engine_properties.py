@@ -9,6 +9,9 @@ Two invariants, enforced over randomly generated traces and geometries:
   fails loudly);
 * ``has_kernel`` is False — i.e. the fallback is taken — for warm
   models and for unsupported store/policy configurations.
+
+Two-level hierarchies get their own property over all five hit-last
+strategies at tiny geometries, where L1 and L2 conflicts are dense.
 """
 
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from repro.caches.optimal import (
 from repro.caches.set_associative import SetAssociativeCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
+from repro.hierarchy.two_level import Strategy, TwoLevelCache
 from repro.perf import engine
 from repro.trace.trace import Trace
 
@@ -43,6 +47,11 @@ FACTORIES = {
     OptimalDirectMappedCache: lambda g: OptimalDirectMappedCache(_direct_mapped(g)),
     OptimalLastLineCache: lambda g: OptimalLastLineCache(_direct_mapped(g)),
     SetAssociativeCache: lambda g: SetAssociativeCache(g, policy="lru"),
+    TwoLevelCache: lambda g: TwoLevelCache(
+        _direct_mapped(g),
+        CacheGeometry(g.size * 4, g.line_size),
+        strategy="assume-miss",
+    ),
 }
 
 #: Small geometries so random traces produce real conflict traffic.
@@ -92,6 +101,49 @@ def test_warm_models_fall_back(trace):
         assert not engine.has_kernel(model), model_type
 
 
+#: Runs of one to three references to words of a 64 B L1's (16 lines)
+#: first four sets, eight words per set: every set sees long conflict
+#: chains, and the words spread over up to 128 L2 lines.  At least 50
+#: runs, because the hit-last and L2-invalidation mistakes this must
+#: catch take a dozen conflicting references in one set to show.
+dense_traces = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=31), st.integers(1, 3)),
+    min_size=50,
+    max_size=300,
+).map(
+    lambda runs: Trace(
+        [
+            ((word & 3) | (word >> 2 << 4)) * 4
+            for word, repeat in runs
+            for _ in range(repeat)
+        ],
+        [0] * sum(repeat for _, repeat in runs),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trace=dense_traces,
+    ratio=st.sampled_from([1, 2, 8]),
+    bits_per_line=st.sampled_from([1, 4]),
+)
+def test_two_level_fast_equals_reference_for_every_strategy(
+    trace, ratio, bits_per_line
+):
+    l1 = CacheGeometry(64, 4)
+    l2 = CacheGeometry(64 * ratio, 4)
+    for strategy in Strategy:
+        def build():
+            return TwoLevelCache(
+                l1, l2, strategy=strategy, hashed_bits_per_line=bits_per_line
+            )
+
+        model = build()
+        assert engine.has_kernel(model)
+        assert engine.simulate(model, trace, engine="fast") == build().simulate(trace)
+
+
 def test_unsupported_stores_and_policies_fall_back():
     geometry = GEOMETRIES[0]
     assert not engine.has_kernel(
@@ -103,3 +155,7 @@ def test_unsupported_stores_and_policies_fall_back():
     assert not engine.has_kernel(
         DirectMappedCache(geometry, allocate_on_miss=False)
     )
+    assert not engine.has_kernel(
+        TwoLevelCache(geometry, CacheGeometry(256, 4), sticky_levels=2)
+    )
+    assert not engine.has_kernel(TwoLevelCache(geometry, CacheGeometry(256, 16)))
