@@ -10,7 +10,7 @@ library call), and with a live tracer + metrics registry writing
 ``trace.jsonl`` — and asserts the live-instrumentation overhead stays
 under the 5% acceptance ceiling.  The table persists to
 ``benchmarks/results/bench_obs_overhead.txt``, with a JSON twin
-(``bench_obs_overhead.json`` / ``bench_obs_batch.json``) whose
+(``bench_obs_overhead.json`` / ``bench_obs_fleet.json``) whose
 ``*_traced_vs_bare_speedup`` ratios — bare seconds over traced seconds,
 1.0 = free instrumentation — feed ``tools/check_bench_regression.py``.
 """
@@ -141,95 +141,6 @@ def test_tracing_overhead_under_five_percent(results_dir, tmp_path):
             f"{row['label']}: tracing overhead {row['overhead']:.1%} "
             f"exceeds the {MAX_OVERHEAD:.0%} ceiling"
         )
-
-
-def test_batched_tier_tracing_overhead(results_dir, tmp_path):
-    """The batched tier must clear the same 5% tracing ceiling.
-
-    A batched sweep emits group spans, per-cell back-dated ``cell``
-    records, and the ``batch.*`` counters from one scheduler pass, so
-    its instrumentation density differs from the per-cell fast path;
-    this times a whole 12-cell batched sweep bare vs live-traced.
-    """
-    from repro.core.hitlast import IdealHitLastStore
-    from repro.obs.metrics import MetricsRegistry as Registry
-    from repro.perf import parallel
-    from repro.perf.batch import DEBatchSpec
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class DEFactory:
-        def __call__(self, size):
-            return DynamicExclusionCache(
-                CacheGeometry(int(size), 4), store=IdealHitLastStore()
-            )
-
-        def batch_spec(self, size):
-            return DEBatchSpec(CacheGeometry(int(size), 4))
-
-    trace_key = parallel.TraceKey("gcc", "instruction", TRACE_REFS)
-    trace_key.load()
-    factory = DEFactory()
-    cells = [(f"de-{kb}k", factory, kb * 1024, trace_key)
-             for kb in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)]
-
-    def sweep_seconds():
-        start = time.perf_counter()
-        outcomes = parallel.run_labeled_cells(
-            cells, engine="batch", workers=1, journal=None, progress=False,
-            batch_cells=len(cells),
-        )
-        assert all(o.ok for o in outcomes)
-        return time.perf_counter() - start
-
-    tracer = obs.Tracer(tmp_path / "batch")
-    registry = Registry()
-    sweep_seconds()  # warm
-    bare = traced = float("inf")
-    try:
-        for _ in range(ROUNDS):
-            bare = min(bare, sweep_seconds())
-            obs.install_tracer(tracer)
-            obs.install_registry(registry)
-            try:
-                traced = min(traced, sweep_seconds())
-            finally:
-                obs.uninstall_registry()
-                obs.uninstall_tracer()
-    finally:
-        tracer.close()
-
-    overhead = traced / bare - 1.0
-    report = "\n".join(
-        [
-            f"Batched-tier observability overhead (gcc, {TRACE_REFS:,} "
-            f"refs, {len(cells)} DE cells, best of {ROUNDS})",
-            f"{'bare':<10} {bare * 1e3:>8.1f}ms",
-            f"{'traced':<10} {traced * 1e3:>8.1f}ms",
-            f"overhead: {overhead:+.1%} (ceiling {MAX_OVERHEAD:.0%})",
-        ]
-    )
-    (results_dir / "bench_obs_batch.txt").write_text(report + "\n")
-    write_json_result(
-        results_dir,
-        "bench_obs_batch",
-        config={
-            "trace": "gcc",
-            "refs": TRACE_REFS,
-            "cells": len(cells),
-            "rounds": ROUNDS,
-            "max_overhead": MAX_OVERHEAD,
-        },
-        metrics={
-            "batch_bare_rps": len(cells) * TRACE_REFS / bare,
-            "batch_traced_vs_bare_speedup": bare / traced,
-        },
-    )
-    print(f"\n{report}\n")
-    assert overhead < MAX_OVERHEAD, (
-        f"batched tier tracing overhead {overhead:.1%} exceeds "
-        f"the {MAX_OVERHEAD:.0%} ceiling"
-    )
 
 
 def test_fleet_backend_tracing_overhead(results_dir, tmp_path):

@@ -5,12 +5,10 @@ set of traces, collecting miss rates into a
 :class:`SweepResult` that the report/plot modules can render directly.
 
 Sweeps execute through :mod:`repro.perf`: the ``engine`` argument picks
-the fast set-partitioned kernels, the batched tier (``"batch"`` — cells
-sharing a trace run as one vectorized kernel invocation), or the
-reference simulators (results are identical in all three), and
-``workers`` fans the independent (parameter, policy, trace) cells out
-to a process pool.  Traces may be
-given as :class:`~repro.trace.trace.Trace` objects or as cheap
+the fast set-partitioned kernels or the reference simulators (results
+are identical), and ``workers`` fans the independent (parameter,
+policy, trace) cells out to a process pool.  Traces may be given as
+:class:`~repro.trace.trace.Trace` objects or as cheap
 :class:`~repro.perf.parallel.TraceKey` recipes; parallel runs want keys
 so workers regenerate traces locally instead of unpickling megabyte
 arrays.

@@ -348,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--engine", choices=list(ENGINES), default=None,
                             help="'fast' uses the set-partitioned numpy "
                             "kernels where available (identical results); "
-                            "'batch' additionally vectorizes multi-cell "
-                            "sweeps sharing one trace (single-cell runs "
-                            "behave like 'fast'); "
                             "default: the process default ('reference')")
     sim_parser.add_argument("--workers", type=int, default=None, metavar="N",
                             help="default process-pool size for any sweep "
@@ -430,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--engine", choices=list(ENGINES), default="fast",
-        help="engine for cells the store does not hold yet (default fast; "
-        "batch shares the fast tier's store keys)",
+        help="engine for cells the store does not hold yet (default fast)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

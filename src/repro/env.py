@@ -15,9 +15,6 @@ them carried its own copy of the parsing and error wording.  The rules:
 * ``REPRO_PROFILE`` — when truthy (``1``/``true``/``yes``/``on``),
   experiment runs wrap kernel dispatch in profiling sections and write
   a per-phase breakdown (see :mod:`repro.obs.profiling`);
-* ``REPRO_BATCH_CELLS`` — maximum cells the batched engine groups into
-  one vectorized kernel invocation (integer >= 1; unset uses the
-  scheduler default, see :mod:`repro.perf.parallel`);
 * ``REPRO_BACKEND`` — default sweep execution backend (any registered
   backend name; ``inline``/``local-pool``/``fleet`` are built in, and
   unset means the runner picks automatically, see
@@ -89,20 +86,6 @@ def env_workers() -> Optional[int]:
     if workers < 1:
         raise ValueError("REPRO_WORKERS must be at least 1")
     return workers
-
-
-def env_batch_cells() -> Optional[int]:
-    """The validated REPRO_BATCH_CELLS setting (None when unset)."""
-    raw = os.environ.get("REPRO_BATCH_CELLS")
-    if raw is None:
-        return None
-    try:
-        cells = int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_BATCH_CELLS must be an integer, got {raw!r}") from None
-    if cells < 1:
-        raise ValueError("REPRO_BATCH_CELLS must be at least 1")
-    return cells
 
 
 def env_backend() -> Optional[str]:
@@ -272,7 +255,6 @@ def validate() -> None:
     generated.
     """
     env_workers()
-    env_batch_cells()
     env_backend()
     env_fleet_hosts()
     trace_scale()

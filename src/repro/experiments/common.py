@@ -19,7 +19,6 @@ from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import IdealHitLastStore
 from ..core.long_lines import make_long_line_exclusion_cache
 from ..env import BASE_MAX_REFS, max_refs, trace_scale  # noqa: F401 (re-exported)
-from ..perf.batch import DEBatchSpec
 from ..perf.parallel import TraceKey, clear_trace_cache as _clear_key_cache
 from ..trace.trace import Trace
 from ..workloads.registry import benchmark_names, trace_by_kind
@@ -151,21 +150,6 @@ class StandardFactory:
                 return optimal(geometry)
             return optimal_long_lines(geometry)
         raise ValueError(f"unknown standard curve {self.curve!r}")
-
-    def batch_spec(self, size: object):
-        """Batch spec for the DE curve, skipping model construction.
-
-        The ``batch_spec`` factory protocol (see
-        :mod:`repro.perf.parallel`): the ``--engine batch`` scheduler
-        asks factories to describe their cell directly so it never has
-        to allocate a large cache's per-set arrays just to read the
-        geometry back off it.  Must match what ``__call__`` builds:
-        only the word-line DE curve has a batch kernel.
-        """
-        if self.curve == "dynamic-exclusion" and self.line_size <= 4:
-            geometry = CacheGeometry(int(size), self.line_size)  # type: ignore[call-overload]
-            return DEBatchSpec(geometry, default_hit_last=True)
-        return None
 
 
 def standard_factories(line_size: int) -> "Dict[str, Callable[[object], object]]":

@@ -73,10 +73,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         choices=list(perf.ENGINES),
         default=None,
         help="simulation engine: 'fast' uses the set-partitioned numpy "
-        "kernels where available (identical results), 'batch' adds "
-        "vectorized multi-cell kernels so a whole geometry sweep sharing "
-        "one trace runs in a single invocation (still identical results), "
-        "'reference' the per-reference simulators (default)",
+        "kernels where available (identical results), 'reference' the "
+        "per-reference simulators (default)",
     )
     parser.add_argument(
         "--workers",
@@ -91,9 +89,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         choices=perf.backend_names(),
         default=None,
         help="sweep execution backend: 'inline' runs cells in this "
-        "process, 'local-pool' uses one machine's process pool (plus the "
-        "batched shared-memory tier), 'fleet' shards cells across "
-        "long-lived repro worker subprocesses — local by default, or the "
+        "process, 'local-pool' uses one machine's process pool, 'fleet' "
+        "shards cells across long-lived repro worker subprocesses — "
+        "local by default, or the "
         "REPRO_FLEET_HOSTS endpoints (SSH or command templates) "
         "(default: REPRO_BACKEND, or automatic by worker count)",
     )

@@ -84,7 +84,7 @@ class ExperimentSpec:
     * **custom** — a ``compute`` thunk for experiments with no grid
       structure (e.g. the Section 3 analytic patterns).
 
-    ``engine`` is a hint (``"fast"``/``"batch"``/``"reference"``)
+    ``engine`` is a hint (``"fast"``/``"reference"``)
     applied when the caller passes none; ``render`` turns the result into the report
     text; ``hidden`` keeps auxiliary base specs (the b=16B size sweep,
     the two-level hierarchy grid) out of the CLI listing while still

@@ -5,13 +5,7 @@
   plus the last-line variant), and LRU set-associative caches, and for
   the two-level hierarchy of every hit-last strategy;
 * :mod:`repro.perf.engine` — ``simulate(model, trace, engine=...)``
-  dispatch with a kernel registry and automatic reference fallback,
-  plus ``simulate_batch`` for many cells sharing one trace;
-* :mod:`repro.perf.batch` — the batched dynamic-exclusion kernel: one
-  vectorized invocation simulates a whole geometry sweep against a
-  single trace factorization;
-* :mod:`repro.perf.shared` — zero-copy trace distribution to pool
-  workers over ``multiprocessing.shared_memory``;
+  dispatch with a kernel registry and automatic reference fallback;
 * :mod:`repro.perf.parallel` — a fault-tolerant process-pool sweep
   runner: per-cell result envelopes with full identity, bounded retry
   with pool re-creation on worker crashes, per-cell timeouts, and
@@ -22,32 +16,24 @@
   lets a crashed or interrupted sweep resume from its completed cells;
 * :mod:`repro.perf.backends` — the pluggable execution backends the
   sweep runner delegates to: ``inline`` (this process), ``local-pool``
-  (one machine's process pool + batched shared-memory tier), and
-  ``fleet`` (cells sharded across long-lived ``repro worker``
-  subprocesses, local or SSH);
+  (one machine's process pool), and ``fleet`` (cells sharded across
+  long-lived ``repro worker`` subprocesses, local or SSH);
 * :mod:`repro.perf.worker` — the NDJSON protocol loop a fleet worker
   subprocess runs (``python -m repro.cli worker``).
 """
 
-from .batch import DEBatchSpec, simulate_dynamic_exclusion_batch
 from .engine import (
     ENGINES,
     KernelExecutionError,
-    batch_spec_for,
-    is_batch_spec,
     default_engine,
-    has_batch_kernel,
     has_kernel,
     kernel_for,
     registered_kernel_types,
     resolve_engine,
     set_default_engine,
     simulate,
-    simulate_batch,
-    simulate_batch_specs,
 )
 from .journal import SweepJournal, canonical_parameter, parameter_from_json
-from .shared import SharedTrace, SharedTraceHandle
 from .kernels import (
     simulate_belady,
     simulate_direct_mapped,
@@ -71,7 +57,6 @@ from .backends import (
     worker_command,
 )
 from .parallel import (
-    DEFAULT_BATCH_CELLS,
     CellIdentity,
     CellOutcome,
     SweepCellError,
@@ -86,7 +71,6 @@ from .parallel import (
     identity_for,
     is_trace_recipe,
     outcome_observer,
-    resolve_batch_cells,
     resolve_workers,
     run_cells,
     run_labeled_cells,
@@ -112,20 +96,15 @@ __all__ = [
     "TraceKey",
     "as_trace",
     "backend_names",
-    "batch_spec_for",
-    "is_batch_spec",
     "canonical_parameter",
     "clear_trace_cache",
     "create_backend",
-    "DEBatchSpec",
-    "DEFAULT_BATCH_CELLS",
     "default_backend",
     "default_engine",
     "default_journal_dir",
     "drain_telemetry",
     "env_workers",
     "evaluate_cell",
-    "has_batch_kernel",
     "has_kernel",
     "identity_for",
     "is_trace_recipe",
@@ -137,13 +116,10 @@ __all__ = [
     "register_backend",
     "registered_kernel_types",
     "resolve_backend",
-    "resolve_batch_cells",
     "resolve_engine",
     "resolve_workers",
     "run_cells",
     "run_labeled_cells",
-    "SharedTrace",
-    "SharedTraceHandle",
     "set_default_backend",
     "set_default_cell_timeout",
     "set_default_engine",
@@ -151,13 +127,10 @@ __all__ = [
     "set_default_progress",
     "set_default_workers",
     "simulate",
-    "simulate_batch",
-    "simulate_batch_specs",
     "simulate_belady",
     "simulate_cell",
     "simulate_direct_mapped",
     "simulate_dynamic_exclusion",
-    "simulate_dynamic_exclusion_batch",
     "simulate_lru",
     "simulate_optimal_last_line",
     "simulate_two_level",

@@ -5,7 +5,7 @@ delegates *how* pending cells execute to a :class:`SweepBackend`:
 
 ========== ===================================================
 ``inline``      this process, no pool (single-worker default)
-``local-pool``  one machine's ProcessPoolExecutor + batched shm
+``local-pool``  one machine's ProcessPoolExecutor
 ``fleet``       NDJSON worker subprocesses, local or SSH
 ========== ===================================================
 
@@ -32,15 +32,6 @@ from .base import (  # noqa: F401
     resolve_backend,
     set_default_backend,
 )
-from .batched import (  # noqa: F401
-    JournalBatch,
-    apply_group_results,
-    batch_eligible,
-    batch_task,
-    group_pending,
-    run_batched_inline,
-    run_sequential,
-)
 from .fleet import (  # noqa: F401
     FleetBackend,
     FleetWorker,
@@ -49,7 +40,7 @@ from .fleet import (  # noqa: F401
     live_workers,
     worker_command,
 )
-from .inline import InlineBackend  # noqa: F401
+from .inline import InlineBackend, run_sequential  # noqa: F401
 from .local_pool import LocalPoolBackend, terminate_pool  # noqa: F401
 
 __all__ = [

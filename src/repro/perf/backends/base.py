@@ -2,10 +2,9 @@
 
 A **backend** is one strategy for executing a sweep's pending cells:
 ``inline`` (this process, no pool), ``local-pool`` (one machine's
-:class:`~concurrent.futures.ProcessPoolExecutor` plus the batched
-shared-memory tier), or ``fleet`` (long-lived ``repro worker``
-subprocesses — local or SSH — speaking NDJSON).  Backends share one
-contract:
+:class:`~concurrent.futures.ProcessPoolExecutor`), or ``fleet``
+(long-lived ``repro worker`` subprocesses — local or SSH — speaking
+NDJSON).  Backends share one contract:
 
 * :meth:`SweepBackend.submit_cells` receives the pending cell indices
   and a :class:`SweepContext` and *yields* each :class:`CellOutcome` as
@@ -60,7 +59,6 @@ class SweepContext:
     progress: bool
     telemetry: SweepTelemetry
     evaluator: Optional[CellEvaluator] = None
-    batch_cells: int = 16
     fleet_hosts: List[str] = field(default_factory=list)
     #: Trace propagation context (:func:`repro.obs.distributed
     #: .propagation_context`) the backend forwards to worker processes;
@@ -72,11 +70,9 @@ class SweepContext:
         outcome: CellOutcome,
         metrics: Dict[str, float],
         seconds: float,
-        journal: "SweepJournal | None | object" = None,
     ) -> None:
         """Fold one computed cell into its envelope, the journal, and
-        telemetry.  ``journal`` overrides the run journal (the batched
-        tier passes its deferred-flush buffer)."""
+        telemetry."""
         outcome.metrics = dict(metrics)
         outcome.miss_rate = metrics.get("miss_rate")
         outcome.seconds = seconds
@@ -85,10 +81,11 @@ class SweepContext:
         if outcome.worker:
             counts = self.telemetry.worker_cells
             counts[outcome.worker] = counts.get(outcome.worker, 0) + 1
-        sink = self.journal if journal is None else journal
-        if sink is not None and outcome.identity.journalable:
+        if self.journal is not None and outcome.identity.journalable:
             identity = outcome.identity
-            sink.record(identity.key(), identity.payload(), metrics, seconds)
+            self.journal.record(
+                identity.key(), identity.payload(), metrics, seconds
+            )
 
     def fail(self, outcome: CellOutcome, error: str) -> None:
         outcome.error = error
@@ -201,7 +198,7 @@ def outcome_observer(callback: "Callable[[SweepTelemetry, CellOutcome], None]"):
 
     The callback receives the run's live telemetry and the cell's
     envelope at the same points ``--progress`` would print a line:
-    journal replays, pooled/batched completions, and failures alike.
+    journal replays, pooled and fleet completions, and failures alike.
     ``repro.serve`` uses this to stream per-cell progress over HTTP.
     Callback exceptions are swallowed (and counted under the
     ``sweep.observer_errors`` metric): a broken observer must not
@@ -262,7 +259,7 @@ def record_cell_span(
     Worker processes cannot reach the parent's tracer, so the parent
     back-dates a span from the envelope's worker-measured seconds once
     the cell resolves (success or terminal failure).  ``extra`` tags the
-    strategy (``pooled=True``, ``batched=True``, ``worker=...``).
+    strategy (``pooled=True``, ``fleet=True``).
     Returns the recorded span (None when tracing is off) so the
     distributed merge can parent the worker's shipped spans under it.
     """

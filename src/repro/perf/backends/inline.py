@@ -2,22 +2,46 @@
 
 The degenerate — and often correct — strategy: single-worker runs,
 single-cell runs, and environments where forking is unwelcome (test
-harnesses, notebook kernels).  ``engine="batch"`` still batches; the
-kernel invocations just happen in this process.
+harnesses, notebook kernels).
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Sequence
 
+from ...obs import tracing as obs_tracing
+from .. import cells
 from ..cells import CellOutcome
-from .base import SweepBackend, SweepContext, register_backend
-from .batched import (
-    batch_eligible,
-    group_pending,
-    run_batched_inline,
-    run_sequential,
-)
+from .base import SweepBackend, SweepContext, cell_attrs, register_backend
+
+
+def run_sequential(
+    pending: Sequence[int], ctx: SweepContext
+) -> Iterator[CellOutcome]:
+    """Inline per-cell execution (no pool)."""
+    for index in pending:
+        outcome = ctx.outcomes[index]
+        _, factory, parameter, trace = ctx.cells[index]
+        outcome.attempts += 1
+        cell_started = time.perf_counter()
+        with obs_tracing.span("cell", **cell_attrs(outcome)) as cell_span:
+            try:
+                # Looked up on the module at call time, so a wrapper
+                # installed on ``cells.evaluate_cell`` sees inline cells.
+                metrics = cells.evaluate_cell(
+                    factory, parameter, trace, ctx.engine, ctx.evaluator
+                )
+            except Exception as exc:
+                outcome.seconds = time.perf_counter() - cell_started
+                ctx.fail(outcome, f"{type(exc).__name__}: {exc}")
+                if cell_span is not None:
+                    cell_span.attrs["error"] = outcome.error
+            else:
+                ctx.record_success(
+                    outcome, metrics, time.perf_counter() - cell_started
+                )
+        yield outcome
 
 
 @register_backend
@@ -27,8 +51,4 @@ class InlineBackend(SweepBackend):
     def submit_cells(
         self, pending: Sequence[int], ctx: SweepContext
     ) -> Iterator[CellOutcome]:
-        if batch_eligible(pending, ctx):
-            groups = group_pending(ctx.cells, pending, ctx.batch_cells)
-            yield from run_batched_inline(groups, ctx)
-        else:
-            yield from run_sequential(pending, ctx)
+        yield from run_sequential(pending, ctx)

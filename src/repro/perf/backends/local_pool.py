@@ -7,11 +7,7 @@ The extracted pre-backend pooled machinery, behaviour-identical:
   the motivating case), falling back to one-cell-in-flight execution to
   attribute a deterministic crasher precisely;
 * an optional per-cell ``timeout`` that terminates the stuck worker and
-  fails just that cell;
-* for ``engine="batch"``, trace-sharing groups shipped to workers with
-  zero-copy shared-memory trace distribution
-  (:class:`~repro.perf.shared.SharedTrace`), falling back — cells
-  intact — to the per-cell machinery when a group fails as a unit.
+  fails just that cell.
 """
 
 from __future__ import annotations
@@ -19,13 +15,10 @@ from __future__ import annotations
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
-from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
 from ..cells import CellOutcome, cell_task
-from ..shared import SharedTrace
-from ..trace_cache import TraceLike, as_trace, is_trace_recipe
 from .base import (
     SweepBackend,
     SweepContext,
@@ -33,7 +26,6 @@ from .base import (
     record_cell_span,
     register_backend,
 )
-from .batched import apply_group_results, batch_eligible, batch_task, group_pending
 
 
 def terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -54,11 +46,7 @@ class LocalPoolBackend(SweepBackend):
     def submit_cells(
         self, pending: Sequence[int], ctx: SweepContext
     ) -> Iterator[CellOutcome]:
-        if batch_eligible(pending, ctx):
-            groups = group_pending(ctx.cells, pending, ctx.batch_cells)
-            yield from self._run_batched_pooled(groups, ctx)
-        else:
-            yield from self._run_pooled(list(pending), ctx)
+        yield from self._run_pooled(list(pending), ctx)
 
     # -- per-cell pooled execution -------------------------------------------
 
@@ -112,15 +100,22 @@ class LocalPoolBackend(SweepBackend):
         unusable (crash or timeout termination) and must be re-created.
         """
         cells = ctx.cells
-        submitted = [
-            (index, pool.submit(cell_task, cells[index][1], cells[index][2],
-                                cells[index][3], ctx.engine, ctx.evaluator,
-                                ctx.obs_ctx))
-            for index in pending
-        ]
+        submitted = []
+        unsubmitted: List[int] = []
+        for position, index in enumerate(pending):
+            try:
+                future = pool.submit(
+                    cell_task, cells[index][1], cells[index][2],
+                    cells[index][3], ctx.engine, ctx.evaluator, ctx.obs_ctx,
+                )
+            except BrokenProcessPool:
+                # A worker died before every cell was submitted; the rest
+                # wait for the next pool without spending an attempt.
+                unsubmitted = pending[position:]
+                break
+            submitted.append((index, future))
         still_pending: List[int] = []
-        crashed = False
-        broke = False
+        crashed = broke = bool(unsubmitted)
         timed_out = False
         for index, future in submitted:
             outcome = ctx.outcomes[index]
@@ -165,7 +160,7 @@ class LocalPoolBackend(SweepBackend):
                 if obs_payload is not None:
                     merge_worker_obs(outcome, cell_span, obs_payload)
             yield outcome
-        return still_pending, crashed, broke
+        return still_pending + unsubmitted, crashed, broke
 
     def _solo_round(
         self, pool: ProcessPoolExecutor, pending: List[int], ctx: SweepContext
@@ -225,86 +220,3 @@ class LocalPoolBackend(SweepBackend):
             yield outcome
             remaining = remaining[1:]
         return remaining, False
-
-    # -- batched pooled execution --------------------------------------------
-
-    def _run_batched_pooled(
-        self, groups: List[List[int]], ctx: SweepContext
-    ) -> Iterator[CellOutcome]:
-        """Pooled batched execution with zero-copy trace distribution.
-
-        The parent materialises each distinct trace once into a shared-
-        memory segment (:class:`~repro.perf.shared.SharedTrace`) and ships
-        workers a handle; group timeouts scale the per-cell budget by group
-        size.  Any group that times out, crashes its worker, or raises falls
-        back — cells intact — to the per-cell pooled machinery, which owns
-        retries, per-cell timeouts, and solo crash attribution.  Segments
-        are unlinked in a ``finally`` so no ``/dev/shm`` entry outlives the
-        sweep, whatever failed inside it.
-        """
-        cells = ctx.cells
-        shared_traces: Dict[object, SharedTrace] = {}
-        fallback: List[int] = []
-
-        def trace_handle(trace: TraceLike) -> object:
-            key: object = trace if is_trace_recipe(trace) else id(trace)
-            entry = shared_traces.get(key)
-            if entry is None:
-                recipe = trace if is_trace_recipe(trace) else None
-                entry = SharedTrace.create(as_trace(trace), recipe=recipe)
-                shared_traces[key] = entry
-            return entry.handle
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(ctx.workers, len(groups))
-            )
-            broke = False
-            try:
-                submitted = [
-                    (
-                        group,
-                        pool.submit(
-                            batch_task,
-                            [(cells[index][1], cells[index][2]) for index in group],
-                            trace_handle(cells[group[0]][3]),
-                            ctx.engine,
-                        ),
-                    )
-                    for group in groups
-                ]
-                for group, future in submitted:
-                    group_timeout = (
-                        ctx.timeout * len(group) if ctx.timeout is not None else None
-                    )
-                    try:
-                        results = future.result(timeout=group_timeout)
-                    except CancelledError:
-                        fallback.extend(group)
-                    except FuturesTimeoutError:
-                        if ctx.timeout is not None:
-                            terminate_pool(pool)
-                            broke = True
-                        obs_metrics.counter("batch.group_fallbacks", engine=ctx.engine)
-                        fallback.extend(group)
-                    except BrokenProcessPool:
-                        broke = True
-                        obs_metrics.counter("batch.group_fallbacks", engine=ctx.engine)
-                        fallback.extend(group)
-                    except Exception:
-                        obs_metrics.counter("batch.group_fallbacks", engine=ctx.engine)
-                        fallback.extend(group)
-                    else:
-                        yield from apply_group_results(results, group, ctx)
-            finally:
-                pool.shutdown(wait=not broke, cancel_futures=True)
-            if broke:
-                ctx.telemetry.pool_restarts += 1
-        finally:
-            for entry in shared_traces.values():
-                entry.unlink()
-
-        if fallback:
-            # Per-cell machinery: full retry budget, per-cell timeout, solo
-            # attribution of a deterministic crasher.
-            yield from self._run_pooled(fallback, ctx)

@@ -67,11 +67,7 @@ class CellIdentity:
             "trace_kind": self.trace_kind,
             "trace_refs": self.trace_refs,
             "trace_digest": self.trace_digest,
-            # The batched engine is a scheduling strategy, not a different
-            # simulation: its results are pinned equal to the fast tier's,
-            # so its journal entries hash to the same keys and the two
-            # engines resume each other's sweeps interchangeably.
-            "engine": "fast" if self.engine == "batch" else self.engine,
+            "engine": self.engine,
         }
         if self.evaluator:
             payload["evaluator"] = self.evaluator

@@ -27,7 +27,7 @@ reference engine, which accumulates into the model exactly as before.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..caches.base import Cache, OfflineCache
 from ..obs import metrics as obs_metrics
@@ -46,13 +46,9 @@ from ..core.hitlast import IdealHitLastStore
 from ..hierarchy.two_level import TwoLevelCache, TwoLevelResult
 from ..trace.trace import Trace
 from . import kernels
-from .batch import DEBatchSpec, simulate_dynamic_exclusion_batch
 
-#: The recognised engine names.  ``batch`` behaves exactly like ``fast``
-#: for a single model; its value is in :func:`simulate_batch`, which
-#: simulates many cells sharing one trace in a single vectorized
-#: invocation.
-ENGINES = ("fast", "batch", "reference")
+#: The recognised engine names.
+ENGINES = ("fast", "reference")
 
 
 class KernelExecutionError(RuntimeError):
@@ -193,175 +189,6 @@ def has_kernel(simulator: Simulator) -> bool:
     return kernel_for(simulator) is not None
 
 
-# -- batch kernels ------------------------------------------------------------
-#
-# A batch kernel simulates MANY cells that share one trace in a single
-# vectorized invocation, amortizing the per-trace factorization (address
-# sort, run detection) that a per-cell kernel repeats for every
-# geometry.  The indirection mirrors the per-cell registry: a *spec
-# extractor* keyed by exact model type turns an eligible instance into a
-# lightweight, hashable spec, and a *runner* keyed by spec type executes
-# a homogeneous group of specs against one trace.
-
-#: Exact model type -> extractor returning a batch spec (or None when
-#: the instance is not batch-eligible).
-_BATCH_SPEC_FACTORIES: Dict[type, Callable[[Simulator], Optional[object]]] = {}
-
-#: Spec type -> runner ``(trace, specs) -> [CacheStats, ...]``.
-_BATCH_RUNNERS: Dict[type, Callable[[Trace, Sequence[object]], List[CacheStats]]] = {}
-
-
-def register_batch_spec(cache_type: type):
-    """Register a batch-spec extractor for an exact model type."""
-
-    def decorator(extractor: Callable[[Simulator], Optional[object]]):
-        _BATCH_SPEC_FACTORIES[cache_type] = extractor
-        return extractor
-
-    return decorator
-
-
-def register_batch_kernel(spec_type: type):
-    """Register the vectorized runner for a batch-spec type."""
-
-    def decorator(runner: Callable[[Trace, Sequence[object]], List[CacheStats]]):
-        _BATCH_RUNNERS[spec_type] = runner
-        return runner
-
-    return decorator
-
-
-@register_batch_spec(DynamicExclusionCache)
-def _dynamic_exclusion_batch_spec(cache: Simulator) -> Optional[DEBatchSpec]:
-    # Same eligibility surface as the per-cell fast kernel, narrowed to
-    # the direct-mapped geometry the batched FSM supports.
-    if type(cache) is not DynamicExclusionCache:
-        return None
-    if cache.sticky_levels != 1:
-        return None
-    store = cache.store
-    if type(store) is not IdealHitLastStore or len(store) != 0:
-        return None
-    if not _is_cold(cache):
-        return None
-    if cache.geometry.associativity != 1:
-        return None
-    return DEBatchSpec(cache.geometry, default_hit_last=store.default)
-
-
-register_batch_kernel(DEBatchSpec)(simulate_dynamic_exclusion_batch)
-
-
-def is_batch_spec(spec: object) -> bool:
-    """Whether ``spec``'s type has a registered batch runner."""
-    return type(spec) in _BATCH_RUNNERS
-
-
-def batch_spec_for(simulator: Simulator) -> Optional[object]:
-    """The batch spec for this exact configuration, or ``None``."""
-    extractor = _BATCH_SPEC_FACTORIES.get(type(simulator))
-    if extractor is None:
-        return None
-    spec = extractor(simulator)
-    if spec is None or not is_batch_spec(spec):
-        return None
-    return spec
-
-
-def has_batch_kernel(simulator: Simulator) -> bool:
-    """Whether :func:`simulate_batch` would vectorize this model."""
-    return batch_spec_for(simulator) is not None
-
-
-def simulate_batch_specs(
-    trace: Trace, specs: Sequence[object]
-) -> List[CacheStats]:
-    """Run batch specs (every one registered) against one shared trace.
-
-    The spec-level entry point: callers that can describe their cells
-    without building models (see the ``batch_spec`` factory protocol in
-    :mod:`repro.perf.parallel`) skip model construction entirely —
-    constructing a large cache allocates arrays proportional to its set
-    count, real money across a wide sweep.  Specs are grouped by type
-    and each group runs in one vectorized kernel invocation; results
-    come back in input order.
-    """
-    results: List[Optional[CacheStats]] = [None] * len(specs)
-    groups: Dict[type, List[int]] = {}
-    for i, spec in enumerate(specs):
-        if not is_batch_spec(spec):
-            raise ValueError(
-                f"no batch kernel registered for spec {spec!r} "
-                f"(type {type(spec).__name__})"
-            )
-        groups.setdefault(type(spec), []).append(i)
-    obs_metrics.counter("batch.groups", max(1, len(groups)))
-    with obs_tracing.span(
-        "simulate_batch",
-        trace=trace.name or "<unnamed>",
-        refs=len(trace),
-        cells=len(specs),
-        vectorized=len(specs),
-    ):
-        for spec_type, indices in groups.items():
-            runner = _BATCH_RUNNERS[spec_type]
-            group_specs = [specs[i] for i in indices]
-            with obs_profiling.section(f"batch_kernel:{spec_type.__name__}"):
-                try:
-                    group_stats = runner(trace, group_specs)
-                except Exception as exc:
-                    raise KernelExecutionError(
-                        f"batch kernel for {spec_type.__name__} failed on "
-                        f"trace {trace.name or '<unnamed>'!r} "
-                        f"({len(trace)} refs, {len(indices)} cells): "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-            if len(group_stats) != len(indices):
-                raise KernelExecutionError(
-                    f"batch kernel for {spec_type.__name__} returned "
-                    f"{len(group_stats)} results for {len(indices)} cells"
-                )
-            for i, stats in zip(indices, group_stats):
-                results[i] = stats
-    return results  # type: ignore[return-value]
-
-
-def simulate_batch(
-    simulators: Sequence[Simulator],
-    trace: Trace,
-    engine: Optional[str] = None,
-) -> List[SimulationStats]:
-    """Simulate many models against one shared trace.
-
-    With ``engine="batch"``, models whose configuration has a batch
-    kernel are grouped by spec type and executed in one vectorized
-    invocation per group (:func:`simulate_batch_specs`); the rest fall
-    back to per-cell :func:`simulate` under the fast engine.  Any other
-    engine simply maps :func:`simulate` over the models.  Results come
-    back in input order either way, one :func:`simulate` result per
-    model.
-    """
-    engine = resolve_engine(engine)
-    if engine != "batch":
-        return [simulate(sim, trace, engine=engine) for sim in simulators]
-
-    results: List[Optional[SimulationStats]] = [None] * len(simulators)
-    specs: List[Optional[object]] = [batch_spec_for(sim) for sim in simulators]
-    vectorized = [i for i, spec in enumerate(specs) if spec is not None]
-    obs_metrics.counter("batch.cells.vectorized", len(vectorized))
-    obs_metrics.counter("batch.cells.fallback", len(simulators) - len(vectorized))
-    if vectorized:
-        for i, stats in zip(
-            vectorized,
-            simulate_batch_specs(trace, [specs[i] for i in vectorized]),
-        ):
-            results[i] = stats
-    for i, sim in enumerate(simulators):
-        if results[i] is None:
-            results[i] = simulate(sim, trace, engine="fast")
-    return results  # type: ignore[return-value]
-
-
 # -- engine selection ---------------------------------------------------------
 
 _DEFAULT_ENGINE = "reference"
@@ -401,7 +228,7 @@ def simulate(
     """
     engine = resolve_engine(engine)
     model = type(simulator).__name__
-    runner = kernel_for(simulator) if engine in ("fast", "batch") else None
+    runner = kernel_for(simulator) if engine == "fast" else None
     path = "kernel" if runner is not None else "reference"
     obs_metrics.counter(
         "engine.dispatch",

@@ -180,9 +180,8 @@ class SweepJournal:
 
         Each element is ``(key, fields, metrics, seconds)`` exactly as
         :meth:`record` takes them, and each becomes its own journal line
-        — batching changes only the I/O granularity (the batched sweep
-        scheduler flushes once per cell *group*), never the entry format
-        or the resume granularity.
+        — batching changes only the I/O granularity, never the entry
+        format or the resume granularity.
         """
         built = []
         for key, fields, metrics, seconds in entries:

@@ -8,8 +8,7 @@ pending cells execute to a :class:`~repro.perf.backends.SweepBackend`:
 
 * ``inline`` — this process, no pool (the single-worker default);
 * ``local-pool`` — one machine's ProcessPoolExecutor with crash retry,
-  solo-mode crash attribution, per-cell timeouts, and the batched
-  shared-memory tier;
+  solo-mode crash attribution, and per-cell timeouts;
 * ``fleet`` — cells sharded across long-lived ``repro worker``
   subprocesses (local or SSH) with worker retirement and re-dispatch.
 
@@ -39,7 +38,6 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..env import env_batch_cells
 from ..env import env_fleet_hosts  # noqa: F401 (re-exported; the one parser)
 from ..env import env_workers  # noqa: F401 (re-exported; the one parser)
 from ..obs import distributed as obs_distributed
@@ -109,26 +107,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return 1
 
 
-# -- batch-group sizing -------------------------------------------------------
-
-#: Cells per vectorized batch-kernel invocation.  Wide enough that the
-#: shared trace factorization amortises; small enough that one group's
-#: failure or timeout forfeits little work to the per-cell fallback.
-DEFAULT_BATCH_CELLS = 16
-
-
-def resolve_batch_cells(batch_cells: Optional[int] = None) -> int:
-    """Explicit argument > REPRO_BATCH_CELLS > DEFAULT_BATCH_CELLS."""
-    if batch_cells is not None:
-        if batch_cells < 1:
-            raise ValueError("batch_cells must be at least 1")
-        return batch_cells
-    env = env_batch_cells()
-    if env is not None:
-        return env
-    return DEFAULT_BATCH_CELLS
-
-
 # -- resilience defaults (the CLI's --resume-dir / --progress flags) ----------
 
 #: Pool re-creations attempted after a worker crash before switching to
@@ -186,9 +164,7 @@ def _auto_backend(workers: int, pending: int) -> str:
     """The automatic strategy: exactly the pre-backend dispatch.
 
     Single-worker and single-cell runs stay inline (no pool, nothing
-    needs pickling); everything else pools on this machine.  The inline
-    and local-pool backends each route ``engine="batch"`` runs to their
-    batched tier internally.
+    needs pickling); everything else pools on this machine.
     """
     if workers <= 1 or pending <= 1:
         return "inline"
@@ -204,7 +180,6 @@ def run_labeled_cells(
     journal: "SweepJournal | str | Path | None" = None,
     progress: Optional[bool] = None,
     evaluator: Optional[CellEvaluator] = None,
-    batch_cells: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> List[CellOutcome]:
     """Execute labelled cells, returning one envelope per cell (in order).
@@ -229,13 +204,6 @@ def run_labeled_cells(
     ``local-pool``, re-dispatches to surviving workers under ``fleet``);
     if the crash persists, the crashing cell is failed with exact
     attribution and everything else completes.
-
-    ``engine="batch"`` keeps every per-cell contract above — identities,
-    journal entries (written under the fast engine's keys, since the
-    results are pinned equal), envelopes, per-cell ``cell.seconds`` —
-    but schedules pending cells in trace-sharing groups of
-    ``batch_cells`` (default ``REPRO_BATCH_CELLS``, then
-    :data:`DEFAULT_BATCH_CELLS`) through the vectorized batch kernels.
 
     ``backend`` picks the execution strategy (``inline`` /
     ``local-pool`` / ``fleet``); ``None`` defers to the CLI default,
@@ -291,7 +259,6 @@ def run_labeled_cells(
             progress=progress,
             telemetry=telemetry,
             evaluator=evaluator,
-            batch_cells=resolve_batch_cells(batch_cells),
             fleet_hosts=env_fleet_hosts(),
             # Captured inside the sweep span, so shipped worker spans
             # parent under it (per thread, the innermost open span).

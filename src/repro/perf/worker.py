@@ -128,6 +128,8 @@ def worker_main(
         try:
             request = json.loads(line)
         except ValueError:
+            request = None
+        if not isinstance(request, dict):
             _emit(out_stream, {
                 "event": "error",
                 "error": f"malformed request line: {line[:120]!r}",

@@ -6,10 +6,9 @@ content hash of its full identity.  So the daemon's job is to make the
 repeat path nearly free — ``POST /run`` computes each cell's key,
 answers everything the store already holds without touching a
 simulator, and enqueues only the missing cells onto the existing
-resilient sweep runner (:func:`repro.perf.parallel.run_labeled_cells`,
-any engine including ``batch``).  New results land in the store's
-primary journal mid-run, so even a crashed request leaves its finished
-cells servable.
+resilient sweep runner (:func:`repro.perf.parallel.run_labeled_cells`).
+New results land in the store's primary journal mid-run, so even a
+crashed request leaves its finished cells servable.
 
 Protocol (all JSON; ``POST /run`` streams newline-delimited events):
 
@@ -98,9 +97,8 @@ SERVE_VERSION = 1
 
 #: Engine used when neither the request nor the spec names one.  The
 #: fast tier is the serving default on purpose: its results are pinned
-#: equal to the reference simulators, it shares journal keys with the
-#: batch tier, and a store filled under one engine name answers every
-#: later request under the same name.
+#: equal to the reference simulators, and a store filled under one
+#: engine name answers every later request under the same name.
 DEFAULT_SERVE_ENGINE = "fast"
 
 #: Bucket bounds for ``serve.request.seconds``.  The default registry
@@ -186,8 +184,8 @@ def plan_grid(
     """Enumerate one grid spec's cells and their content identities.
 
     Uses exactly the identity scheme the sweep runner journals under
-    (``digest=True``, the spec's evaluator, batch canonicalised to
-    fast), so the plan's keys are the store's keys.
+    (``digest=True`` and the spec's evaluator), so the plan's keys are
+    the store's keys.
     """
     from ..perf.parallel import identity_for
 
@@ -830,6 +828,8 @@ class _Handler(BaseHTTPRequestHandler):
             except KeyError as exc:
                 raise ValueError(str(exc.args[0])) from None
             engine = body.get("engine")
+            if engine is not None:
+                engine = engine_mod.resolve_engine(str(engine))
             workers = body.get("workers")
             if workers is not None:
                 workers = int(workers)

@@ -75,8 +75,8 @@ def load_din(source: PathOrFile, name: str = "") -> Trace:
 
     Raises :class:`ValueError` on malformed lines (including
     ``0x``-prefixed, sign-prefixed, or ``_``-separated tokens, which
-    the din format does not allow), unknown labels, and corrupt gzip
-    input.
+    the din format does not allow, and addresses wider than 64 bits),
+    unknown labels, and corrupt gzip input.
     """
     handle, owned = _open_for_read(source)
     builder = TraceBuilder()
@@ -104,7 +104,13 @@ def load_din(source: PathOrFile, name: str = "") -> Trace:
                 label = int(parts[0])
                 if label not in _DIN_TO_KIND:
                     raise ValueError(f"line {lineno}: unknown din label {label}")
-                builder.append(int(parts[1], 16), _DIN_TO_KIND[label])
+                addr = int(parts[1], 16)
+                if addr >= 1 << 64:
+                    raise ValueError(
+                        f"line {lineno}: address {parts[1]!r} does not fit "
+                        f"in 64 bits"
+                    )
+                builder.append(addr, _DIN_TO_KIND[label])
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             # BadGzipFile covers a wrong magic number, but a *truncated*
             # stream (the common half-written crash artifact) surfaces

@@ -413,13 +413,17 @@ class TestWorkerMain:
         assert not any(e.get("id") == 9 for e in events)
 
     def test_malformed_line_answers_error_and_survives(self):
-        stdin = io.StringIO('this is not json\n{"op": "ping", "id": 1}\n')
+        malformed = ["this is not json", "[1, 2]", "42", '"ping"']
+        stdin = io.StringIO(
+            "\n".join(malformed) + '\n{"op": "ping", "id": 1}\n'
+        )
         stdout = io.StringIO()
         assert worker_main(stdin=stdin, stdout=stdout) == 0
         events = [json.loads(line) for line in stdout.getvalue().splitlines()]
         kinds = [e["event"] for e in events]
-        assert kinds == ["ready", "error", "pong"]
-        assert "malformed request line" in events[1]["error"]
+        assert kinds == ["ready"] + ["error"] * len(malformed) + ["pong"]
+        for event in events[1:-1]:
+            assert "malformed request line" in event["error"]
 
     def test_unknown_op_answers_error(self):
         _, events = self._run([{"op": "dance", "id": 3}])

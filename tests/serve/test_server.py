@@ -58,16 +58,14 @@ class TestPlanning:
         run_labeled_cells(plan.cells, engine="fast", journal=store, progress=False)
         assert all(key in store for key in plan.keys)
 
-    def test_batch_plans_share_fast_keys(self):
-        fast = plan_grid(_specs.GRID, "fast")
-        batch = plan_grid(_specs.GRID, "batch")
-        assert fast.keys == batch.keys
-
     def test_engine_resolution(self):
         assert resolve_serve_engine(_specs.GRID, None, "fast") == "fast"
-        assert resolve_serve_engine(_specs.GRID, "batch", "fast") == "batch"
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_serve_engine(_specs.GRID, "warp", "fast")
+        assert (
+            resolve_serve_engine(_specs.GRID, "reference", "fast") == "reference"
+        )
+        for engine in ("warp", "batch"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                resolve_serve_engine(_specs.GRID, engine, "fast")
 
 
 class TestReadRoutes:
@@ -411,9 +409,11 @@ class TestRun:
             client.run("nope")
         assert excinfo.value.status == 400
 
-    def test_bad_engine_streams_an_error(self, client):
-        with pytest.raises(ServeError, match="unknown engine"):
-            client.run("serve-test-grid", engine="warp")
+    def test_unknown_engine_400(self, client):
+        for engine in ("warp", "batch"):
+            with pytest.raises(ServeError, match="unknown engine") as excinfo:
+                client.run("serve-test-grid", engine=engine)
+            assert excinfo.value.status == 400
 
     def test_cold_compact_warm_round_trip(self, server, client):
         """The acceptance path: cold run, ``compact()``, then a warm run

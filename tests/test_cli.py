@@ -131,6 +131,20 @@ class TestSimulateEngineFlags:
         with pytest.raises(SystemExit):
             main(["simulate", "gcc", "--refs", "2000", "--engine", "warp"])
 
+    def test_batch_engine_rejected_by_both_clis(self, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        for cli, argv in (
+            (experiments_main, ["--only", "fig04", "--engine", "batch"]),
+            (main, ["simulate", "gcc", "--refs", "2000", "--engine", "batch"]),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'batch'" in err
+            assert "'fast', 'reference'" in err
+
     def test_workers_flag_sets_default(self):
         from repro.perf import parallel
 

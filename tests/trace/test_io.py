@@ -95,6 +95,11 @@ class TestErrors:
         with pytest.raises(ValueError, match="malformed address"):
             loads_din("2 1_00\n")
 
+    def test_address_wider_than_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="line 2: address"):
+            loads_din("2 100\n2 fffffffffffffffff\n")
+        assert loads_din("2 ffffffffffffffff\n")[0].addr == 2**64 - 1
+
     def test_sign_prefixed_label_rejected(self):
         with pytest.raises(ValueError, match="malformed din label"):
             loads_din("+2 100\n")
