@@ -2,8 +2,9 @@
 
 Runs the registry-representative grid — every SPEC trace x the three
 standard curves x the Figure-4 size sweep — once through the ``inline``
-backend and once through the ``fleet`` backend (long-lived
-``repro worker`` subprocesses speaking NDJSON), asserts the two
+backend and once through the ``fleet`` backend (long-lived worker
+processes speaking NDJSON, forked where fork is the platform's start
+method), asserts the two
 backends agree on every miss rate, and records the wall-clock ratio as
 the gated ``fleet_speedup``.
 
@@ -14,7 +15,8 @@ there rather than record a number that means something else.  A drop
 beyond ``tools/check_bench_regression.py``'s tolerance means the fleet
 backend got slower relative to inline on the same host.  Each timed
 round clears the parent's trace memo so both backends pay trace
-generation (fleet workers are fresh processes and always do).
+generation (fleet workers start from the cleared memo: forked ones
+inherit it, exec'd ones start empty).
 """
 
 import os

@@ -350,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "kernels where available (identical results); "
                             "default: the process default ('reference')")
     sim_parser.add_argument("--workers", type=int, default=None, metavar="N",
-                            help="default process-pool size for any sweep "
+                            help="default worker count for any sweep "
                             "run in-process (default: REPRO_WORKERS or 1)")
     sim_parser.add_argument("--backend", choices=backend_names(), default=None,
                             help="default sweep execution backend for any "
-                            "sweep run in-process: inline, local-pool, or "
-                            "fleet (default: REPRO_BACKEND or automatic)")
+                            "sweep run in-process: inline or fleet "
+                            "(default: REPRO_BACKEND or automatic)")
     sim_parser.set_defaults(func=_cmd_simulate)
 
     classify_parser = sub.add_parser("classify", help="3C miss classification")
@@ -431,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="default process-pool size for server-side sweeps "
+        help="default worker count for server-side sweeps "
         "(default: REPRO_WORKERS or 1)",
     )
     serve_parser.add_argument(
         "--backend", choices=backend_names(), default=None,
-        help="default execution backend for server-side sweeps: inline, "
-        "local-pool, or fleet (default: REPRO_BACKEND or automatic); "
+        help="default execution backend for server-side sweeps: inline "
+        "or fleet (default: REPRO_BACKEND or automatic); "
         "per-run override via the POST /run body",
     )
     serve_parser.add_argument(
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="server-side process-pool size for this run",
+        help="server-side worker count for this run",
     )
     run_parser.add_argument(
         "--backend", choices=backend_names(), default=None,
@@ -524,7 +524,7 @@ def main(argv: "List[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Validate the environment before any trace work: a malformed
-    # REPRO_WORKERS should fail at startup, not when a pool spins up.
+    # REPRO_WORKERS should fail at startup, not when workers spin up.
     try:
         validate_env()
     except ValueError as exc:

@@ -7,7 +7,7 @@ them carried its own copy of the parsing and error wording.  The rules:
 * ``REPRO_TRACE_SCALE`` — positive float multiplier on every
   experiment's per-trace reference budget (default 1.0; the base budget
   is :data:`BASE_MAX_REFS` references, see DESIGN.md §2);
-* ``REPRO_WORKERS`` — default process-pool size for sweeps (integer
+* ``REPRO_WORKERS`` — default worker count for sweeps (integer
   >= 1; unset means sequential unless ``--workers`` says otherwise);
 * ``REPRO_LOG_LEVEL`` — stderr chatter verbosity for both CLIs
   (``debug``/``info``/``warning``/``error``/``quiet``, default
@@ -16,12 +16,12 @@ them carried its own copy of the parsing and error wording.  The rules:
   experiment runs wrap kernel dispatch in profiling sections and write
   a per-phase breakdown (see :mod:`repro.obs.profiling`);
 * ``REPRO_BACKEND`` — default sweep execution backend (any registered
-  backend name; ``inline``/``local-pool``/``fleet`` are built in, and
+  backend name; ``inline``/``fleet`` are built in, and
   unset means the runner picks automatically, see
   :mod:`repro.perf.backends`);
 * ``REPRO_FLEET_HOSTS`` — comma-separated fleet worker endpoints for
   the ``fleet`` backend (``local``, an SSH host, or a full worker
-  command template; unset means ``--workers`` local subprocesses);
+  command template; unset means ``--workers`` local workers);
 * ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` — bind address for the
   ``repro serve`` result-store daemon (default ``127.0.0.1:8377``;
   port 0 asks the OS for an ephemeral port);
@@ -115,7 +115,7 @@ def env_backend() -> Optional[str]:
 def env_fleet_hosts() -> "list[str]":
     """The parsed REPRO_FLEET_HOSTS endpoint list (empty when unset).
 
-    Comma-separated; each entry is ``local`` (a subprocess of this
+    Comma-separated; each entry is ``local`` (a worker process on this
     machine), a bare SSH destination (``user@host``), or — when it
     contains whitespace — a full worker command template.  Blank
     entries are rejected rather than skipped: a trailing comma almost

@@ -81,7 +81,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for sweep cells (default: REPRO_WORKERS "
+        help="worker processes for sweep cells (default: REPRO_WORKERS "
         "or 1 = sequential)",
     )
     parser.add_argument(
@@ -89,9 +89,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         choices=perf.backend_names(),
         default=None,
         help="sweep execution backend: 'inline' runs cells in this "
-        "process, 'local-pool' uses one machine's process pool, 'fleet' "
-        "shards cells across long-lived repro worker subprocesses — "
-        "local by default, or the "
+        "process, 'fleet' shards cells across long-lived worker "
+        "processes — local by default, or the "
         "REPRO_FLEET_HOSTS endpoints (SSH or command templates) "
         "(default: REPRO_BACKEND, or automatic by worker count)",
     )

@@ -1,8 +1,8 @@
 """Cross-process trace/metric propagation for the sweep backends.
 
-The sweep backends (:mod:`repro.perf.backends`) run cells in other
-processes — pool workers, long-lived fleet subprocesses — where the
-parent's :class:`~repro.obs.tracing.Tracer` is unreachable.  Before
+The fleet backend (:mod:`repro.perf.backends`) runs cells in other
+processes — forked or exec'd fleet workers — where the parent's
+:class:`~repro.obs.tracing.Tracer` is unreachable.  Before
 this module, the parent back-dated one synthetic ``cell`` span from the
 reply's measured seconds and everything inside the worker (``simulate``,
 ``trace_gen``, ``fsm.*`` counters) was lost.  The protocol here ships
@@ -10,8 +10,8 @@ it home instead:
 
 * the parent side builds a **propagation context** —
   ``{"version", "trace_id", "parent_span_id"}`` — from its installed
-  tracer and attaches it to the cell request (fleet NDJSON ``obs`` key,
-  local-pool task argument);
+  tracer and attaches it to the cell request (the fleet NDJSON ``obs``
+  key);
 * the worker wraps cell evaluation in a :class:`WorkerCapture`: a fresh
   bounded :class:`~repro.obs.tracing.Tracer` (adopting the parent's
   ``trace_id``) plus a fresh :class:`~repro.obs.metrics.MetricsRegistry`

@@ -393,6 +393,15 @@ def current_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
+def reset_registry() -> MetricsRegistry:
+    """Replace both the default and the installed registry with a fresh
+    one.  A forked worker calls this first: another parent thread may
+    have held the inherited registries' lock at the fork."""
+    global _DEFAULT, _REGISTRY
+    _DEFAULT = _REGISTRY = MetricsRegistry()
+    return _DEFAULT
+
+
 def counter(name: str, amount: float = 1.0, **labels: object) -> None:
     _REGISTRY.counter(name, amount, **labels)
 

@@ -199,8 +199,8 @@ def worker_cell_counts(
     """Per-worker ``(cell count, total seconds)`` from cell spans.
 
     Only spans stamped with a ``worker`` attribute contribute — the
-    inline and local-pool backends leave cells unattributed, so the
-    table appears exactly when a fleet ran.
+    inline backend leaves cells unattributed, so the table appears
+    exactly when a fleet ran.
     """
     counts: "Dict[str, Tuple[int, float]]" = {}
     for span in cells:

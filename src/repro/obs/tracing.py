@@ -1,8 +1,8 @@
 """Structured run tracing: nested spans over a monotonic clock.
 
 A figure run is a tree of timed phases — ``experiment`` → ``run_spec``
-→ ``sweep`` → ``pool_attempt`` → ``cell`` → ``trace_gen``/``simulate``
-— and "where did this 20-minute fig13 run spend its time?" is a
+→ ``sweep`` → ``cell`` → ``trace_gen``/``simulate`` — and "where did
+this 20-minute fig13 run spend its time?" is a
 question about that tree, not about the terminal miss rates.  This
 module provides the tree:
 
@@ -19,10 +19,11 @@ module provides the tree:
   no-ops when none is installed, so library code can be instrumented
   unconditionally.
 
-Work that happens in pool worker processes cannot reach the parent's
-tracer; the sweep runner instead records each pooled cell's measured
-seconds from its result envelope via :meth:`Tracer.record`, so the span
-tree stays complete (worker-side sub-phases are simply absent).
+Work that happens in fleet worker processes cannot reach the parent's
+tracer; the sweep runner instead records each such cell's measured
+seconds from its result envelope via :meth:`Tracer.record`, and
+:mod:`repro.obs.distributed` merges the worker's shipped sub-phases
+under it.
 
 :func:`iter_jsonl` is the shared tolerant JSONL reader; the sweep
 journal (:mod:`repro.perf.journal`) loads through it too.
@@ -231,7 +232,7 @@ class Tracer:
             self._finish(record)
 
     def record(self, name: str, seconds: float, **attrs: object) -> Span:
-        """Record an already-measured span (e.g. a pool worker's cell).
+        """Record an already-measured span (e.g. a fleet worker's cell).
 
         The span is parented to the calling thread's current span and
         back-dated so its end is "now"; ``seconds`` comes from the

@@ -6,20 +6,19 @@
   the two-level hierarchy of every hit-last strategy;
 * :mod:`repro.perf.engine` — ``simulate(model, trace, engine=...)``
   dispatch with a kernel registry and automatic reference fallback;
-* :mod:`repro.perf.parallel` — a fault-tolerant process-pool sweep
-  runner: per-cell result envelopes with full identity, bounded retry
-  with pool re-creation on worker crashes, per-cell timeouts, and
-  structured telemetry; ships deterministic
-  :class:`~repro.perf.parallel.TraceKey` recipes instead of trace
-  arrays;
+* :mod:`repro.perf.parallel` — a fault-tolerant sweep runner:
+  per-cell result envelopes with full identity, bounded re-dispatch on
+  worker crashes, per-cell timeouts, and structured telemetry; ships
+  deterministic :class:`~repro.perf.parallel.TraceKey` recipes instead
+  of trace arrays;
 * :mod:`repro.perf.journal` — the opt-in on-disk result journal that
   lets a crashed or interrupted sweep resume from its completed cells;
 * :mod:`repro.perf.backends` — the pluggable execution backends the
-  sweep runner delegates to: ``inline`` (this process), ``local-pool``
-  (one machine's process pool), and ``fleet`` (cells sharded across
-  long-lived ``repro worker`` subprocesses, local or SSH);
-* :mod:`repro.perf.worker` — the NDJSON protocol loop a fleet worker
-  subprocess runs (``python -m repro.cli worker``).
+  sweep runner delegates to: ``inline`` (this process) and ``fleet``
+  (cells sharded across long-lived worker processes, forked locally or
+  ``repro worker`` over SSH);
+* :mod:`repro.perf.worker` — the NDJSON protocol loop every fleet
+  worker runs (``python -m repro.cli worker`` when exec'd).
 """
 
 from .engine import (

@@ -3,17 +3,15 @@
 The sweep runtime (:func:`repro.perf.parallel.run_labeled_cells`)
 delegates *how* pending cells execute to a :class:`SweepBackend`:
 
-========== ===================================================
-``inline``      this process, no pool (single-worker default)
-``local-pool``  one machine's ProcessPoolExecutor
-``fleet``       NDJSON worker subprocesses, local or SSH
-========== ===================================================
+* ``inline`` — this process, one cell at a time;
+* ``fleet`` — NDJSON worker processes, forked or exec'd on this
+  machine or reached over SSH.
 
 Selection: ``backend=`` argument > CLI ``--backend`` default >
-``REPRO_BACKEND`` > automatic (``inline``/``local-pool`` by worker and
-cell count, the pre-backend dispatch).  All backends share journal,
+``REPRO_BACKEND`` > automatic (``inline`` for single-worker or
+single-cell runs, ``fleet`` otherwise).  Both backends share journal,
 telemetry, and envelope semantics through :class:`SweepContext`, so a
-journal written under one backend resumes under any other.
+journal written under one backend resumes under the other.
 """
 
 from .base import (  # noqa: F401
@@ -41,14 +39,12 @@ from .fleet import (  # noqa: F401
     worker_command,
 )
 from .inline import InlineBackend, run_sequential  # noqa: F401
-from .local_pool import LocalPoolBackend, terminate_pool  # noqa: F401
 
 __all__ = [
     "BACKENDS",
     "SweepBackend",
     "SweepContext",
     "InlineBackend",
-    "LocalPoolBackend",
     "FleetBackend",
     "FleetWorker",
     "backend_names",

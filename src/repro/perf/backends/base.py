@@ -1,10 +1,8 @@
 """The sweep-backend interface, registry, and shared execution helpers.
 
 A **backend** is one strategy for executing a sweep's pending cells:
-``inline`` (this process, no pool), ``local-pool`` (one machine's
-:class:`~concurrent.futures.ProcessPoolExecutor`), or ``fleet``
-(long-lived ``repro worker`` subprocesses — local or SSH — speaking
-NDJSON).  Backends share one contract:
+``inline`` (this process) or ``fleet`` (long-lived worker processes —
+local or SSH — speaking NDJSON).  Backends share one contract:
 
 * :meth:`SweepBackend.submit_cells` receives the pending cell indices
   and a :class:`SweepContext` and *yields* each :class:`CellOutcome` as
@@ -13,14 +11,13 @@ NDJSON).  Backends share one contract:
   (:func:`repro.perf.parallel.run_labeled_cells`) reports each yielded
   outcome to observers/progress, so cells stream in completion order
   whatever strategy ran them.
-* :meth:`SweepBackend.close` releases whatever the run held (pools,
-  worker subprocesses); the orchestrator always calls it.
+* :meth:`SweepBackend.close` releases whatever the run held (worker
+  processes); the orchestrator always calls it.
 
 Selection, in priority order: an explicit ``backend=`` argument, the
 process default set by ``--backend`` on a CLI, the ``REPRO_BACKEND``
-environment variable, and finally the automatic choice that preserves
-the pre-backend behaviour (``inline`` for single-worker or single-cell
-runs, ``local-pool`` otherwise).
+environment variable, and finally the automatic choice (``inline`` for
+single-worker or single-cell runs, ``fleet`` otherwise).
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ class SweepContext:
 class SweepBackend:
     """One execution strategy for a sweep's pending cells."""
 
-    #: Registry key ("inline", "local-pool", "fleet").
+    #: Registry key ("inline", "fleet").
     name = ""
 
     def submit_cells(
@@ -114,7 +111,7 @@ class SweepBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release run-scoped resources (pools, worker processes)."""
+        """Release run-scoped resources (worker processes)."""
 
 
 # -- registry -----------------------------------------------------------------
@@ -169,7 +166,7 @@ def resolve_backend(backend: Optional[str] = None) -> Optional[str]:
 
     ``None`` means the orchestrator picks per run: ``inline`` when the
     run is single-worker or has at most one pending cell, otherwise
-    ``local-pool`` — exactly the pre-backend dispatch.
+    ``fleet``.
     """
     if backend is not None:
         if backend not in BACKENDS:
@@ -198,7 +195,7 @@ def outcome_observer(callback: "Callable[[SweepTelemetry, CellOutcome], None]"):
 
     The callback receives the run's live telemetry and the cell's
     envelope at the same points ``--progress`` would print a line:
-    journal replays, pooled and fleet completions, and failures alike.
+    journal replays, fleet and inline completions, and failures alike.
     ``repro.serve`` uses this to stream per-cell progress over HTTP.
     Callback exceptions are swallowed (and counted under the
     ``sweep.observer_errors`` metric): a broken observer must not
@@ -259,7 +256,7 @@ def record_cell_span(
     Worker processes cannot reach the parent's tracer, so the parent
     back-dates a span from the envelope's worker-measured seconds once
     the cell resolves (success or terminal failure).  ``extra`` tags the
-    strategy (``pooled=True``, ``fleet=True``).
+    strategy (``fleet=True``).
     Returns the recorded span (None when tracing is off) so the
     distributed merge can parent the worker's shipped spans under it.
     """

@@ -1,13 +1,15 @@
-"""The ``fleet`` backend: cells sharded across ``repro worker`` processes.
+"""The ``fleet`` backend: cells sharded across worker processes.
 
-Where ``local-pool`` stops at one machine's ProcessPoolExecutor, the
-fleet shards a sweep across long-lived worker subprocesses speaking the
-NDJSON protocol of :mod:`repro.perf.worker` over stdin/stdout.  Each
-endpoint is launched from a command template, so the same code path
-covers local multi-process and SSH multi-host:
+The fleet runs every multi-process sweep.  It shards cells across
+long-lived worker processes speaking the NDJSON protocol of
+:mod:`repro.perf.worker`, one per endpoint:
 
-* ``local`` — ``python -m repro.cli worker`` as a subprocess of this
-  machine (the default: ``--workers N`` spawns N of these);
+* ``local`` — a worker on this machine (the default: ``--workers N``
+  starts N of these, at most one per pending cell).  Where the
+  platform's default multiprocessing start method is ``fork`` (Linux),
+  it is a forked child serving :func:`~repro.perf.worker.worker_main`
+  over an ``os.pipe()`` pair, with every module the parent imported;
+  elsewhere it is ``python -m repro.cli worker``;
 * ``user@host`` — ``ssh -o BatchMode=yes user@host python3 -m
   repro.cli worker`` (the repo must be importable on the remote);
 * anything containing whitespace — used verbatim as the worker command
@@ -18,33 +20,40 @@ Endpoints come from ``REPRO_FLEET_HOSTS`` (comma-separated) when set.
 Scheduling keeps **one cell in flight per worker**: a dead worker
 forfeits exactly one cell, which is re-dispatched to a surviving worker
 with a per-cell crash budget (``pool_retries``) before it is failed
-with exact attribution — the same envelope discipline the local pool's
-solo mode provides, without serialising the healthy remainder.  A
+with exact attribution, without serialising the healthy remainder.  A
 worker that dies after proving itself (its ``ready`` handshake) is
 respawned and counted under ``pool_restarts``; one that never comes up
 (unreachable host, broken command) is retired permanently so a typo'd
 endpoint cannot respawn-loop.  Per-cell timeouts kill the stuck worker
-and fail only its cell, exactly like the pool.
+and fail only its cell.  Every worker is reaped and its pipes closed
+when it dies or the sweep ends, so a long-lived parent (the serve
+daemon) leaks neither zombies nor file descriptors.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import multiprocessing
 import os
 import pickle
 import queue
 import shlex
+import signal
 import subprocess
 import sys
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ...obs import metrics as obs_metrics
+from ...obs import profiling as obs_profiling
+from ...obs import tracing as obs_tracing
 from ..cells import CellOutcome
+from ..worker import worker_main
 from .base import (
     SweepBackend,
     SweepContext,
@@ -85,6 +94,104 @@ def _worker_env() -> Dict[str, str]:
             src_dir + (os.pathsep + existing if existing else "")
         )
     return env
+
+
+# Worker start-up and pipe teardown hold _SPAWN_LOCK, so _PARENT_FDS
+# always lists exactly the parent-side pipe ends of running workers and
+# no fork ever inherits another worker's child-side end (which would
+# hide that worker's EOF from its reader).
+_SPAWN_LOCK = threading.Lock()
+_PARENT_FDS: Set[int] = set()
+
+
+class _ForkedWorker:
+    """A :class:`subprocess.Popen`-like handle on a forked ``local`` worker.
+
+    The child closes every other worker's parent-side pipe ends, drops
+    the tracer, profiler and metrics registry it inherited (another
+    thread may have held their locks at the fork), serves
+    :func:`worker_main` on its own pipe pair and leaves via ``_exit``.
+    """
+
+    def __init__(self) -> None:
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                # The forking thread holds _SPAWN_LOCK: this copy of
+                # _PARENT_FDS is complete.  An fd is already closed if its
+                # object died with a stale thread.
+                for fd in (request_w, reply_r, *_PARENT_FDS):
+                    with suppress(OSError):
+                        os.close(fd)
+                obs_tracing.uninstall_tracer()
+                obs_profiling.uninstall_profiler()
+                obs_metrics.reset_registry()
+                with open(request_r, encoding="utf-8") as stdin, open(
+                    reply_w, "w", encoding="utf-8"
+                ) as stdout:
+                    code = worker_main(stdin, stdout)
+            finally:
+                os._exit(code)
+        os.close(request_r)
+        os.close(reply_w)
+        self.stdin = open(request_w, "w", encoding="utf-8")
+        self.stdout = open(reply_r, encoding="utf-8")
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # reaped elsewhere; status is lost
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float = float("inf")) -> int:
+        deadline, delay = time.monotonic() + timeout, 0.0005
+        while self.poll() is None:
+            if time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"worker {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
+def _start_worker(endpoint: str):
+    """Start one worker: ``local`` forks where the platform's default
+    multiprocessing start method is ``fork`` (as a process pool would);
+    everything else execs :func:`worker_command`."""
+    start_method = (
+        multiprocessing.get_start_method(allow_none=True)
+        or multiprocessing.get_all_start_methods()[0]
+    )
+    with _SPAWN_LOCK:
+        if endpoint == "local" and start_method == "fork":
+            process = _ForkedWorker()
+        else:
+            process = subprocess.Popen(
+                worker_command(endpoint),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=None,  # workers share the parent's stderr
+                text=True,
+                env=_worker_env(),
+            )
+        _PARENT_FDS.update((process.stdin.fileno(), process.stdout.fileno()))
+    return process
 
 
 # Live-worker registry: serve's /healthz and /metrics report how many
@@ -151,14 +258,7 @@ class FleetWorker:
         self.ready = False
         self.retired = False
         self.cells_done = 0
-        self.process = subprocess.Popen(
-            worker_command(endpoint),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=None,  # workers share the parent's stderr
-            text=True,
-            env=_worker_env(),
-        )
+        self.process = _start_worker(endpoint)
         self._events = events
         self._reader = threading.Thread(
             target=self._read, name=f"fleet-reader-{self.id}", daemon=True
@@ -182,17 +282,32 @@ class FleetWorker:
             return False  # dying worker: its EOF event carries the cleanup
         return True
 
-    def kill(self) -> None:
+    def stop(self, grace: float = SHUTDOWN_GRACE) -> Optional[int]:
+        """Reap the worker, killing it if it has not exited within
+        ``grace`` seconds, then close this side of its pipes; returns
+        its exit code.
+
+        Idempotent.  A long-lived parent (the serve daemon) runs many
+        sweeps, and an unreaped worker would leave a zombie and two
+        descriptors behind per sweep.
+        """
         try:
-            self.process.kill()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        # Reap immediately: a long-lived parent (the serve daemon) runs
-        # many sweeps, and an unwaited kill leaves a zombie per timeout.
-        try:
-            self.process.wait(timeout=SHUTDOWN_GRACE)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
+            self.process.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            with suppress(OSError):
+                self.process.kill()
+            self.process.wait()
+        self._reader.join(SHUTDOWN_GRACE)  # its EOF follows the exit
+        streams = [self.process.stdin]
+        if not self._reader.is_alive():
+            streams.append(self.process.stdout)
+        with _SPAWN_LOCK:
+            for stream in streams:
+                if not stream.closed:
+                    _PARENT_FDS.discard(stream.fileno())
+                    with suppress(OSError):
+                        stream.close()
+        return self.process.returncode
 
     def describe(self) -> str:
         return f"{self.id} (pid {self.process.pid})"
@@ -211,7 +326,9 @@ class FleetBackend(SweepBackend):
     def submit_cells(
         self, pending: Sequence[int], ctx: SweepContext
     ) -> Iterator[CellOutcome]:
-        endpoints = list(ctx.fleet_hosts) or ["local"] * max(1, ctx.workers)
+        endpoints = list(ctx.fleet_hosts) or ["local"] * min(
+            ctx.workers, len(pending)
+        )
         for slot, endpoint in enumerate(endpoints):
             self._spawn(slot, endpoint)
         ctx.telemetry.workers = len(endpoints)
@@ -256,7 +373,7 @@ class FleetBackend(SweepBackend):
                     index = worker.in_flight
                     worker.in_flight = None
                     worker.retired = True
-                    worker.kill()
+                    worker.stop(grace=0.0)
                     _track(worker, False)
                     outcome = ctx.outcomes[index]
                     outcome.attempts += 1
@@ -291,18 +408,23 @@ class FleetBackend(SweepBackend):
                 outcome = ctx.outcomes[index]
                 outcome.attempts += 1
                 outcome.worker = worker.id
-                seconds = float(message.get("seconds", 0.0))
-                if message.get("ok"):
-                    worker.cells_done += 1
-                    metrics = {
-                        str(k): float(v)
-                        for k, v in message.get("metrics", {}).items()
-                    }
-                    ctx.record_success(outcome, metrics, seconds)
+                try:
+                    seconds = float(message.get("seconds", 0.0))
+                    metrics = _reply_metrics(message) if message.get("ok") else None
+                except (TypeError, ValueError, OverflowError) as exc:
+                    obs_metrics.counter("fleet.protocol_errors")
+                    ctx.fail(outcome, (
+                        f"BrokenFleetProtocol: fleet worker "
+                        f"{worker.describe()} sent a malformed result: {exc}"
+                    ))
                 else:
-                    # Captured worker-side: deterministic, not retried.
-                    outcome.seconds = seconds
-                    ctx.fail(outcome, str(message.get("error")))
+                    if metrics is not None:
+                        worker.cells_done += 1
+                        ctx.record_success(outcome, metrics, seconds)
+                    else:
+                        # Captured worker-side: deterministic, not retried.
+                        outcome.seconds = seconds
+                        ctx.fail(outcome, str(message.get("error")))
                 cell_span = record_cell_span(outcome, fleet=True)
                 obs_payload = message.get("obs")
                 if obs_payload is not None:
@@ -355,7 +477,7 @@ class FleetBackend(SweepBackend):
         worker.retired = True
         _track(worker, False)
         obs_metrics.counter("fleet.workers.retired")
-        exit_code = worker.process.poll()
+        exit_code = worker.stop()
         index = worker.in_flight
         worker.in_flight = None
         if index is not None:
@@ -365,8 +487,9 @@ class FleetBackend(SweepBackend):
             if crashes[index] > ctx.pool_retries:
                 outcome.worker = worker.id
                 ctx.fail(outcome, (
-                    f"BrokenFleetWorker: fleet worker {worker.describe()} "
-                    f"died while executing this cell (exit code {exit_code})"
+                    f"BrokenFleetWorker: worker process died while executing "
+                    f"this cell (fleet worker {worker.describe()}, exit code "
+                    f"{exit_code})"
                 ))
                 record_cell_span(outcome, fleet=True)
                 yield outcome
@@ -440,21 +563,14 @@ class FleetBackend(SweepBackend):
 
     def close(self) -> None:
         for worker in self._workers:
-            if worker.retired:
-                continue
-            worker.send({"op": "shutdown"})
+            if not worker.retired:
+                worker.send({"op": "shutdown"})
         deadline = time.monotonic() + SHUTDOWN_GRACE
         for worker in self._workers:
-            if worker.retired:
-                worker.process.poll()  # reap a zombie left by its death
-                continue
-            remaining = deadline - time.monotonic()
-            try:
-                worker.process.wait(timeout=max(0.0, remaining))
-            except subprocess.TimeoutExpired:
-                worker.kill()
-            worker.retired = True
-            _track(worker, False)
+            worker.stop(grace=max(0.0, deadline - time.monotonic()))
+            if not worker.retired:
+                worker.retired = True
+                _track(worker, False)
         self._workers.clear()
 
     def _parse(self, line: str) -> Optional[dict]:
@@ -470,3 +586,11 @@ class FleetBackend(SweepBackend):
             obs_metrics.counter("fleet.protocol_errors")
             return None
         return message
+
+
+def _reply_metrics(message: dict) -> Dict[str, float]:
+    """The metric dict of an ``ok`` result, validated as it is converted."""
+    metrics = message.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        raise TypeError(f"metrics must be a non-empty object, got {metrics!r}")
+    return {str(key): float(value) for key, value in metrics.items()}

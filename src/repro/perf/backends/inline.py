@@ -1,4 +1,4 @@
-"""The ``inline`` backend: everything in this process, no pool.
+"""The ``inline`` backend: everything in this process, no workers.
 
 The degenerate — and often correct — strategy: single-worker runs,
 single-cell runs, and environments where forking is unwelcome (test
@@ -19,7 +19,7 @@ from .base import SweepBackend, SweepContext, cell_attrs, register_backend
 def run_sequential(
     pending: Sequence[int], ctx: SweepContext
 ) -> Iterator[CellOutcome]:
-    """Inline per-cell execution (no pool)."""
+    """Inline per-cell execution (no workers)."""
     for index in pending:
         outcome = ctx.outcomes[index]
         _, factory, parameter, trace = ctx.cells[index]

@@ -13,7 +13,6 @@ consume these envelopes, and :mod:`repro.perf.parallel` orchestrates.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -242,37 +241,3 @@ def evaluate_cell(
         )
     return {str(key): float(value) for key, value in metrics.items()}
 
-
-def cell_task(
-    factory: Callable[[object], object],
-    parameter: object,
-    trace: TraceLike,
-    engine: str,
-    evaluator: Optional[CellEvaluator] = None,
-    obs_ctx: "Optional[Dict[str, object]]" = None,
-) -> tuple:
-    """Worker-side cell execution.
-
-    Returns ``(metrics, compute_seconds)``, or — when the parent passed
-    a trace propagation context (``obs_ctx``) — a third element: the
-    worker's captured span/metric payload for
-    :func:`repro.obs.distributed.merge_cell_payload`.
-    """
-    if obs_ctx is None:
-        started = time.perf_counter()
-        metrics = evaluate_cell(factory, parameter, trace, engine, evaluator)
-        return metrics, time.perf_counter() - started
-    from repro.obs.distributed import WorkerCapture
-
-    with WorkerCapture(obs_ctx) as capture:
-        started = time.perf_counter()
-        # The cell_exec bracket ships the worker's own measurement of
-        # the region the parent back-dates as the cell span, so pauses
-        # that land between sub-phase spans (GC, scheduler preemption)
-        # are still accounted for in the merged trace.
-        with obs_tracing.span("cell_exec"):
-            metrics = evaluate_cell(
-                factory, parameter, trace, engine, evaluator
-            )
-        seconds = time.perf_counter() - started
-    return metrics, seconds, capture.payload()

@@ -6,16 +6,14 @@ cells.  This module owns the run-level contract — per-cell
 resume, telemetry, progress/observer streaming — and delegates *how*
 pending cells execute to a :class:`~repro.perf.backends.SweepBackend`:
 
-* ``inline`` — this process, no pool (the single-worker default);
-* ``local-pool`` — one machine's ProcessPoolExecutor with crash retry,
-  solo-mode crash attribution, and per-cell timeouts;
-* ``fleet`` — cells sharded across long-lived ``repro worker``
-  subprocesses (local or SSH) with worker retirement and re-dispatch.
+* ``inline`` — this process (the single-worker default);
+* ``fleet`` — cells sharded across long-lived worker processes (forked
+  locally, or ``repro worker`` over SSH) with crash re-dispatch, exact
+  crash attribution, and per-cell timeouts.
 
 Backend selection: an explicit ``backend=`` argument > the CLI's
 ``--backend`` default > ``REPRO_BACKEND`` > automatic (``inline`` for
-single-worker or single-cell runs, ``local-pool`` otherwise — exactly
-the pre-backend dispatch).
+single-worker or single-cell runs, ``fleet`` otherwise).
 
 Worker count resolution, in priority order:
 
@@ -23,7 +21,7 @@ Worker count resolution, in priority order:
 2. the process default set by ``--workers`` on the experiments CLI,
 3. the ``REPRO_WORKERS`` environment variable (validated like
    ``REPRO_TRACE_SCALE``),
-4. 1 (sequential — no process pool is created at all).
+4. 1 (sequential — no worker process is started at all).
 
 The split history: trace recipes live in
 :mod:`repro.perf.trace_cache`, identity/envelope types in
@@ -109,9 +107,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 # -- resilience defaults (the CLI's --resume-dir / --progress flags) ----------
 
-#: Pool re-creations attempted after a worker crash before switching to
-#: one-cell-in-flight execution to attribute the crasher precisely.
-#: The fleet backend spends the same budget as per-cell re-dispatches.
+#: Re-dispatches of a cell whose worker died under it before the fleet
+#: fails that cell with exact attribution.
 DEFAULT_POOL_RETRIES = 2
 
 _DEFAULT_JOURNAL_DIR: Optional[Path] = None
@@ -137,7 +134,7 @@ def set_default_progress(enabled: bool) -> None:
 
 
 def set_default_cell_timeout(seconds: Optional[float]) -> None:
-    """Per-cell timeout for pooled runs (None disables)."""
+    """Per-cell timeout for fleet runs (None disables)."""
     if seconds is not None and seconds <= 0:
         raise ValueError("cell timeout must be positive")
     global _DEFAULT_CELL_TIMEOUT
@@ -161,14 +158,14 @@ def _resolve_journal(journal: "SweepJournal | str | Path | None") -> Optional[Sw
 
 
 def _auto_backend(workers: int, pending: int) -> str:
-    """The automatic strategy: exactly the pre-backend dispatch.
+    """The automatic strategy.
 
-    Single-worker and single-cell runs stay inline (no pool, nothing
-    needs pickling); everything else pools on this machine.
+    Single-worker and single-cell runs stay inline (no workers, nothing
+    needs pickling); everything else runs on the fleet.
     """
     if workers <= 1 or pending <= 1:
         return "inline"
-    return "local-pool"
+    return "fleet"
 
 
 def run_labeled_cells(
@@ -197,17 +194,16 @@ def run_labeled_cells(
     keys are backend-independent: a journal written under any backend
     resumes under any other.
 
-    ``timeout`` (seconds; pooled/fleet runs only — a sequential run
-    cannot interrupt itself) terminates the worker of a cell that
-    exceeds it and fails just that cell.  A worker death triggers up to
-    ``pool_retries`` re-executions (pool re-creations under
-    ``local-pool``, re-dispatches to surviving workers under ``fleet``);
-    if the crash persists, the crashing cell is failed with exact
+    ``timeout`` (seconds; fleet runs only — a sequential run cannot
+    interrupt itself) terminates the worker of a cell that exceeds it
+    and fails just that cell.  A worker death triggers up to
+    ``pool_retries`` re-dispatches of its cell to surviving workers; if
+    the crash persists, the crashing cell is failed with exact
     attribution and everything else completes.
 
-    ``backend`` picks the execution strategy (``inline`` /
-    ``local-pool`` / ``fleet``); ``None`` defers to the CLI default,
-    then ``REPRO_BACKEND``, then the automatic per-run choice.
+    ``backend`` picks the execution strategy (``inline`` / ``fleet``);
+    ``None`` defers to the CLI default, then ``REPRO_BACKEND``, then
+    the automatic per-run choice.
     """
     engine = engine_mod.resolve_engine(engine)
     workers = resolve_workers(workers)
@@ -292,7 +288,7 @@ def run_cells(
 ) -> List[float]:
     """Miss rates for every cell, preserving order.
 
-    ``workers <= 1`` runs inline (no pool, nothing needs pickling).
+    ``workers <= 1`` runs inline (no workers, nothing needs pickling).
     Otherwise the cells are farmed to the selected backend; the engine
     name is resolved *before* submission so the CLI's ``--engine``
     default reaches the workers even though module globals are not

@@ -22,7 +22,7 @@ class SweepTelemetry:
     """Structured counters for one ``run_labeled_cells`` invocation.
 
     ``backend`` names the execution backend that ran the sweep
-    (``inline`` / ``local-pool`` / ``fleet``; empty for records
+    (``inline`` / ``fleet``; empty for records
     predating the backend split).  ``worker_cells`` counts computed
     cells per fleet worker id — empty for single-process backends.
     """

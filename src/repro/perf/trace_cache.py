@@ -30,7 +30,7 @@ class TraceKey:
 
     Cheap to pickle (three scalars); :meth:`load` regenerates the trace
     through :func:`repro.workloads.registry.trace_by_kind` and memoises
-    it per process, so a pool worker builds each benchmark once no
+    it per process, so a fleet worker builds each benchmark once no
     matter how many sweep cells it executes.
     """
 

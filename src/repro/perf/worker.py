@@ -1,8 +1,9 @@
 """The ``repro worker`` protocol loop for the fleet backend.
 
-A fleet worker is a long-lived subprocess — launched locally or via
-``ssh host python -m repro.cli worker`` — that executes sweep cells one
-at a time, speaking newline-delimited JSON over stdin/stdout:
+A fleet worker is a long-lived process — forked locally, or launched
+as ``python -m repro.cli worker`` (possibly via ``ssh host``) — that
+executes sweep cells one at a time, speaking newline-delimited JSON
+over a pipe pair (stdin/stdout when exec'd):
 
 Requests (one JSON object per line, parent → worker)::
 
@@ -12,9 +13,8 @@ Requests (one JSON object per line, parent → worker)::
     {"op": "shutdown"}
 
 ``payload`` is a base64-encoded pickle of ``(factory, parameter,
-trace, evaluator)`` — the same objects a process pool would pickle, so
-the fleet inherits the pool's picklability contract (module-level
-factories, trace recipes instead of raw arrays).
+trace, evaluator)``, so cells must be picklable: module-level
+factories, trace recipes instead of raw arrays.
 
 Responses (worker → parent)::
 
@@ -60,12 +60,12 @@ def _emit(stream: IO[str], payload: dict) -> None:
 
 def _run_cell(request: dict) -> dict:
     obs_ctx = request.get("obs")
-    capture = None
-    if isinstance(obs_ctx, dict):
+    capture = WorkerCapture(obs_ctx) if isinstance(obs_ctx, dict) else None
+    if capture is not None:
         # Enter before payload decode so the capture epoch brackets
         # everything the parent's back-dated cell span times.
-        capture = WorkerCapture(obs_ctx)
         capture.__enter__()
+    result: dict = {"event": "result", "id": request.get("id"), "ok": True}
     started = time.perf_counter()
     try:
         # cell_exec brackets the exact region ``seconds`` times (decode
@@ -75,28 +75,12 @@ def _run_cell(request: dict) -> dict:
         with obs_tracing.span("cell_exec"):
             raw = base64.b64decode(request["payload"].encode("ascii"))
             factory, parameter, trace, evaluator = pickle.loads(raw)
-            metrics = evaluate_cell(
+            result["metrics"] = evaluate_cell(
                 factory, parameter, trace, request.get("engine"), evaluator
             )
     except Exception as exc:
-        result = {
-            "event": "result",
-            "id": request.get("id"),
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "seconds": time.perf_counter() - started,
-        }
-        if capture is not None:
-            capture.__exit__(None, None, None)
-            result["obs"] = capture.payload()
-        return result
-    result = {
-        "event": "result",
-        "id": request.get("id"),
-        "ok": True,
-        "metrics": metrics,
-        "seconds": time.perf_counter() - started,
-    }
+        result.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+    result["seconds"] = time.perf_counter() - started
     if capture is not None:
         capture.__exit__(None, None, None)
         result["obs"] = capture.payload()

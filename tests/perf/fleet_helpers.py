@@ -1,12 +1,14 @@
 """Module-level factories for the fleet backend tests.
 
-Fleet workers are *fresh* ``python -m repro.cli worker`` processes (no
-fork), so everything a cell pickles must resolve by qualified module
-name on the worker's import path.  These live in their own module —
-importable as ``tests.perf.fleet_helpers`` from the repo root, which is
-on the worker's path because ``python -m`` prepends the parent's
-working directory — instead of inside a test file that pytest may
-import under a rewritten name.
+A ``local`` fleet worker is forked on Linux, but on platforms whose
+default start method is not ``fork`` — and for SSH or command-template
+endpoints — it is a fresh ``python -m repro.cli worker`` process, so
+everything a cell pickles must resolve by qualified module name on the
+worker's import path.  These live in their own module — importable as
+``tests.perf.fleet_helpers`` from the repo root, which is on an exec'd
+worker's path because ``python -m`` prepends the parent's working
+directory — instead of inside a test file that pytest may import under
+a rewritten name.
 """
 
 import os

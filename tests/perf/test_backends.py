@@ -1,38 +1,44 @@
 """Tests for the pluggable sweep execution backends.
 
-Three properties matter:
+Four properties matter:
 
-* **registry** — the three backends are registered, selectable, and
+* **registry** — both backends are registered, selectable, and
   resolved with the documented precedence (explicit > CLI default >
   ``REPRO_BACKEND`` > automatic);
 * **invariance** — the same grid produces identical metrics and
-  identical journal entries under ``inline``, ``local-pool``, and
-  ``fleet``, and a journal written under one backend resumes under any
-  other (both directions);
+  identical journal entries under ``inline`` and ``fleet``, and a
+  journal written under one backend resumes under the other (both
+  directions);
 * **fleet fault tolerance** — a SIGKILLed worker retires, its in-flight
   cell re-dispatches inside the crash budget, a poisoned cell that
   kills every worker it touches fails with exact worker attribution,
-  and a never-ready endpoint is retired without a respawn loop.
+  a never-ready endpoint is retired without a respawn loop, and a
+  malformed reply fails only its cell;
+* **forked-worker hygiene** — a forked ``local`` worker starts with
+  fresh observability state and its own pipes only, and a long-lived
+  parent running many sweeps leaks neither descriptors nor zombies.
 
-The fleet factories live in :mod:`tests.perf.fleet_helpers` so fresh
+The fleet factories live in :mod:`tests.perf.fleet_helpers` so exec'd
 worker processes can unpickle them by qualified name.
 """
 
 import io
 import json
+import multiprocessing
 import os
+import shlex
 import sys
 import threading
 
 import pytest
 
-from repro.perf import backends
+from repro.obs import metrics as obs_metrics
 from repro.perf.backends import (
     FleetBackend,
     InlineBackend,
-    LocalPoolBackend,
     backend_names,
     create_backend,
+    live_worker_status,
     live_workers,
     resolve_backend,
     set_default_backend,
@@ -73,7 +79,8 @@ def _zombie_children():
     zombies = []
     for stat_path in glob.glob("/proc/[0-9]*/stat"):
         try:
-            content = open(stat_path).read()
+            with open(stat_path) as handle:
+                content = handle.read()
         except OSError:
             continue  # process exited between glob and read
         fields = content.rsplit(") ", 1)[-1].split()
@@ -94,19 +101,18 @@ def _no_ambient_backend(monkeypatch):
 
 
 class TestRegistry:
-    def test_three_backends_registered(self):
-        assert backend_names() == ["fleet", "inline", "local-pool"]
+    def test_two_backends_registered(self):
+        assert backend_names() == ["fleet", "inline"]
 
     def test_create_returns_registered_classes(self):
         assert isinstance(create_backend("inline"), InlineBackend)
-        assert isinstance(create_backend("local-pool"), LocalPoolBackend)
         assert isinstance(create_backend("fleet"), FleetBackend)
 
     def test_unknown_backend_names_the_choices(self):
         with pytest.raises(ValueError, match="unknown backend 'threads'"):
             create_backend("threads")
-        with pytest.raises(ValueError, match="fleet, inline, local-pool"):
-            create_backend("threads")
+        with pytest.raises(ValueError, match=r"\(choose from fleet, inline\)"):
+            create_backend("local-pool")
 
     def test_run_labeled_cells_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -115,14 +121,14 @@ class TestRegistry:
 
 class TestResolvePrecedence:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        set_default_backend("local-pool")
-        assert resolve_backend("inline") == "inline"
+        monkeypatch.setenv("REPRO_BACKEND", "inline")
+        set_default_backend("inline")
+        assert resolve_backend("fleet") == "fleet"
 
     def test_cli_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        set_default_backend("local-pool")
-        assert resolve_backend(None) == "local-pool"
+        set_default_backend("inline")
+        assert resolve_backend(None) == "inline"
 
     def test_env_when_nothing_else(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "fleet")
@@ -141,7 +147,7 @@ class TestResolvePrecedence:
 
 
 class TestAutomaticSelection:
-    """backend=None preserves the pre-backend dispatch exactly."""
+    """backend=None runs inline unless there is parallel work to share."""
 
     def test_single_worker_runs_inline(self):
         run_labeled_cells(_grid(WellBehavedFactory()), workers=1)
@@ -152,8 +158,9 @@ class TestAutomaticSelection:
         assert drain_telemetry()[-1].backend == "inline"
 
     def test_multi_worker_multi_cell_uses_the_pool(self):
+        # The fleet's local workers are the one multi-process pool.
         run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
-        assert drain_telemetry()[-1].backend == "local-pool"
+        assert drain_telemetry()[-1].backend == "fleet"
 
     def test_env_backend_overrides_automatic(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "inline")
@@ -162,7 +169,7 @@ class TestAutomaticSelection:
 
 
 class TestBackendInvariance:
-    """Identical metrics and journal entries across all three backends."""
+    """Identical metrics and journal entries across both backends."""
 
     def _run(self, backend, tmp_path, workers=2):
         journal_dir = tmp_path / backend
@@ -178,24 +185,21 @@ class TestBackendInvariance:
 
     def test_metrics_and_journal_keys_identical(self, tmp_path):
         inline, inline_journal = self._run("inline", tmp_path)
-        pooled, pool_journal = self._run("local-pool", tmp_path)
         fleet, fleet_journal = self._run("fleet", tmp_path)
 
-        assert [o.metrics for o in inline] == [o.metrics for o in pooled]
         assert [o.metrics for o in inline] == [o.metrics for o in fleet]
 
         keys = [o.identity.key() for o in inline]
-        assert keys == [o.identity.key() for o in pooled]
         assert keys == [o.identity.key() for o in fleet]
         for key, outcome in zip(keys, inline):
-            for journal in (inline_journal, pool_journal, fleet_journal):
+            for journal in (inline_journal, fleet_journal):
                 entry = journal.get(key)
                 assert entry is not None
                 assert journal.entry_metrics(entry) == outcome.metrics
 
     @pytest.mark.parametrize(
         "first,second",
-        [("fleet", "inline"), ("inline", "fleet"), ("local-pool", "fleet")],
+        [("fleet", "inline"), ("inline", "fleet")],
     )
     def test_cross_backend_resume(self, tmp_path, first, second):
         journal_dir = str(tmp_path / "journal")
@@ -385,6 +389,180 @@ class TestFleetExecution:
         # long-lived serve daemon accumulates one zombie per timeout
         # otherwise.
         assert _zombie_children() == []
+
+
+#: A fleet worker that answers ``ready``, then sends one malformed
+#: ``result`` (the case named by argv[1]) and well-formed ones after it.
+FAKE_WORKER = """
+import json, sys
+bad = {
+    "seconds": {"seconds": "soon"},
+    "metrics": {"metrics": [0.5]},
+    "value": {"metrics": {"miss_rate": "high"}},
+}[sys.argv[1]]
+print(json.dumps({"event": "ready", "pid": 0, "host": "fake"}), flush=True)
+for line in sys.stdin:
+    request = json.loads(line)
+    if request.get("op") == "shutdown":
+        break
+    reply = {"event": "result", "id": request["id"], "ok": True,
+             "seconds": 0.1, "metrics": {"miss_rate": 0.5}}
+    reply.update(bad)
+    bad = {}
+    print(json.dumps(reply), flush=True)
+"""
+
+
+class TestFleetProtocol:
+    @pytest.mark.parametrize("case", ["seconds", "metrics", "value"])
+    def test_malformed_result_fails_one_cell(self, tmp_path, monkeypatch, case):
+        script = tmp_path / "fake_worker.py"
+        script.write_text(FAKE_WORKER)
+        endpoint = shlex.join([sys.executable, str(script), case])
+        monkeypatch.setenv("REPRO_FLEET_HOSTS", endpoint)
+        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
+        try:
+            outcomes = run_labeled_cells(
+                _grid(WellBehavedFactory()), engine="fast", backend="fleet"
+            )
+        finally:
+            obs_metrics.uninstall_registry()
+        failed = [outcome for outcome in outcomes if not outcome.ok]
+        assert len(failed) == 1
+        assert "malformed result" in failed[0].error
+        assert f"fleet worker {endpoint}#0 (pid " in failed[0].error
+        assert [o.metrics for o in outcomes if o.ok] == [
+            {"miss_rate": 0.5}
+        ] * (len(outcomes) - 1)
+        assert registry.value("fleet.protocol_errors") == 1
+
+    def test_no_more_workers_than_pending_cells(self):
+        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
+        try:
+            outcomes = run_labeled_cells(
+                _grid(WellBehavedFactory())[:2], engine="fast", workers=4,
+                backend="fleet",
+            )
+        finally:
+            obs_metrics.uninstall_registry()
+        assert all(outcome.ok for outcome in outcomes)
+        assert drain_telemetry()[-1].workers == 2
+        assert registry.value("fleet.workers.spawned") == 2
+
+
+def _cmdline(pid) -> bytes:
+    with open(f"/proc/{pid}/cmdline", "rb") as handle:
+        return handle.read()
+
+
+def _pipe_inodes(pid) -> set:
+    """Pipes ``pid`` holds open above the standard streams."""
+    pipes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if int(fd) > 2 and target.startswith("pipe:"):
+            pipes.add(target)
+    return pipes
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd")
+    or multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="forked local workers need fork as the default start method "
+    "and /proc to inspect",
+)
+class TestForkedLocalWorkers:
+    def _probe_workers(self, probe):
+        """Run a 2-worker fleet sweep; ``probe(pid)`` for each live
+        worker when its first cell resolves."""
+        from repro.perf.parallel import outcome_observer
+
+        probed = []
+
+        def observe(_telemetry, _outcome):
+            if not probed:
+                probed.extend(
+                    probe(status["pid"]) for status in live_worker_status()
+                )
+
+        with outcome_observer(observe):
+            outcomes = run_labeled_cells(
+                _grid(WellBehavedFactory()), engine="fast", workers=2,
+                backend="fleet",
+            )
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(probed) == 2
+        return probed
+
+    def test_local_workers_are_forked(self):
+        # A forked worker keeps the parent's command line; an exec'd
+        # one would read "python -m repro.cli worker".
+        assert self._probe_workers(_cmdline) == [_cmdline(os.getpid())] * 2
+
+    def test_forked_worker_closes_sibling_pipe_ends(self):
+        inherited = _pipe_inodes(os.getpid())  # open before the sweep
+        pipes = [held - inherited for held in self._probe_workers(_pipe_inodes)]
+        assert all(len(held) == 2 for held in pipes)  # request + reply
+        assert not pipes[0] & pipes[1]
+
+    def test_exec_path_where_fork_is_not_the_start_method(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_start_method", lambda allow_none=False: "spawn"
+        )
+        for cmdline in self._probe_workers(_cmdline):
+            argv = cmdline.split(b"\0")
+            assert b"repro.cli" in argv and b"worker" in argv
+
+    def test_held_metrics_lock_does_not_stall_forked_workers(self, monkeypatch):
+        # Every cell counts engine.dispatch under the registry lock; a
+        # worker forked while another thread holds it must not inherit
+        # the held lock.
+        lock = obs_metrics.current_registry()._lock
+        held, forked = threading.Event(), threading.Event()
+        locked_at_fork = []
+        real_fork = os.fork
+
+        def fork():
+            locked_at_fork.append(lock.locked())
+            pid = real_fork()
+            if pid:
+                forked.set()
+            return pid
+
+        def hold():
+            with lock:
+                held.set()
+                forked.wait(timeout=30.0)
+
+        monkeypatch.setattr(os, "fork", fork)
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(timeout=30.0)
+        try:
+            outcomes = run_labeled_cells(
+                _grid(WellBehavedFactory()), engine="fast", workers=2,
+                timeout=5.0,
+            )
+        finally:
+            forked.set()
+            holder.join(timeout=60.0)
+        assert not holder.is_alive()
+        assert locked_at_fork[0], "the first worker was not forked under the lock"
+        assert [o.error for o in outcomes if not o.ok] == []
+
+    def test_repeated_sweeps_leak_no_descriptors_or_zombies(self):
+        cells = _grid(WellBehavedFactory())
+        descriptors = len(os.listdir("/proc/self/fd"))
+        zombies = _zombie_children()
+        for _ in range(20):
+            outcomes = run_labeled_cells(cells, engine="fast", workers=2)
+            assert all(outcome.ok for outcome in outcomes)
+        assert drain_telemetry()[-1].backend == "fleet"
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert _zombie_children() == zombies
 
 
 class TestWorkerMain:

@@ -1,6 +1,6 @@
 """Distributed observability across sweep backends.
 
-The differential contract: a fleet (or local-pool) run of a grid must
+The differential contract: a fleet run of a grid must
 produce (1) one merged trace whose worker-side ``simulate`` /
 ``trace_gen`` spans nest under the parent's ``cell`` spans with
 ``worker=``/``pid=`` attribution, and (2) merged ``fsm.*`` counters
@@ -113,31 +113,7 @@ class TestFleetDistributedObs:
         ]
 
 
-class TestLocalPoolDistributedObs:
-    def test_pool_workers_ship_spans_and_metrics(self, tmp_path):
-        spans, registry, _ = _traced_run(tmp_path, "local-pool")
-        children = [
-            span for span in spans if span.name in ("simulate", "trace_gen")
-        ]
-        assert children, "pool workers shipped no spans"
-        for span in children:
-            # Pool cells carry pid-based attribution (no fleet worker id).
-            assert str(span.attrs["worker"]).startswith("pid-")
-            assert span.attrs["pid"] != os.getpid()
-        inline = _inline_fsm_totals()
-        for name in FSM_SERIES:
-            assert registry.total(name) == inline[name], name
-
-
 class TestTracingOffIsFree:
-    def test_no_obs_payload_without_tracer(self):
-        from repro.perf.cells import cell_task
-
-        factory = StandardFactory("dynamic-exclusion", 4)
-        trace = TraceKey("espresso", max_refs=5_000)
-        result = cell_task(factory, 64, trace, "reference")
-        assert len(result) == 2  # the two-tuple contract is unchanged
-
     def test_worker_protocol_omits_obs_key(self):
         import base64
         import pickle

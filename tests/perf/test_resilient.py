@@ -169,36 +169,6 @@ class TestWorkerCrashRecovery:
         # Every non-poisoned cell survived the crashes.
         assert sum(o.ok for o in outcomes) == len(outcomes) - len(TRACES)
 
-    def test_pool_breaking_during_submission_retries_the_rest(self, monkeypatch):
-        """A worker can die while later cells are still being submitted,
-        so ``submit`` itself raises; those cells move to the next pool."""
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.perf.backends import local_pool
-
-        breaks = []
-
-        class BreaksOnThirdSubmit(ProcessPoolExecutor):
-            submits = 0
-
-            def submit(self, *args, **kwargs):
-                self.submits += 1
-                if self.submits == 3 and not breaks:
-                    breaks.append(True)
-                    raise BrokenProcessPool("worker died during submission")
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(
-            local_pool, "ProcessPoolExecutor", BreaksOnThirdSubmit
-        )
-        outcomes = run_labeled_cells(
-            _grid({"clean": CleanFactory()}), workers=2, backend="local-pool"
-        )
-        assert breaks
-        assert all(o.ok for o in outcomes)
-        assert all(o.attempts == 1 for o in outcomes)
-
     def test_interrupted_sweep_resumes_byte_identical(self, tmp_path):
         """The acceptance test: kill a worker mid-sweep, resume from the
         journal, and get a sweep byte-identical to a clean sequential run

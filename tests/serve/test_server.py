@@ -415,6 +415,12 @@ class TestRun:
                 client.run("serve-test-grid", engine=engine)
             assert excinfo.value.status == 400
 
+    def test_unknown_backend_400(self, client):
+        for backend in ("threads", "local-pool"):
+            with pytest.raises(ServeError, match="unknown backend") as excinfo:
+                client.run("serve-test-grid", backend=backend)
+            assert excinfo.value.status == 400
+
     def test_cold_compact_warm_round_trip(self, server, client):
         """The acceptance path: cold run, ``compact()``, then a warm run
         that answers entirely from the compacted shards — zero cell

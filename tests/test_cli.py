@@ -145,6 +145,20 @@ class TestSimulateEngineFlags:
             assert "invalid choice: 'batch'" in err
             assert "'fast', 'reference'" in err
 
+    def test_local_pool_backend_rejected_by_both_clis(self, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        for cli, argv in (
+            (experiments_main, ["--only", "fig04", "--backend", "local-pool"]),
+            (main, ["simulate", "gcc", "--refs", "2000", "--backend", "local-pool"]),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'local-pool'" in err
+            assert "'fleet', 'inline'" in err
+
     def test_workers_flag_sets_default(self):
         from repro.perf import parallel
 

@@ -153,10 +153,17 @@ class TestBackend:
         monkeypatch.setenv("REPRO_BACKEND", "  ")
         assert env.env_backend() is None
 
-    @pytest.mark.parametrize("raw", ["inline", "local-pool", "fleet"])
+    @pytest.mark.parametrize("raw", ["inline", "fleet"])
     def test_every_backend_accepted(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_BACKEND", raw)
         assert env.env_backend() == raw
+
+    def test_retired_local_pool_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "local-pool")
+        with pytest.raises(
+            ValueError, match="REPRO_BACKEND must be one of fleet, inline,"
+        ):
+            env.env_backend()
 
     def test_normalised(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "  FLEET ")

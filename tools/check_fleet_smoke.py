@@ -8,9 +8,10 @@ Drives the experiments CLI the way the fleet backend is meant to be
 used — and the way it is meant to fail:
 
 1. **sweep** — runs the spec with ``--backend fleet --workers 2``
-   (two local ``repro worker`` subprocesses) and ``--resume-dir``;
+   (two local worker processes, forked on Linux) and ``--resume-dir``;
 2. **kill** — as soon as the journal shows the sweep is executing,
-   SIGKILLs the oldest live worker subprocess, mid-sweep;
+   SIGKILLs the oldest live worker (the sweep process's oldest direct
+   child), mid-sweep;
 3. **survive** — the run must still exit 0 with zero failed cells: the
    dead worker is retired, its in-flight cell re-dispatched, and the
    telemetry must name the ``fleet`` backend, attribute cells to
@@ -46,26 +47,26 @@ from repro.obs import TRACE_FILENAME, read_spans  # noqa: E402  (path bootstrap)
 
 
 def _worker_pids(parent_pid: int) -> "list[tuple[int, int]]":
-    """Live ``repro.cli worker`` children of ``parent_pid`` as
-    ``(starttime, pid)`` pairs (Linux /proc scan)."""
+    """Live direct children of ``parent_pid`` — the sweep's fleet
+    workers — as ``(starttime, pid)`` pairs (Linux /proc scan).
+
+    A forked worker keeps its parent's command line, so workers are
+    found by parentage, not by a ``repro.cli worker`` argv.
+    """
     found = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
             continue
         pid = int(entry)
         try:
-            cmdline = (Path("/proc") / entry / "cmdline").read_bytes()
             stat = (Path("/proc") / entry / "stat").read_text()
         except OSError:
             continue  # raced with process exit
-        argv = cmdline.decode("utf-8", "replace").split("\0")
-        if "repro.cli" not in argv or "worker" not in argv:
-            continue
         # stat is "pid (comm) state ppid ... starttime ..."; comm may
         # itself contain spaces, so split after the closing paren.
         fields = stat.rsplit(")", 1)[1].split()
-        ppid, starttime = int(fields[1]), int(fields[19])
-        if ppid == parent_pid:
+        state, ppid, starttime = fields[0], int(fields[1]), int(fields[19])
+        if ppid == parent_pid and state != "Z":
             found.append((starttime, pid))
     return sorted(found)
 
@@ -116,7 +117,7 @@ def _fleet_sweeps(resume_dir: Path, spec: str) -> "list[dict]":
 def _check_merged_trace(trace_dir: Path, spec: str) -> "list[str]":
     """The distributed-obs contract on the merged ``trace.jsonl``.
 
-    Worker subprocesses run their own tracer and ship finished spans
+    Worker processes run their own tracer and ship finished spans
     home in the cell reply; the parent re-parents them under its own
     back-dated ``cell`` spans.  A merged trace therefore proves the
     whole propagation path: spans from >= 2 distinct worker pids, each
