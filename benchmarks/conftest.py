@@ -1,10 +1,10 @@
-"""Shared infrastructure for the figure benchmarks.
+"""Shared infrastructure for the benchmarks.
 
-Each ``bench_figXX`` module times the figure's simulation pass once
-(``benchmark.pedantic`` with a single round — these are minutes-scale
-workloads, not microbenchmarks) and writes the regenerated table/chart
-to ``benchmarks/results/<id>.txt`` so the paper comparison in
-EXPERIMENTS.md can be refreshed from the artefacts.
+``bench_figures.py`` times each registered figure's ``run_spec(id)``
+once (``benchmark.pedantic`` with a single round — these are
+minutes-scale workloads, not microbenchmarks) and writes its
+``render_spec`` report to ``benchmarks/results/<id>.txt`` so the paper
+comparison in EXPERIMENTS.md can be refreshed from the artefacts.
 
 Trace length follows REPRO_TRACE_SCALE (default 1.0 = 200k references
 per benchmark trace).
@@ -55,13 +55,14 @@ def write_json_result(
 
 @pytest.fixture
 def figure_bench(benchmark, results_dir):
-    """Run a figure module once under the benchmark timer and persist
-    its report."""
+    """Run one spec once under the benchmark timer and persist its
+    report."""
+    from repro.experiments import render_spec, run_spec
 
-    def _run(module, experiment_id: str):
-        benchmark.pedantic(module.run, rounds=1, iterations=1)
-        report = module.report()
-        (results_dir / f"{experiment_id}.txt").write_text(report + "\n")
+    def _run(spec_id: str) -> str:
+        result = benchmark.pedantic(run_spec, args=(spec_id,), rounds=1, iterations=1)
+        report = render_spec(spec_id, result)
+        (results_dir / f"{spec_id}.txt").write_text(report + "\n")
         print(f"\n{report}\n")
         return report
 

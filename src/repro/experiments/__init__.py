@@ -3,15 +3,16 @@
 Every module defines an :class:`~repro.experiments.spec.ExperimentSpec`
 and registers it on import; this package imports them all, so::
 
-    from repro.experiments import all_specs, run_spec
+    from repro.experiments import all_specs, render_spec, run_spec
 
-gives the full registry.  Run everything with
-``python -m repro.experiments``, list the registry with
-``python -m repro.experiments --list``, or run a single figure with
-``python -m repro.experiments --only fig05``.
+    result = run_spec("fig05")              # simulate (memoised)
+    text = render_spec("fig05", result)     # the report, from that result
+
+gives the full registry and the one way to run and render a figure.
+Run everything with ``python -m repro.experiments``, list the registry
+in presentation order with ``python -m repro.experiments --list``, or
+run a single figure with ``python -m repro.experiments --only fig05``.
 """
-
-from typing import Dict
 
 from .spec import (
     ExperimentSpec,
@@ -48,33 +49,7 @@ from . import (
     sec3_patterns,
 )
 
-#: Experiment id -> module with TITLE / run() / report().  Kept for
-#: callers that want the module namespace; the spec registry
-#: (:func:`all_specs`) is the canonical enumeration.
-EXPERIMENTS: Dict[str, object] = {
-    "sec3": sec3_patterns,
-    "fig02": fig02_benchmarks,
-    "fig03": fig03_per_benchmark,
-    "fig04": fig04_cache_size,
-    "fig05": fig05_improvement,
-    "fig07": fig07_l1_vs_l2,
-    "fig08": fig08_l2_missrate,
-    "fig09": fig09_l1_improvement,
-    "fig11": fig11_line_size,
-    "fig12": fig12_improvement_b16,
-    "fig13": fig13_efficiency,
-    "fig14": fig14_data_cache,
-    "fig15": fig15_mixed_cache,
-    "ext-assoc": ext_associativity,
-    "ext-split": ext_split,
-    "ext-context": ext_context_switch,
-    "ext-hashed": ext_hashed_bits,
-    "ext-traffic": ext_traffic,
-    "ext-warmup": ext_warmup,
-}
-
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentSpec",
     "all_specs",
     "collect_result",

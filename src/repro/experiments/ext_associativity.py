@@ -26,7 +26,7 @@ from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import IdealHitLastStore
 from ..core.set_assoc_exclusion import SetAssociativeExclusionCache
 from .common import REFERENCE_SIZE, SIZE_SWEEP_KB
-from .spec import BenchmarkSuite, ExperimentSpec, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, register
 
 TITLE = "Extension: dynamic exclusion vs associativity (b=4B)"
 
@@ -88,7 +88,7 @@ class AssocFactory:
 def _render(result: SweepResult) -> str:
     table = format_sweep(result, title=TITLE, value_format="{:.3%}")
     chart = sweep_chart(result, title="miss rate (%)")
-    amats = amat_at_reference()
+    amats = amat_at_reference(result)
     amat_rows = [
         [label, f"{TIMING_MODELS[label].hit_time:.1f}", f"{amats[label]:.3f}"]
         for label in sorted(amats, key=amats.get)
@@ -114,19 +114,10 @@ SPEC = register(
 )
 
 
-def run() -> SweepResult:
-    return run_spec(SPEC)
-
-
-def amat_at_reference() -> Dict[str, float]:
+def amat_at_reference(result: SweepResult) -> Dict[str, float]:
     """AMAT of every configuration at the 32KB reference point."""
-    result = run()
     miss_rates = {
         label: result.series[label].points[REFERENCE_SIZE]
         for label in result.series
     }
     return amat_comparison(miss_rates, TIMING_MODELS)
-
-
-def report() -> str:
-    return _render(run())

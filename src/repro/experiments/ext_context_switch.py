@@ -31,7 +31,7 @@ from ..caches.stats import percent_reduction
 from ..trace.trace import Trace
 from ..trace.transforms import timeshare
 from .common import REFERENCE_LINE, REFERENCE_SIZE, direct_mapped, dynamic_exclusion, optimal
-from .spec import ExperimentSpec, GridResult, register, run_spec
+from .spec import ExperimentSpec, GridResult, register
 
 TITLE = "Extension: dynamic exclusion under timesharing (S=32KB, b=4B)"
 
@@ -167,19 +167,11 @@ SPEC = register(
 )
 
 
-def run() -> dict:
-    return run_spec(SPEC)
-
-
-def reductions() -> "dict[int, float]":
+def reductions(rows: dict) -> "dict[int, float]":
     """Quantum -> mean percent reduction from dynamic exclusion."""
     return {
         quantum: percent_reduction(
             rates["direct-mapped"], rates["dynamic-exclusion"]
         )
-        for quantum, rates in run().items()
+        for quantum, rates in rows.items()
     }
-
-
-def report() -> str:
-    return _render(run())

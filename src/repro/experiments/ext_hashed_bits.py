@@ -30,7 +30,7 @@ from ..caches.geometry import CacheGeometry
 from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import HashedHitLastStore, IdealHitLastStore
 from .common import REFERENCE_LINE, REFERENCE_SIZE, direct_mapped
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Extension: hashed hit-last table size (S=32KB, b=4B)"
 
@@ -81,7 +81,7 @@ def _render(rates: "Dict[object, float]") -> str:
     )
     verdict = (
         "\n4 bits/line is within 2% of the ideal store: "
-        f"{four_bits_close_to_ideal()}"
+        f"{four_bits_close_to_ideal(rates)}"
     )
     return f"{table}\n\n{chart}{verdict}"
 
@@ -100,19 +100,12 @@ SPEC = register(
 )
 
 
-def run() -> "Dict[object, float]":
-    return run_spec(SPEC)
-
-
-def four_bits_close_to_ideal(tolerance: float = 0.02) -> bool:
+def four_bits_close_to_ideal(
+    rates: "Dict[object, float]", tolerance: float = 0.02
+) -> bool:
     """The paper's claim: 4 bits/line within ``tolerance`` (relative)
     of the ideal store."""
-    rates = run()
     ideal = rates["ideal"]
     if ideal == 0:
         return True
     return abs(rates[4] - ideal) / ideal <= tolerance
-
-
-def report() -> str:
-    return _render(run())

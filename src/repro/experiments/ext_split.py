@@ -35,7 +35,7 @@ from ..core.hitlast import IdealHitLastStore
 from ..perf import engine as engine_mod
 from ..trace.trace import Trace
 from ..trace.transforms import only_data, only_instructions
-from .spec import BenchmarkSuite, ExperimentSpec, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, register
 
 TITLE = "Extension: split I/D caches vs unified (b=4B)"
 
@@ -115,11 +115,3 @@ SPEC = register(
         render=_render,
     )
 )
-
-
-def run() -> SweepResult:
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

@@ -31,7 +31,7 @@ from ..core.long_lines import make_long_line_exclusion_cache
 from ..perf import engine as engine_mod
 from ..trace.trace import Trace
 from .common import REFERENCE_SIZE
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Extension: memory traffic per 1000 references (S=32KB, b=16B, write-back)"
 
@@ -130,11 +130,3 @@ SPEC = register(
         render=_render,
     )
 )
-
-
-def run() -> "Dict[str, Dict[str, float]]":
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

@@ -35,7 +35,7 @@ from .common import (
     direct_mapped,
     dynamic_exclusion,
 )
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Extension: cold vs warm dynamic-exclusion improvement (S=32KB, b=4B)"
 
@@ -78,7 +78,7 @@ def _render(results: "Dict[str, Tuple[float, float]]") -> str:
     rows = []
     for name, (cold, warm) in results.items():
         rows.append([name, f"{cold:.1f}%", f"{warm:.1f}%"])
-    cold_mean, warm_mean = mean_reductions()
+    cold_mean, warm_mean = mean_reductions(results)
     rows.append(["MEAN", f"{cold_mean:.1f}%", f"{warm_mean:.1f}%"])
     table = format_table(
         ["benchmark", "cold-half reduction", "warm-half reduction"],
@@ -108,17 +108,10 @@ SPEC = register(
 )
 
 
-def run() -> "Dict[str, Tuple[float, float]]":
-    """Benchmark -> (cold-half %, warm-half %) DE reduction."""
-    return run_spec(SPEC)
-
-
-def mean_reductions() -> Tuple[float, float]:
-    results = run()
+def mean_reductions(
+    results: "Dict[str, Tuple[float, float]]",
+) -> Tuple[float, float]:
+    """Mean (cold-half %, warm-half %) DE reduction across benchmarks."""
     cold = sum(v[0] for v in results.values()) / len(results)
     warm = sum(v[1] for v in results.values()) / len(results)
     return cold, warm
-
-
-def report() -> str:
-    return _render(run())

@@ -17,7 +17,7 @@ from ..analysis.report import format_table, size_label
 from ..trace.stats import TraceSummary, summarize
 from ..trace.trace import Trace
 from ..workloads.registry import describe
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Figure 2: SPEC benchmarks used for evaluation"
 
@@ -99,12 +99,3 @@ SPEC = register(
         render=_render,
     )
 )
-
-
-def run() -> "Dict[str, TraceSummary]":
-    """Per-benchmark summaries of the mixed traces."""
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

@@ -14,7 +14,7 @@ from typing import Dict, List
 from ..analysis.report import format_table
 from ..caches.stats import percent_reduction
 from .common import REFERENCE_LINE, REFERENCE_SIZE, standard_factories
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Figure 3: instruction cache performance per benchmark (S=32KB, b=4B)"
 
@@ -63,31 +63,15 @@ def _render(results: "Dict[str, Dict[str, float]]") -> str:
     )
 
 
-def _spec(spec_id: str, size: int, line_size: int, render=None, hidden: bool = False):
-    return ExperimentSpec(
-        id=spec_id,
+SPEC = register(
+    ExperimentSpec(
+        id="fig03",
         title=TITLE,
         parameter_name="cache size",
-        parameters=(size,),
-        factories=tuple(standard_factories(line_size).items()),
+        parameters=(REFERENCE_SIZE,),
+        factories=tuple(standard_factories(REFERENCE_LINE).items()),
         traces=BenchmarkSuite("instruction"),
         collect=_collect,
-        render=render,
-        hidden=hidden,
+        render=_render,
     )
-
-
-SPEC = register(_spec("fig03", REFERENCE_SIZE, REFERENCE_LINE, render=_render))
-
-
-def run(
-    size: int = REFERENCE_SIZE, line_size: int = REFERENCE_LINE
-) -> "Dict[str, Dict[str, float]]":
-    """Miss rate per benchmark per policy."""
-    if size == REFERENCE_SIZE and line_size == REFERENCE_LINE:
-        return run_spec(SPEC)
-    return run_spec(_spec(f"fig03[{size},{line_size}]", size, line_size, hidden=True))
-
-
-def report() -> str:
-    return _render(run())
+)

@@ -12,7 +12,7 @@ from ..analysis.plot import sweep_chart
 from ..analysis.report import format_sweep
 from ..analysis.sweep import SweepResult
 from .common import REFERENCE_LINE, SIZE_SWEEP_KB, standard_factories
-from .spec import BenchmarkSuite, ExperimentSpec, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, register
 
 TITLE = "Figure 4: instruction cache miss rate vs cache size (b=4B)"
 
@@ -34,8 +34,9 @@ def size_sweep_spec(
     """The standard three-curve size sweep as a grid spec.
 
     Specs built here with the same ``line_size``/``kind`` share a
-    result-cache fingerprint regardless of id, so ad-hoc calls like
-    ``run(kind="data")`` reuse the registered Figure 14 sweep.
+    result-cache fingerprint regardless of id, so a sweep built under
+    another id with ``kind="data"`` reuses the registered Figure 14
+    result.
     """
     return ExperimentSpec(
         id=spec_id,
@@ -61,24 +62,3 @@ SPEC_B16 = register(
         hidden=True,
     )
 )
-
-
-def run(line_size: int = REFERENCE_LINE, kind: str = "instruction") -> SweepResult:
-    """The three curves over the size grid (memoised by the spec cache)."""
-    if line_size == REFERENCE_LINE and kind == "instruction":
-        return run_spec(SPEC)
-    if line_size == 16 and kind == "instruction":
-        return run_spec(SPEC_B16)
-    return run_spec(
-        size_sweep_spec(
-            f"fig04[b{line_size},{kind}]",
-            f"{TITLE} [b={line_size}B, {kind}]",
-            line_size=line_size,
-            kind=kind,
-            hidden=True,
-        )
-    )
-
-
-def report() -> str:
-    return _render(run())

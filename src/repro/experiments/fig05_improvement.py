@@ -13,7 +13,7 @@ from ..analysis.plot import sweep_chart
 from ..analysis.report import format_sweep
 from ..analysis.sweep import SweepResult
 from ..caches.stats import percent_reduction
-from .spec import ExperimentSpec, register, run_spec
+from .spec import ExperimentSpec, register
 
 TITLE = "Figure 5: miss-rate reduction over direct-mapped vs cache size (b=4B)"
 
@@ -38,7 +38,7 @@ def percent_reduction_curves(base: SweepResult) -> SweepResult:
 def _render(result: SweepResult) -> str:
     table = format_sweep(result, title=TITLE, value_format="{:.1f}%")
     chart = sweep_chart(result, title="reduction over direct-mapped (%)", percent=False)
-    size, value = peak()
+    size, value = peak(result)
     summary = (
         f"\ndynamic exclusion peaks at {value:.1f}% reduction "
         f"({size // 1024}KB cache); the paper reports a 37% peak at 32KB "
@@ -58,18 +58,8 @@ SPEC = register(
 )
 
 
-def run() -> SweepResult:
-    """Percent reduction curves for dynamic exclusion and optimal."""
-    return run_spec(SPEC)
-
-
-def peak() -> "tuple[int, float]":
+def peak(result: SweepResult) -> "tuple[int, float]":
     """(cache size, percent) where dynamic exclusion's reduction peaks."""
-    result = run()
     series = result.series["dynamic-exclusion"]
     best_size = max(result.parameters, key=lambda s: series.points[s])
     return int(best_size), series.points[best_size]
-
-
-def report() -> str:
-    return _render(run())

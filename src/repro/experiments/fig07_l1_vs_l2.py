@@ -16,7 +16,7 @@ from ..analysis.report import format_table
 from ..hierarchy.two_level import Strategy
 from . import hierarchy_sweep
 from .hierarchy_sweep import HierarchySweep
-from .spec import ExperimentSpec, register, run_spec
+from .spec import ExperimentSpec, register
 
 TITLE = "Figure 7: dynamic exclusion L1 performance vs L2 size (L1=32KB, b=4B)"
 
@@ -52,17 +52,8 @@ SPEC = register(
 )
 
 
-def run() -> HierarchySweep:
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())
-
-
-def assume_hit_degenerates() -> bool:
+def assume_hit_degenerates(sweep: HierarchySweep) -> bool:
     """True if assume-hit at L2==L1 matches the conventional cache."""
-    sweep = run()
     baseline = sweep.points[(Strategy.DIRECT_MAPPED, 1)].l1_miss_rate
     assume_hit = sweep.points[(Strategy.ASSUME_HIT, 1)].l1_miss_rate
     return abs(baseline - assume_hit) < 1e-12

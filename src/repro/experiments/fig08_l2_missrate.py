@@ -16,7 +16,7 @@ from ..analysis.report import format_table
 from ..hierarchy.two_level import Strategy
 from . import hierarchy_sweep
 from .hierarchy_sweep import HierarchySweep
-from .spec import ExperimentSpec, register, run_spec
+from .spec import ExperimentSpec, register
 
 TITLE = "Figure 8: dynamic exclusion L2 performance vs L2 size (L1=32KB, b=4B)"
 
@@ -59,17 +59,8 @@ SPEC = register(
 )
 
 
-def run() -> HierarchySweep:
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())
-
-
-def exclusive_strategies_win() -> bool:
+def exclusive_strategies_win(sweep: HierarchySweep) -> bool:
     """True if assume-miss and hashed beat assume-hit's L2 at small L2."""
-    sweep = run()
     small = sweep.ratios[0]
     inclusive = sweep.points[(Strategy.ASSUME_HIT, small)].l2_global_miss_rate
     return (

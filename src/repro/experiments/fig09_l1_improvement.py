@@ -13,8 +13,9 @@ from ..analysis.report import format_table
 from ..caches.stats import percent_reduction
 from ..hierarchy.two_level import Strategy
 from . import hierarchy_sweep
+from .common import L2_RATIO_SWEEP, REFERENCE_SIZE
 from .hierarchy_sweep import HierarchySweep
-from .spec import ExperimentSpec, register, run_spec
+from .spec import ExperimentSpec, register
 
 TITLE = "Figure 9: dynamic exclusion L1 improvement vs L2 size (L1=32KB, b=4B)"
 
@@ -35,18 +36,19 @@ def improvement_curves(sweep: HierarchySweep) -> "Dict[Strategy, List[float]]":
 
 
 def _render(curves: "Dict[Strategy, List[float]]") -> str:
-    sweep = hierarchy_sweep.run()
+    # The curves carry no axis: label it from the constants the
+    # hierarchy spec is built from.
     headers = ["L2 size"] + [s.value for s in CURVES]
     rows: List[List[object]] = []
-    for i, ratio in enumerate(sweep.ratios):
-        row: List[object] = [f"{sweep.l1_size * ratio // 1024}KB"]
+    for i, ratio in enumerate(L2_RATIO_SWEEP):
+        row: List[object] = [f"{REFERENCE_SIZE * ratio // 1024}KB"]
         for strategy in CURVES:
             row.append(f"{curves[strategy][i]:.1f}%")
         rows.append(row)
     table = format_table(headers, rows, title=TITLE)
     chart = ascii_chart(
         {s.value: curves[s] for s in CURVES},
-        x_labels=[f"{sweep.l1_size * r // 1024}K" for r in sweep.ratios],
+        x_labels=[f"{REFERENCE_SIZE * r // 1024}K" for r in L2_RATIO_SWEEP],
         title="L1 miss-rate improvement (%)",
     )
     return f"{table}\n\n{chart}"
@@ -61,11 +63,3 @@ SPEC = register(
         render=_render,
     )
 )
-
-
-def run() -> "Dict[Strategy, List[float]]":
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

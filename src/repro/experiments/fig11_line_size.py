@@ -14,22 +14,9 @@ from ..analysis.report import format_sweep
 from ..analysis.sweep import SweepResult
 from ..caches.stats import percent_reduction
 from .common import LINE_SIZE_SWEEP, REFERENCE_SIZE, line_size_factories
-from .spec import BenchmarkSuite, ExperimentSpec, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, register
 
 TITLE = "Figure 11: instruction cache miss rate vs line size (S=32KB)"
-
-
-def _spec(spec_id: str, size: int, render=None, hidden: bool = False) -> ExperimentSpec:
-    return ExperimentSpec(
-        id=spec_id,
-        title=TITLE,
-        parameter_name="line size",
-        parameters=tuple(LINE_SIZE_SWEEP),
-        factories=tuple(line_size_factories(size).items()),
-        traces=BenchmarkSuite("instruction"),
-        render=render,
-        hidden=hidden,
-    )
 
 
 def _render(result: SweepResult) -> str:
@@ -37,30 +24,29 @@ def _render(result: SweepResult) -> str:
         result, title=TITLE, value_format="{:.3%}", param_format="{}B"
     )
     chart = sweep_chart(result, title="miss rate (%)")
-    reductions = improvements()
+    reductions = improvements(result)
     trail = ", ".join(f"{b}B: {r:.1f}%" for b, r in reductions.items())
     return f"{table}\n\n{chart}\n\nDE reduction by line size: {trail}"
 
 
-SPEC = register(_spec("fig11", REFERENCE_SIZE, render=_render))
+SPEC = register(
+    ExperimentSpec(
+        id="fig11",
+        title=TITLE,
+        parameter_name="line size",
+        parameters=tuple(LINE_SIZE_SWEEP),
+        factories=tuple(line_size_factories(REFERENCE_SIZE).items()),
+        traces=BenchmarkSuite("instruction"),
+        render=_render,
+    )
+)
 
 
-def run(size: int = REFERENCE_SIZE) -> SweepResult:
-    if size == REFERENCE_SIZE:
-        return run_spec(SPEC)
-    return run_spec(_spec(f"fig11[{size}]", size, hidden=True))
-
-
-def improvements() -> "dict[int, float]":
+def improvements(result: SweepResult) -> "dict[int, float]":
     """Line size -> percent miss-rate reduction from dynamic exclusion."""
-    result = run()
     out = {}
     for b in result.parameters:
         dm = result.series["direct-mapped"].points[b]
         de = result.series["dynamic-exclusion"].points[b]
         out[int(b)] = percent_reduction(dm, de)
     return out
-
-
-def report() -> str:
-    return _render(run())

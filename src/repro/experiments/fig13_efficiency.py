@@ -19,7 +19,7 @@ from ..core.cost import EfficiencyRow, doubling_efficiency, exclusion_efficiency
 from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import HashedHitLastStore
 from ..core.long_lines import LastLineBufferCache
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Figure 13: dynamic exclusion efficiency (b=16B)"
 
@@ -89,23 +89,6 @@ class CollectEfficiency:
         )
 
 
-def _spec(spec_id: str, base_size: int, line_size: int, render=None, hidden=False):
-    return ExperimentSpec(
-        id=spec_id,
-        title=TITLE,
-        parameter_name="base size",
-        parameters=(base_size,),
-        factories=tuple(
-            (column, Fig13Factory(column, line_size))
-            for column in ["baseline", "exclusion", "doubled"]
-        ),
-        traces=BenchmarkSuite("instruction"),
-        collect=CollectEfficiency(line_size),
-        render=render,
-        hidden=hidden,
-    )
-
-
 def _render(result: EfficiencyResult) -> str:
     base_kb = BASE_SIZE // 1024
     rows: List[List[object]] = [
@@ -134,16 +117,18 @@ def _render(result: EfficiencyResult) -> str:
     return table + summary
 
 
-SPEC = register(_spec("fig13", BASE_SIZE, LINE_SIZE, render=_render))
-
-
-def run(base_size: int = BASE_SIZE, line_size: int = LINE_SIZE) -> EfficiencyResult:
-    if base_size == BASE_SIZE and line_size == LINE_SIZE:
-        return run_spec(SPEC)
-    return run_spec(
-        _spec(f"fig13[{base_size},{line_size}]", base_size, line_size, hidden=True)
+SPEC = register(
+    ExperimentSpec(
+        id="fig13",
+        title=TITLE,
+        parameter_name="base size",
+        parameters=(BASE_SIZE,),
+        factories=tuple(
+            (column, Fig13Factory(column, LINE_SIZE))
+            for column in ["baseline", "exclusion", "doubled"]
+        ),
+        traces=BenchmarkSuite("instruction"),
+        collect=CollectEfficiency(LINE_SIZE),
+        render=_render,
     )
-
-
-def report() -> str:
-    return _render(run())
+)

@@ -12,7 +12,7 @@ from ..analysis.plot import sweep_chart
 from ..analysis.report import format_sweep
 from ..analysis.sweep import SweepResult
 from .fig04_cache_size import size_sweep_spec
-from .spec import register, run_spec
+from .spec import register
 
 TITLE = "Figure 14: data cache dynamic exclusion performance (b=4B)"
 
@@ -24,11 +24,3 @@ def _render(result: SweepResult) -> str:
 
 
 SPEC = register(size_sweep_spec("fig14", TITLE, kind="data", render=_render))
-
-
-def run() -> SweepResult:
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

@@ -13,7 +13,7 @@ from ..analysis.report import format_sweep
 from ..analysis.sweep import SweepResult
 from ..caches.stats import percent_reduction
 from .fig04_cache_size import size_sweep_spec
-from .spec import register, run_spec
+from .spec import register
 
 TITLE = "Figure 15: combined I+D cache dynamic exclusion performance (b=4B)"
 
@@ -21,7 +21,7 @@ TITLE = "Figure 15: combined I+D cache dynamic exclusion performance (b=4B)"
 def _render(result: SweepResult) -> str:
     table = format_sweep(result, title=TITLE, value_format="{:.3%}")
     chart = sweep_chart(result, title="combined cache miss rate (%)")
-    red = reductions()
+    red = reductions(result)
     trail = ", ".join(f"{s // 1024}KB: {r:.1f}%" for s, r in red.items())
     return f"{table}\n\n{chart}\n\nDE reduction by size: {trail}"
 
@@ -29,20 +29,11 @@ def _render(result: SweepResult) -> str:
 SPEC = register(size_sweep_spec("fig15", TITLE, kind="mixed", render=_render))
 
 
-def run() -> SweepResult:
-    return run_spec(SPEC)
-
-
-def reductions() -> "dict[int, float]":
+def reductions(result: SweepResult) -> "dict[int, float]":
     """Cache size -> percent reduction of the mixed-cache miss rate."""
-    result = run()
     out = {}
     for size in result.parameters:
         dm = result.series["direct-mapped"].points[size]
         de = result.series["dynamic-exclusion"].points[size]
         out[int(size)] = percent_reduction(dm, de)
     return out
-
-
-def report() -> str:
-    return _render(run())

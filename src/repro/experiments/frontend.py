@@ -39,12 +39,35 @@ from .spec import ExperimentSpec, fingerprint_digest, get_spec, render_spec, run
 
 _log = obs.get_logger("experiments")
 
+#: Visible spec ids in presentation order: Section 3, the paper's
+#: figures, then the extensions.  Registration order (``all_specs``,
+#: ``GET /specs``) is import order and stays independent of this.
+PRESENTATION_ORDER = (
+    "sec3",
+    "fig02",
+    "fig03",
+    "fig04",
+    "fig05",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "ext-assoc",
+    "ext-split",
+    "ext-context",
+    "ext-hashed",
+    "ext-traffic",
+    "ext-warmup",
+)
+
 
 def ordered_specs() -> "List[ExperimentSpec]":
     """Visible specs in presentation order (paper order, then extensions)."""
-    from . import EXPERIMENTS
-
-    return [get_spec(key) for key in EXPERIMENTS]
+    return [get_spec(key) for key in PRESENTATION_ORDER]
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -277,7 +300,7 @@ def _run_spec_args(
         engine=args.engine,
         workers=args.workers,
         journal=str(resume_dir) if resume_dir is not None else None,
-        progress=True if args.progress else None,
+        progress=args.progress,
         backend=getattr(args, "backend", None),
     )
 

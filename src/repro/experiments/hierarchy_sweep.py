@@ -17,7 +17,7 @@ from ..hierarchy.two_level import Strategy, TwoLevelCache
 from ..perf import engine as engine_mod
 from ..trace.trace import Trace
 from .common import L2_RATIO_SWEEP, REFERENCE_LINE, REFERENCE_SIZE
-from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register, run_spec
+from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 #: The strategies compared by the Section 5 figures.
 STRATEGIES: List[Strategy] = [
@@ -104,54 +104,28 @@ class CollectHierarchy:
         return sweep
 
 
-def hierarchy_spec(
-    spec_id: str,
-    l1_size: int = REFERENCE_SIZE,
-    line_size: int = REFERENCE_LINE,
-    ratios: "Tuple[int, ...] | None" = None,
-    hidden: bool = True,
-) -> ExperimentSpec:
-    ratios = tuple(ratios) if ratios is not None else tuple(L2_RATIO_SWEEP)
-    return ExperimentSpec(
-        id=spec_id,
+SPEC = register(
+    ExperimentSpec(
+        id="hierarchy",
         title="Two-level hierarchy grid (base for Figures 7-9)",
         parameter_name="L2/L1 ratio",
-        parameters=ratios,
+        parameters=tuple(L2_RATIO_SWEEP),
         factories=tuple(
-            (strategy.value, HierarchyFactory(strategy.value, l1_size, line_size))
+            (
+                strategy.value,
+                HierarchyFactory(strategy.value, REFERENCE_SIZE, REFERENCE_LINE),
+            )
             for strategy in STRATEGIES
         ),
         traces=BenchmarkSuite("instruction"),
         evaluator=HierarchyEvaluator(),
-        collect=CollectHierarchy(l1_size, line_size),
-        hidden=hidden,
+        collect=CollectHierarchy(REFERENCE_SIZE, REFERENCE_LINE),
+        hidden=True,
     )
-
-
-SPEC = register(hierarchy_spec("hierarchy"))
+)
 
 
 def same_sweep(sweep: HierarchySweep) -> HierarchySweep:
     """Identity derive: Figures 7 and 8 present the base sweep directly
     (and share the exact cached object — tests rely on ``is``)."""
     return sweep
-
-
-def run(
-    l1_size: int = REFERENCE_SIZE,
-    line_size: int = REFERENCE_LINE,
-    ratios: "List[int] | None" = None,
-) -> HierarchySweep:
-    """The full strategy x ratio grid (memoised by the spec cache)."""
-    if l1_size == REFERENCE_SIZE and line_size == REFERENCE_LINE and (
-        ratios is None or list(ratios) == list(L2_RATIO_SWEEP)
-    ):
-        return run_spec(SPEC)
-    return run_spec(
-        hierarchy_spec(
-            f"hierarchy[{l1_size},{line_size},{ratios}]",
-            l1_size=l1_size,
-            line_size=line_size,
-            ratios=tuple(ratios) if ratios is not None else None,
-        )
-    )

@@ -20,7 +20,7 @@ from ..caches.optimal import OptimalDirectMappedCache
 from ..core.exclusion_cache import DynamicExclusionCache
 from ..workloads import patterns
 from .common import REFERENCE_LINE, REFERENCE_SIZE
-from .spec import ExperimentSpec, register, run_spec
+from .spec import ExperimentSpec, register
 
 TITLE = "Section 3: miss rates on the common reference patterns"
 
@@ -93,11 +93,3 @@ def _render(rows: List[PatternRow]) -> str:
 SPEC = register(
     ExperimentSpec(id="sec3", title=TITLE, compute=_compute, render=_render)
 )
-
-
-def run() -> List[PatternRow]:
-    return run_spec(SPEC)
-
-
-def report() -> str:
-    return _render(run())

@@ -135,7 +135,8 @@ class ExperimentSpec:
 
         Built from stable prints of every defining field — deliberately
         *not* the id or title, so two specs describing the same
-        computation share cached results (``fig04.run(kind="data")``
+        computation share cached results (a
+        ``size_sweep_spec(..., kind="data")`` built under any other id
         and the registered ``fig14`` spec are one cache entry) while
         any change in grid, factories, evaluator, or derivation chain
         is a different key.  Raises :class:`ValueError` for components
@@ -288,10 +289,21 @@ def clear_result_cache() -> None:
     _RESULT_CACHE.clear()
 
 
-def _evict_other_budgets(budget: int) -> None:
-    stale = [key for key in _RESULT_CACHE if key[1] != budget]
-    for key in stale:
-        del _RESULT_CACHE[key]
+def remember_result(spec: ExperimentSpec, result: object) -> object:
+    """Cache ``result`` as ``spec``'s value under the current trace budget.
+
+    :func:`run_spec` records every result it computes here, and
+    ``repro.serve`` records each value it folds from the result store,
+    so a later :func:`run_spec` of the same spec — a derived figure, or
+    Figure 12's render reading its base — is a cache hit either way.
+    Entries from other budgets are evicted first.
+    """
+    budget = max_refs()
+    for key in list(_RESULT_CACHE):  # a snapshot: serve threads write too
+        if key[1] != budget:
+            _RESULT_CACHE.pop(key, None)
+    _RESULT_CACHE[(spec.fingerprint(), budget)] = result
+    return result
 
 
 def run_spec(
@@ -315,15 +327,12 @@ def run_spec(
     """
     if isinstance(spec, str):
         spec = get_spec(spec)
-    budget = max_refs()
-    key = (spec.fingerprint(), budget)
-    cached = _RESULT_CACHE.get(key)
+    cached = _RESULT_CACHE.get((spec.fingerprint(), max_refs()))
     if cached is not None:
         # A zero-length synthetic span keeps cache hits visible in the
         # trace without pretending any work happened.
         obs_tracing.record("run_spec", 0.0, spec=spec.id, cached=True)
         return cached
-    _evict_other_budgets(budget)
 
     with obs_tracing.span("run_spec", spec=spec.id, kind=spec.kind):
         if spec.compute is not None:
@@ -338,9 +347,7 @@ def run_spec(
         else:
             grid = _run_grid(spec, engine, workers, journal, progress, timeout, backend)
             result = collect_result(spec, grid)
-
-    _RESULT_CACHE[key] = result
-    return result
+    return remember_result(spec, result)
 
 
 def grid_cells(

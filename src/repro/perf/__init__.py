@@ -29,7 +29,6 @@ from .engine import (
     kernel_for,
     registered_kernel_types,
     resolve_engine,
-    set_default_engine,
     simulate,
 )
 from .journal import SweepJournal, canonical_parameter, parameter_from_json
@@ -63,7 +62,6 @@ from .parallel import (
     TraceKey,
     as_trace,
     clear_trace_cache,
-    default_journal_dir,
     drain_telemetry,
     env_workers,
     evaluate_cell,
@@ -73,9 +71,6 @@ from .parallel import (
     resolve_workers,
     run_cells,
     run_labeled_cells,
-    set_default_cell_timeout,
-    set_default_journal_dir,
-    set_default_progress,
     set_default_workers,
     simulate_cell,
 )
@@ -100,7 +95,6 @@ __all__ = [
     "create_backend",
     "default_backend",
     "default_engine",
-    "default_journal_dir",
     "drain_telemetry",
     "env_workers",
     "evaluate_cell",
@@ -120,10 +114,6 @@ __all__ = [
     "run_cells",
     "run_labeled_cells",
     "set_default_backend",
-    "set_default_cell_timeout",
-    "set_default_engine",
-    "set_default_journal_dir",
-    "set_default_progress",
     "set_default_workers",
     "simulate",
     "simulate_belady",

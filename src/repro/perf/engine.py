@@ -195,7 +195,7 @@ _DEFAULT_ENGINE = "reference"
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name, substituting the process default for None."""
+    """Validate an engine name, substituting :func:`default_engine` for None."""
     if engine is None:
         return _DEFAULT_ENGINE
     if engine not in ENGINES:
@@ -203,16 +203,8 @@ def resolve_engine(engine: Optional[str]) -> str:
     return engine
 
 
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine (the CLI's ``--engine`` flag)."""
-    global _DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {list(ENGINES)}")
-    _DEFAULT_ENGINE = engine
-
-
 def default_engine() -> str:
-    """The process-wide default engine name."""
+    """The engine a caller that names none gets (``reference``)."""
     return _DEFAULT_ENGINE
 
 
@@ -221,8 +213,8 @@ def simulate(
 ) -> SimulationStats:
     """Run ``trace`` through ``simulator`` under the chosen engine.
 
-    ``engine=None`` uses the process default (``reference`` unless the
-    experiments CLI was invoked with ``--engine fast``).  Returns what
+    ``engine=None`` uses :func:`default_engine` (``reference``); the
+    experiments CLI's ``--engine`` is passed down explicitly.  Returns what
     ``simulator.simulate`` returns (:class:`CacheStats`, or a
     :class:`TwoLevelResult` for a hierarchy).
     """

@@ -105,47 +105,16 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return 1
 
 
-# -- resilience defaults (the CLI's --resume-dir / --progress flags) ----------
+# -- resilience defaults -------------------------------------------------------
 
 #: Re-dispatches of a cell whose worker died under it before the fleet
 #: fails that cell with exact attribution.
 DEFAULT_POOL_RETRIES = 2
 
-_DEFAULT_JOURNAL_DIR: Optional[Path] = None
-_DEFAULT_PROGRESS = False
-_DEFAULT_CELL_TIMEOUT: Optional[float] = None
-
-
-def set_default_journal_dir(directory: "str | Path | None") -> None:
-    """Journal every sweep in this process under ``directory`` (CLI ``--resume-dir``)."""
-    global _DEFAULT_JOURNAL_DIR
-    _DEFAULT_JOURNAL_DIR = Path(directory) if directory is not None else None
-
-
-def default_journal_dir() -> Optional[Path]:
-    """The process-wide resume directory (None = journaling off)."""
-    return _DEFAULT_JOURNAL_DIR
-
-
-def set_default_progress(enabled: bool) -> None:
-    """Print per-cell progress lines to stderr (CLI ``--progress``)."""
-    global _DEFAULT_PROGRESS
-    _DEFAULT_PROGRESS = bool(enabled)
-
-
-def set_default_cell_timeout(seconds: Optional[float]) -> None:
-    """Per-cell timeout for fleet runs (None disables)."""
-    if seconds is not None and seconds <= 0:
-        raise ValueError("cell timeout must be positive")
-    global _DEFAULT_CELL_TIMEOUT
-    _DEFAULT_CELL_TIMEOUT = seconds
-
 
 def _resolve_journal(journal: "SweepJournal | str | Path | None") -> Optional[SweepJournal]:
     if journal is None:
-        if _DEFAULT_JOURNAL_DIR is None:
-            return None
-        return SweepJournal(_DEFAULT_JOURNAL_DIR)
+        return None
     if isinstance(journal, SweepJournal):
         return journal
     # Anything speaking the journal protocol — get/record/record_many —
@@ -188,19 +157,20 @@ def run_labeled_cells(
     listing exactly the failed cells).
 
     ``journal`` (a :class:`~repro.perf.journal.SweepJournal` or a
-    directory path; default: the process-wide ``--resume-dir``) replays
+    directory path; ``None`` journals nothing) replays
     already-completed cells and records each new success immediately, so
     a crashed or interrupted sweep re-runs only the remainder.  Journal
     keys are backend-independent: a journal written under any backend
     resumes under any other.
 
-    ``timeout`` (seconds; fleet runs only — a sequential run cannot
-    interrupt itself) terminates the worker of a cell that exceeds it
+    ``timeout`` (seconds; ``None`` for none; fleet runs only — a
+    sequential run cannot interrupt itself) terminates the worker of a cell that exceeds it
     and fails just that cell.  A worker death triggers up to
     ``pool_retries`` re-dispatches of its cell to surviving workers; if
     the crash persists, the crashing cell is failed with exact
     attribution and everything else completes.
 
+    ``progress`` streams one stderr line per cell (``None`` is off).
     ``backend`` picks the execution strategy (``inline`` / ``fleet``);
     ``None`` defers to the CLI default, then ``REPRO_BACKEND``, then
     the automatic per-run choice.
@@ -208,8 +178,7 @@ def run_labeled_cells(
     engine = engine_mod.resolve_engine(engine)
     workers = resolve_workers(workers)
     journal = _resolve_journal(journal)
-    progress = _DEFAULT_PROGRESS if progress is None else progress
-    timeout = _DEFAULT_CELL_TIMEOUT if timeout is None else timeout
+    progress = bool(progress)
     pool_retries = DEFAULT_POOL_RETRIES if pool_retries is None else pool_retries
     backend = resolve_backend(backend)
 
@@ -290,9 +259,8 @@ def run_cells(
 
     ``workers <= 1`` runs inline (no workers, nothing needs pickling).
     Otherwise the cells are farmed to the selected backend; the engine
-    name is resolved *before* submission so the CLI's ``--engine``
-    default reaches the workers even though module globals are not
-    shared across processes.
+    name is resolved *before* submission, so every worker runs the
+    engine this process chose.
 
     Cells are executed through the resilient envelope layer
     (:func:`run_labeled_cells`); any cell failure raises

@@ -74,6 +74,7 @@ from ..experiments.spec import (
     get_spec,
     grid_cells,
     grid_from_outcomes,
+    remember_result,
     render_spec,
 )
 from ..obs import build_manifest, get_logger, write_manifest
@@ -228,11 +229,18 @@ def _outcomes_from_store(plan: GridPlan, store: ResultStore) -> "List[CellOutcom
 
 
 def _spec_value(spec: ExperimentSpec, grids: "Dict[str, object]") -> object:
-    """Fold grid results into the spec's final value (derives recursively)."""
+    """Fold grid results into the spec's final value (derives recursively).
+
+    Every value folded here is recorded in ``run_spec``'s result cache,
+    so rendering it (Figure 12 reads its base) and any later run of the
+    same specs in this process are cache hits, not simulations.
+    """
     if spec.kind == "grid":
-        return collect_result(spec, grids[spec.id])
-    bases = [_spec_value(get_spec(base), grids) for base in spec.base]
-    return spec.derive(*bases)  # type: ignore[misc]
+        value = collect_result(spec, grids[spec.id])
+    else:
+        bases = [_spec_value(get_spec(base), grids) for base in spec.base]
+        value = spec.derive(*bases)  # type: ignore[misc]
+    return remember_result(spec, value)
 
 
 def _result_payload(result: object) -> "Optional[dict]":

@@ -1,4 +1,4 @@
-"""Every experiment module must run end to end and produce a report.
+"""Every experiment spec must run end to end and produce a report.
 
 These run on 4k-reference traces (see conftest) so they only check
 plumbing and gross structure, not the paper numbers — those are the
@@ -7,23 +7,43 @@ integration tests' job.
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import get_spec, render_spec, run_spec
+from repro.experiments.frontend import PRESENTATION_ORDER
 
 
-@pytest.mark.parametrize("key", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("key", sorted(PRESENTATION_ORDER))
 def test_report_is_nonempty_text(key):
-    module = EXPERIMENTS[key]
-    text = module.report()
+    text = render_spec(key)
     assert isinstance(text, str)
     assert len(text.splitlines()) >= 3
-    assert module.TITLE.split(":")[0] in text
+    assert get_spec(key).title.split(":")[0] in text
+
+
+@pytest.mark.parametrize("key", sorted(PRESENTATION_ORDER))
+def test_render_reads_only_the_result_it_is_given(key, monkeypatch):
+    """A render is a function of its result: with the result cache
+    cleared and the sweep runner disabled it still reproduces the text.
+    Figure 12 alone reads its declared base, so that one is cached."""
+    from repro.experiments.spec import clear_result_cache
+    from repro.perf import parallel
+
+    result = run_spec(key, engine="fast")
+    expected = render_spec(key, result)
+    clear_result_cache()
+    if key == "fig12":
+        run_spec("fig04-b16", engine="fast")
+
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError(f"rendering {key} ran a sweep")
+
+    monkeypatch.setattr(parallel, "run_labeled_cells", no_sweeps)
+    assert render_spec(key, result) == expected
 
 
 def test_fig03_covers_every_benchmark():
-    from repro.experiments import fig03_per_benchmark
     from repro.workloads.registry import benchmark_names
 
-    results = fig03_per_benchmark.run()
+    results = run_spec("fig03")
     assert sorted(results) == benchmark_names()
     for rates in results.values():
         assert set(rates) == {"direct-mapped", "dynamic-exclusion", "optimal"}
@@ -32,20 +52,17 @@ def test_fig03_covers_every_benchmark():
 
 
 def test_fig04_grid_is_complete():
-    from repro.experiments import fig04_cache_size
     from repro.experiments.common import SIZE_SWEEP_KB
 
-    result = fig04_cache_size.run()
+    result = run_spec("fig04")
     assert result.parameters == [kb * 1024 for kb in SIZE_SWEEP_KB]
     for label in ["direct-mapped", "dynamic-exclusion", "optimal"]:
         assert len(result.curve(label)) == len(SIZE_SWEEP_KB)
 
 
 def test_fig05_reductions_derive_from_fig04():
-    from repro.experiments import fig04_cache_size, fig05_improvement
-
-    base = fig04_cache_size.run()
-    reductions = fig05_improvement.run()
+    base = run_spec("fig04")
+    reductions = run_spec("fig05")
     size = base.parameters[0]
     dm = base.series["direct-mapped"].points[size]
     de = base.series["dynamic-exclusion"].points[size]
@@ -57,22 +74,19 @@ def test_fig05_peak_reports_a_swept_size():
     from repro.experiments import fig05_improvement
     from repro.experiments.common import SIZE_SWEEP_KB
 
-    size, value = fig05_improvement.peak()
+    result = run_spec("fig05")
+    size, value = fig05_improvement.peak(result)
     assert size // 1024 in SIZE_SWEEP_KB
-    assert value == max(fig05_improvement.run().curve("dynamic-exclusion"))
+    assert value == max(result.curve("dynamic-exclusion"))
 
 
 def test_hierarchy_sweep_shared_by_fig07_08_09():
-    from repro.experiments import fig07_l1_vs_l2, fig08_l2_missrate, hierarchy_sweep
-
-    assert fig07_l1_vs_l2.run() is fig08_l2_missrate.run()
-    assert fig07_l1_vs_l2.run() is hierarchy_sweep.run()
+    assert run_spec("fig07") is run_spec("fig08")
+    assert run_spec("fig07") is run_spec("hierarchy")
 
 
 def test_fig09_improvements_bounded():
-    from repro.experiments import fig09_l1_improvement
-
-    curves = fig09_l1_improvement.run()
+    curves = run_spec("fig09")
     for values in curves.values():
         for value in values:
             assert -100.0 <= value <= 100.0
@@ -82,24 +96,20 @@ def test_fig11_line_sizes():
     from repro.experiments import fig11_line_size
     from repro.experiments.common import LINE_SIZE_SWEEP
 
-    result = fig11_line_size.run()
+    result = run_spec("fig11")
     assert result.parameters == LINE_SIZE_SWEEP
-    assert set(fig11_line_size.improvements()) == set(LINE_SIZE_SWEEP)
+    assert set(fig11_line_size.improvements(result)) == set(LINE_SIZE_SWEEP)
 
 
 def test_fig13_structure():
-    from repro.experiments import fig13_efficiency
-
-    result = fig13_efficiency.run()
+    result = run_spec("fig13")
     assert 0.0 <= result.exclusion_miss_rate <= result.baseline_miss_rate + 0.05
     assert result.exclusion.delta_size_percent < 10.0
     assert result.doubling.delta_size_percent > 90.0
 
 
 def test_sec3_matches_analytic_counts():
-    from repro.experiments import sec3_patterns
-
-    for row in sec3_patterns.run():
+    for row in run_spec("sec3"):
         assert row.dm_misses == row.dm_expected
         assert row.opt_misses == row.opt_expected
 
@@ -279,13 +289,12 @@ def test_cli_trace_dir_writes_observability_artifacts(tmp_path, capsys, monkeypa
 
 
 def test_trace_dir_instrumentation_leaves_results_unchanged(tmp_path):
-    from repro.experiments import fig04_cache_size
     from repro.experiments.__main__ import main
     from repro.experiments.spec import clear_result_cache
 
     clear_result_cache()
-    plain = fig04_cache_size.run()
+    plain = run_spec("fig04")
     clear_result_cache()
     assert main(["--only", "fig04", "--trace-dir", str(tmp_path)]) == 0
-    traced = fig04_cache_size.run()
+    traced = run_spec("fig04")
     assert traced == plain

@@ -118,9 +118,10 @@ class TestFingerprint:
 class TestRegistry:
     def test_all_real_specs_registered(self):
         visible = {spec.id for spec in all_specs()}
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments.frontend import PRESENTATION_ORDER
 
-        assert visible == set(EXPERIMENTS)
+        assert visible == set(PRESENTATION_ORDER)
+        assert len(PRESENTATION_ORDER) == len(visible)
 
     def test_hidden_specs_excluded_but_reachable(self):
         assert "hierarchy" not in {s.id for s in all_specs()}
@@ -183,6 +184,46 @@ class TestRunSpec:
             assert fast.series["dm"].points[size] == pytest.approx(
                 reference.series["dm"].points[size]
             )
+
+    def test_concurrent_remembers_keep_every_entry(self):
+        """Serve handler threads record folded values concurrently; the
+        eviction scan must neither raise nor drop another thread's entry."""
+        import sys
+        import threading
+
+        from repro.experiments.spec import remember_result
+
+        per_thread = [
+            [_grid_spec("test-thread", parameters=(1024 * (1000 * i + j + 1),))
+             for j in range(300)]
+            for i in range(8)
+        ]
+        errors = []
+
+        def remember(specs):
+            try:
+                for spec in specs:
+                    remember_result(spec, spec.parameters)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=remember, args=(specs,))
+                       for specs in per_thread]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        budget = common.max_refs()
+        for specs in per_thread:
+            for spec in specs:
+                assert _RESULT_CACHE[(spec.fingerprint(), budget)] == spec.parameters
 
     def test_empty_trace_axis_rejected(self):
         @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """The differential gate for the spec refactor.
 
 ``tests/experiments/golden/<id>.json`` holds every experiment's
-``run()`` output captured *before* the declarative spec layer existed
-(``tools/generate_parity_goldens.py``, REPRO_TRACE_SCALE=0.05).  Each
-test here re-runs the experiment through ``run_spec`` and compares
-field for field: same dict keys in the same order, same list lengths,
-floats to 1e-9 relative (``statistics.mean`` became ``sum/len``).
+result as first captured from the per-module ``run()`` functions that
+predate the declarative spec layer (REPRO_TRACE_SCALE=0.05); after an
+intended figure change ``tools/generate_parity_goldens.py`` recaptures
+them through ``run_spec``.  Each test here re-runs the experiment
+through ``run_spec`` and compares field for field: same dict keys in
+the same order, same list lengths, floats to 1e-9 relative
+(``statistics.mean`` became ``sum/len``).
 
 Any behaviour change to a figure — intended or not — fails here until
 the goldens are regenerated.
@@ -19,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import run_spec
 from repro.experiments.common import clear_trace_cache
+from repro.experiments.frontend import PRESENTATION_ORDER
 
 from .parity_format import assert_parity
 
@@ -59,8 +62,8 @@ def _golden(key: str) -> dict:
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("key", list(EXPERIMENTS))
+@pytest.mark.parametrize("key", PRESENTATION_ORDER)
 def test_spec_output_matches_prerefactor_golden(key):
     golden = _golden(key)
     assert golden["trace_scale"] == float(PARITY_SCALE)
-    assert_parity(golden["result"], EXPERIMENTS[key].run(), where=key)
+    assert_parity(golden["result"], run_spec(key), where=key)

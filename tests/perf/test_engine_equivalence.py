@@ -416,17 +416,6 @@ class TestEngineSelection:
             engine.simulate(
                 DirectMappedCache(CacheGeometry(64, 4)), Trace.empty(), engine="warp"
             )
-        with pytest.raises(ValueError):
-            engine.set_default_engine("warp")
-
-    def test_default_engine_roundtrip(self):
-        assert engine.resolve_engine(None) == engine.default_engine()
-        previous = engine.default_engine()
-        try:
-            engine.set_default_engine("fast")
-            assert engine.resolve_engine(None) == "fast"
-        finally:
-            engine.set_default_engine(previous)
 
     def test_reference_engine_ignores_kernels(self):
         cache = DirectMappedCache(CacheGeometry(64, 4))
@@ -434,3 +423,7 @@ class TestEngineSelection:
         stats = engine.simulate(cache, trace, engine="reference")
         assert stats is cache.stats
         assert cache.stats.accesses == 3
+        # Naming no engine is the reference engine.
+        assert engine.resolve_engine(None) == engine.default_engine() == "reference"
+        unnamed = DirectMappedCache(CacheGeometry(64, 4))
+        assert engine.simulate(unnamed, trace) is unnamed.stats

@@ -8,6 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro.experiments import get_spec
+from repro.experiments.spec import clear_result_cache
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.manifest import read_manifest
 from repro.obs.promtext import PROMETHEUS_CONTENT_TYPE, parse_prometheus
@@ -19,7 +22,7 @@ from repro.serve import (
     expand_grid_specs,
     plan_grid,
 )
-from repro.serve.server import resolve_serve_engine
+from repro.serve.server import execute_run, resolve_serve_engine
 from repro.store import open_store
 
 from . import _specs
@@ -457,3 +460,52 @@ class TestRun:
         computed = sorted(r["manifest"]["cells_computed"] for r in results)
         assert computed == [0, 4]
         assert results[0]["result"] == results[1]["result"]
+
+
+class TestServedRunsSimulateOnlyPendingCells:
+    """A served run simulates exactly the cells its plan marks pending:
+    the values it folds from the store fill ``run_spec``'s result
+    cache, so rendering them (Figure 12 reads its base) never re-runs a
+    grid behind the store's back."""
+
+    #: The specs whose reports go beyond formatting their result: a
+    #: peak, reduction, AMAT or claim summary, fig09's axis, and
+    #: fig12's base miss rates.
+    SPECS = [
+        "fig05", "fig09", "fig11", "fig12", "fig15",
+        "ext-assoc", "ext-hashed", "ext-warmup",
+    ]
+
+    @staticmethod
+    def _simulations(store, spec_id, events):
+        """(sweep runs, engine dispatches) one ``execute_run`` costs."""
+        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
+        try:
+            execute_run(
+                store, get_spec(spec_id), events.append, engine="fast", workers=1
+            )
+        finally:
+            obs_metrics.uninstall_registry()
+        return (
+            registry.total("sweep.runs") or 0,
+            registry.total("engine.dispatch") or 0,
+        )
+
+    @pytest.mark.parametrize("spec_id", SPECS)
+    def test_fully_stored_spec_simulates_nothing(self, tmp_path, spec_id):
+        store = open_store(tmp_path / "store")
+        execute_run(store, get_spec(spec_id), lambda event: None, engine="fast",
+                    workers=1)
+        clear_result_cache()  # what a freshly started daemon holds
+        events = []
+        assert self._simulations(store, spec_id, events) == (0, 0)
+        assert events[0]["pending"] == 0
+
+    def test_cold_run_sweeps_each_pending_grid_once(self, tmp_path):
+        clear_result_cache()
+        events = []
+        sweeps, dispatches = self._simulations(
+            open_store(tmp_path / "store"), "fig11", events
+        )
+        assert sweeps == 1
+        assert dispatches == events[0]["cells"] == events[0]["pending"]

@@ -6,12 +6,12 @@ caught.  Only fully deterministic content is pinned.
 """
 
 from repro.analysis.report import format_table
-from repro.experiments import sec3_patterns
+from repro.experiments import render_spec, run_spec
 
 
 class TestSec3Golden:
     def test_exact_pattern_rows(self):
-        rows = sec3_patterns.run()
+        rows = run_spec("sec3")
         observed = [
             (row.name, row.refs, row.dm_misses, row.de_misses, row.opt_misses)
             for row in rows
@@ -24,7 +24,7 @@ class TestSec3Golden:
         ]
 
     def test_report_text_snapshot(self):
-        text = sec3_patterns.report()
+        text = render_spec("sec3")
         assert "between loops (a^10 b^10)^10" in text
         assert "20 (paper 20)" in text
         assert "m_DM" in text

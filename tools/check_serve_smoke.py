@@ -6,26 +6,34 @@ Usage::
 
 Boots a :class:`~repro.serve.ResultServer` in-process on an ephemeral
 port over a fresh store and drives the full cold/warm economics through
-the HTTP client:
+the HTTP client.  Around every run it reads the daemon's ``sweep.runs``
+and ``engine.dispatch`` totals from ``GET /metrics``, so a simulation
+anywhere in the run — including one a render starts behind the store's
+back — shows up as a counter delta, not just as cell events:
 
 1. **cold run** — the store is empty, so the plan must mark every cell
-   pending and the run must compute all of them;
+   pending, the run must compute all of them, and it must add exactly
+   one ``sweep.runs`` per pending grid;
 2. **warm run** — the identical request again: the plan must mark zero
-   cells pending, stream no cell events (structurally zero
-   simulations), and return byte-identical metrics, result, and report;
-3. **manifests** — both runs must leave a parseable run manifest under
+   cells pending, stream no cell events, add zero to both counters
+   (zero simulations), and return byte-identical metrics, result, and
+   report;
+3. **derived specs** — every registered derived spec whose bases are
+   all the served spec (``fig05`` for ``fig04``) must plan zero pending
+   cells and add zero to both counters;
+4. **manifests** — both runs must leave a parseable run manifest under
    ``<store>/runs/<run_id>/`` whose cached/computed counts match the
    streams;
-4. **store lookups** — every cell key from the run must answer on
+5. **store lookups** — every cell key from the run must answer on
    ``GET /cell/<key>`` with the same metrics the run reported;
-5. **conditional GET** — repeating ``GET /spec`` with the server's own
+6. **conditional GET** — repeating ``GET /spec`` with the server's own
    ``ETag`` in ``If-None-Match`` must answer ``304 Not Modified`` with
    an empty body;
-6. **compact then query** — after ``store.compact()`` the same run must
-   still answer entirely from the index (zero cell events,
-   byte-identical output) and ``/healthz`` must report the new
-   generation;
-7. **metrics scrape** — ``GET /metrics?format=prometheus`` must answer
+7. **compact then query** — after ``store.compact()`` the same run must
+   still answer entirely from the index (zero cell events, zero added
+   to both counters, byte-identical output) and ``/healthz`` must
+   report the new generation;
+8. **metrics scrape** — ``GET /metrics?format=prometheus`` must answer
    with the Prometheus content type and a body in which every line
    parses, the ``serve_request_seconds`` bucket counts are cumulative
    (monotone within each series), and the ``fsm_*`` mechanism counters
@@ -45,7 +53,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.manifest import read_manifest  # noqa: E402  (path bootstrap)
+from repro.experiments import all_specs  # noqa: E402  (path bootstrap)
+from repro.obs.manifest import read_manifest  # noqa: E402
 from repro.obs.promtext import (  # noqa: E402
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus,
@@ -54,8 +63,36 @@ from repro.serve import ResultServer, ServeClient  # noqa: E402
 from repro.store import open_store  # noqa: E402
 
 
+#: The daemon counters that move whenever anything is simulated.
+SIMULATION_COUNTERS = ("sweep.runs", "engine.dispatch")
+
+
 def _canonical_cells(done: dict) -> str:
     return json.dumps([c["metrics"] for c in done["cells"]], sort_keys=True)
+
+
+def _simulation_totals(client: ServeClient) -> "list[float]":
+    rows = client.metrics()
+    return [
+        sum(row.get("value", 0.0) for row in rows if row["name"] == name)
+        for name in SIMULATION_COUNTERS
+    ]
+
+
+def _counted_run(client: ServeClient, spec: str, events: list):
+    """``client.run`` plus what it added to each simulation counter."""
+    before = _simulation_totals(client)
+    done = client.run(spec, on_event=events.append)
+    after = _simulation_totals(client)
+    added = {
+        name: total - earlier
+        for name, earlier, total in zip(SIMULATION_COUNTERS, before, after)
+    }
+    return done, added
+
+
+def _describe(added: dict) -> str:
+    return ", ".join(f"{name} +{value:g}" for name, value in added.items())
 
 
 def check(spec: str, store_dir: Path) -> int:
@@ -72,7 +109,7 @@ def check(spec: str, store_dir: Path) -> int:
             failures.append(f"spec {spec!r} missing from GET /specs")
 
         cold_events = []
-        cold = client.run(spec, on_event=cold_events.append)
+        cold, cold_added = _counted_run(client, spec, cold_events)
         cold_plan = cold_events[0]
         if cold_plan["pending"] != cold_plan["cells"]:
             failures.append(
@@ -84,9 +121,15 @@ def check(spec: str, store_dir: Path) -> int:
                 f"cold run computed {cold['manifest']['cells_computed']} "
                 f"of {cold_plan['cells']} cells"
             )
+        # The store started empty, so every grid of the plan is pending.
+        if cold_added["sweep.runs"] != len(cold_plan["grids"]):
+            failures.append(
+                f"cold run made {cold_added['sweep.runs']:g} sweeps for "
+                f"{len(cold_plan['grids'])} pending grids"
+            )
 
         warm_events = []
-        warm = client.run(spec, on_event=warm_events.append)
+        warm, warm_added = _counted_run(client, spec, warm_events)
         warm_plan = warm_events[0]
         if warm_plan["pending"] != 0:
             failures.append(f"warm plan still pending {warm_plan['pending']} cells")
@@ -100,6 +143,26 @@ def check(spec: str, store_dir: Path) -> int:
             failures.append(
                 f"warm run recomputed {warm['manifest']['cells_computed']} cells"
             )
+        if any(warm_added.values()):
+            failures.append(f"warm run simulated: {_describe(warm_added)}")
+
+        derived = [
+            other.id
+            for other in all_specs(include_hidden=True)
+            if other.kind == "derived" and set(other.base) == {spec}
+        ]
+        for derived_id in derived:
+            derived_events = []
+            _, derived_added = _counted_run(client, derived_id, derived_events)
+            if derived_events[0]["pending"] != 0:
+                failures.append(
+                    f"derived {derived_id} plan still pending "
+                    f"{derived_events[0]['pending']} cells"
+                )
+            if any(derived_added.values()):
+                failures.append(
+                    f"derived {derived_id} run simulated: {_describe(derived_added)}"
+                )
 
         if _canonical_cells(cold) != _canonical_cells(warm):
             failures.append("warm cell metrics differ from cold")
@@ -154,7 +217,7 @@ def check(spec: str, store_dir: Path) -> int:
                 f"store holds {len(store)}"
             )
         post_events = []
-        post = client.run(spec, on_event=post_events.append)
+        post, post_added = _counted_run(client, spec, post_events)
         post_cells = [e for e in post_events if e.get("event") == "cell"]
         if post_cells:
             failures.append(
@@ -166,6 +229,8 @@ def check(spec: str, store_dir: Path) -> int:
                 f"post-compact run recomputed "
                 f"{post['manifest']['cells_computed']} cells"
             )
+        if any(post_added.values()):
+            failures.append(f"post-compact run simulated: {_describe(post_added)}")
         if _canonical_cells(cold) != _canonical_cells(post):
             failures.append("post-compact cell metrics differ from cold")
         if cold["result"] != post["result"]:
@@ -226,8 +291,10 @@ def check(spec: str, store_dir: Path) -> int:
             print(f"FAIL [{spec}]: {failure}", file=sys.stderr)
         return 1
     print(
-        f"OK: served {spec} cold ({cold['manifest']['cells_computed']} computed) "
-        f"then warm (0 computed, byte-identical), 304 on conditional GET, "
+        f"OK: served {spec} cold ({cold['manifest']['cells_computed']} computed, "
+        f"{_describe(cold_added)}) then warm (0 computed, zero simulations, "
+        f"byte-identical), derived {derived or 'none'} with zero simulations, "
+        f"304 on conditional GET, "
         f"warm again after compaction to generation "
         f"{compaction.generation}, and scraped {len(samples)} prometheus "
         f"samples at {server.url}"

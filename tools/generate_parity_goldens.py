@@ -4,19 +4,19 @@ Run from the repository root at the parity scale::
 
     REPRO_TRACE_SCALE=0.05 PYTHONPATH=src:tests python tools/generate_parity_goldens.py
 
-Writes one ``tests/experiments/golden/<id>.json`` per experiment (the
-serialized ``run()`` output) plus ``pr3_journal_fig04.jsonl``, a sweep
-journal written through the runner so resume-format compatibility is
-pinned against real journal bytes.
+Writes one ``tests/experiments/golden/<id>.json`` per experiment: the
+serialized ``run_spec(id)`` result, in presentation order.  Run it only
+after an intended figure change.  The journal fixture beside the
+goldens (``pr3_journal_fig04.jsonl``) is a journal written by the
+pre-spec sweep runner; it is never regenerated, because
+``test_journal_compat.py`` exists to replay exactly those bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,9 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from experiments.parity_format import to_jsonable  # noqa: E402
 
-from repro import perf  # noqa: E402
-from repro.experiments import EXPERIMENTS  # noqa: E402
-from repro.perf.journal import JOURNAL_FILENAME  # noqa: E402
+from repro.experiments import run_spec  # noqa: E402
+from repro.experiments.frontend import PRESENTATION_ORDER  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "experiments" / "golden"
 
@@ -38,31 +37,18 @@ def main() -> int:
     if os.environ.get("REPRO_TRACE_SCALE") != PARITY_SCALE:
         raise SystemExit(f"run with REPRO_TRACE_SCALE={PARITY_SCALE}")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for key, module in EXPERIMENTS.items():
+    for key in PRESENTATION_ORDER:
         print(f"capturing {key} ...", flush=True)
         payload = {
             "kind": "experiment-golden",
             "version": 1,
             "experiment": key,
             "trace_scale": float(PARITY_SCALE),
-            "result": to_jsonable(module.run()),
+            "result": to_jsonable(run_spec(key)),
         }
         path = GOLDEN_DIR / f"{key}.json"
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"  wrote {path}")
-
-    # Journal fixture: run the fig04 grid through the journaling sweep
-    # runner so the on-disk cell keys/format are pinned exactly.
-    from repro.experiments import fig04_cache_size
-    from repro.experiments.spec import clear_result_cache
-
-    with tempfile.TemporaryDirectory() as tmp:
-        perf.set_default_journal_dir(tmp)
-        clear_result_cache()  # the memoised result would skip the sweep
-        fig04_cache_size.run()
-        perf.set_default_journal_dir(None)
-        shutil.copy(Path(tmp) / JOURNAL_FILENAME, GOLDEN_DIR / "pr3_journal_fig04.jsonl")
-    print(f"  wrote {GOLDEN_DIR / 'pr3_journal_fig04.jsonl'}")
     return 0
 
 
