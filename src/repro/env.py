@@ -1,6 +1,6 @@
 """One home for the environment knobs every entry point parses.
 
-Both CLIs, the experiments trace cache, and the parallel sweep runner
+Both CLIs, the experiments' trace budget, and the parallel sweep runner
 read the same two environment variables; before this module each of
 them carried its own copy of the parsing and error wording.  The rules:
 
@@ -13,8 +13,8 @@ them carried its own copy of the parsing and error wording.  The rules:
   (``debug``/``info``/``warning``/``error``/``quiet``, default
   ``info``; see :mod:`repro.obs.logs`);
 * ``REPRO_PROFILE`` — when truthy (``1``/``true``/``yes``/``on``),
-  experiment runs wrap kernel dispatch in profiling sections and write
-  a per-phase breakdown (see :mod:`repro.obs.profiling`);
+  each experiment run executes under one cProfile and writes its hot
+  functions (see :mod:`repro.obs.profiling`);
 * ``REPRO_BACKEND`` — default sweep execution backend (any registered
   backend name; ``inline``/``fleet`` are built in, and
   unset means the runner picks automatically, see

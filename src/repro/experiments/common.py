@@ -1,7 +1,8 @@
 """Shared infrastructure for the experiment modules.
 
-* a process-wide memoising trace cache (trace generation is the most
-  expensive part of small experiments);
+* benchmark trace recipes (:func:`all_trace_keys`), materialised
+  through the one per-process trace memo of
+  :mod:`repro.perf.trace_cache`;
 * the reference-budget policy (``REPRO_TRACE_SCALE`` environment
   variable scales every experiment's trace length);
 * the standard cache factories used across figures.
@@ -10,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..caches.direct_mapped import DirectMappedCache
 from ..caches.geometry import CacheGeometry
@@ -19,9 +20,12 @@ from ..core.exclusion_cache import DynamicExclusionCache
 from ..core.hitlast import IdealHitLastStore
 from ..core.long_lines import make_long_line_exclusion_cache
 from ..env import BASE_MAX_REFS, max_refs, trace_scale  # noqa: F401 (re-exported)
-from ..perf.parallel import TraceKey, clear_trace_cache as _clear_key_cache
+from ..perf.parallel import TraceKey, as_trace, clear_trace_cache as _clear_key_cache
 from ..trace.trace import Trace
-from ..workloads.registry import benchmark_names, trace_by_kind
+from ..workloads.registry import benchmark_names
+# Unused here but kept importable: benchmarks/e2e/spans.py wraps
+# ``common.trace_by_kind`` by attribute, and fails if it is missing.
+from ..workloads.registry import trace_by_kind  # noqa: F401
 
 #: Cache sizes swept by the size figures (Figures 4, 5, 12, 14, 15).
 SIZE_SWEEP_KB = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -37,41 +41,6 @@ REFERENCE_SIZE = 32 * 1024
 REFERENCE_LINE = 4
 
 
-_TRACE_CACHE: Dict[Tuple[str, str, int], Trace] = {}
-
-
-def _evict_other_scales(budget: int) -> None:
-    """Drop memoised traces generated under a different reference budget.
-
-    Flipping ``REPRO_TRACE_SCALE`` mid-process (tests and notebooks do)
-    used to accumulate one full benchmark suite per scale ever used —
-    at scale 25 that is hundreds of megabytes of dead arrays.  Traces
-    from other scales can never be returned again until the scale flips
-    back, and regeneration is cheap relative to holding them, so the
-    cache keeps only the current scale's entries.
-    """
-    stale = [key for key in _TRACE_CACHE if key[2] != budget]
-    for key in stale:
-        del _TRACE_CACHE[key]
-
-
-def cached_trace(name: str, kind: str = "instruction") -> Trace:
-    """Memoised benchmark trace (kind in instruction / data / mixed)."""
-    budget = max_refs()
-    key = (name, kind, budget)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        _evict_other_scales(budget)
-        trace = trace_by_kind(name, kind, max_refs=budget)
-        _TRACE_CACHE[key] = trace
-    return trace
-
-
-def all_traces(kind: str = "instruction") -> List[Trace]:
-    """One trace per SPEC benchmark, in name order."""
-    return [cached_trace(name, kind) for name in benchmark_names()]
-
-
 def all_trace_keys(kind: str = "instruction") -> List[TraceKey]:
     """One :class:`~repro.perf.parallel.TraceKey` per SPEC benchmark.
 
@@ -83,10 +52,14 @@ def all_trace_keys(kind: str = "instruction") -> List[TraceKey]:
     return [TraceKey(name, kind, budget) for name in benchmark_names()]
 
 
+def all_traces(kind: str = "instruction") -> List[Trace]:
+    """One memoised trace per SPEC benchmark, in name order."""
+    return [as_trace(key) for key in all_trace_keys(kind)]
+
+
 def clear_trace_cache() -> None:
     """Drop all memoised traces and spec results (tests use this to
     control memory and to force regeneration after a scale change)."""
-    _TRACE_CACHE.clear()
     _clear_key_cache()
     from .spec import clear_result_cache  # local import: spec imports common
 

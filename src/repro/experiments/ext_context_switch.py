@@ -28,6 +28,7 @@ from ..analysis.plot import ascii_chart
 from ..analysis.report import format_table
 from ..caches.geometry import CacheGeometry
 from ..caches.stats import percent_reduction
+from ..perf.trace_cache import TraceKey, as_trace
 from ..trace.trace import Trace
 from ..trace.transforms import timeshare
 from .common import REFERENCE_LINE, REFERENCE_SIZE, direct_mapped, dynamic_exclusion, optimal
@@ -66,15 +67,14 @@ class TimeshareKey:
         return "timeshare"
 
     def load(self) -> Trace:
-        from ..perf.parallel import as_trace
-
         return as_trace(self)
 
     def _build(self) -> Trace:
-        from .common import cached_trace
-
+        # Each half is sized by this key's own max_refs, never by the
+        # building process's REPRO_TRACE_SCALE: the key names the trace.
         return timeshare(
-            [cached_trace(self.left), cached_trace(self.right)],
+            [as_trace(TraceKey(name, "instruction", self.max_refs))
+             for name in (self.left, self.right)],
             quantum=self.quantum,
             name=f"{self.left}+{self.right}",
         )

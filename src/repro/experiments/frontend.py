@@ -11,23 +11,25 @@ door an experiment is launched through.
 
 Output discipline: **stdout carries only the artefact** — the banner
 and the rendered report (what you'd pipe into a file) — while run
-chatter (svg/telemetry paths, timing footers, progress) goes to stderr
+chatter (artefact paths, timing footers, progress) goes to stderr
 through the ``REPRO_LOG_LEVEL``-gated logger, so
 ``repro-experiments --only fig05 > fig05.txt`` captures a clean
 report.
 
 With ``--trace-dir DIR``, each experiment run writes ``DIR/<id>/``:
-``trace.jsonl`` (the span tree), ``run_manifest.json`` (spec
-fingerprint, engine, workers, env, git SHA, wall/CPU time), and — when
-``REPRO_PROFILE=1`` — ``profile.txt`` (per-phase breakdown + hot
-functions).  ``repro.cli obs summarize DIR`` renders them.
+``trace.jsonl`` (the span tree), ``metrics.json`` (the run's counters,
+gauges and histograms), ``run_manifest.json`` (spec fingerprint,
+engine, workers, env, git SHA, wall/CPU time), and — when
+``REPRO_PROFILE=1`` — ``profile.txt`` (the hot functions of one
+cProfile around the run).  ``repro.cli obs summarize DIR`` renders
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
-import sys
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -123,22 +125,21 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="journal completed sweep cells under DIR and reuse them on "
         "the next run, so a crashed or interrupted sweep resumes instead "
-        "of recomputing; telemetry is recorded there too",
+        "of recomputing",
     )
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="report each sweep cell and a per-experiment telemetry "
-        "summary on stderr",
+        help="report each sweep cell and a per-sweep summary on stderr",
     )
     parser.add_argument(
         "--trace-dir",
         metavar="DIR",
         default=None,
         help="write per-experiment observability artefacts under "
-        "DIR/<id>/: trace.jsonl (span tree), run_manifest.json, and "
-        "profile.txt when REPRO_PROFILE=1; render them with "
-        "'repro.cli obs summarize DIR'",
+        "DIR/<id>/: trace.jsonl (span tree), metrics.json, "
+        "run_manifest.json, and profile.txt when REPRO_PROFILE=1; render "
+        "them with 'repro.cli obs summarize DIR'",
     )
 
 
@@ -200,12 +201,10 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         trace_dir = Path(args.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
 
-    telemetry_dir = resume_dir if resume_dir is not None else svg_dir
     profiling = profile_enabled()
 
     for spec in selected:
         started = time.time()
-        perf.drain_telemetry()  # discard any runs from a prior experiment
         print(f"\n{'#' * 72}\n# {spec.id}: {spec.title}\n{'#' * 72}")
         result = _run_observed(spec, args, resume_dir, trace_dir, profiling)
         print(render_spec(spec, result))
@@ -213,15 +212,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             path = _maybe_save_svg(spec, result, svg_dir)
             if path is not None:
                 _log.info("[svg written to %s]", path)
-        elapsed = time.time() - started
-        sweeps = perf.drain_telemetry()
-        if telemetry_dir is not None and sweeps:
-            path = _save_telemetry(spec.id, sweeps, elapsed, telemetry_dir)
-            _log.info("[telemetry written to %s]", path)
-        if args.progress:
-            for record in sweeps:
-                print(f"[{spec.id}] {record.summary()}", file=sys.stderr)
-        _log.info("[%s done in %.1fs]", spec.id, elapsed)
+        _log.info("[%s done in %.1fs]", spec.id, time.time() - started)
     return 0
 
 
@@ -237,21 +228,24 @@ def _run_observed(
     With ``--trace-dir`` the spec gets its own run directory, a
     process-wide tracer whose root ``experiment`` span brackets the
     whole run (so the span tree accounts for the manifest's wall time),
-    and a ``run_manifest.json``; with ``REPRO_PROFILE=1`` a profiler is
-    installed for the duration and its breakdown written (or logged,
-    without a trace dir).  Without either, this is exactly the plain
-    ``run_spec`` call — no tracer, no profiler, zero overhead.
+    a ``metrics.json`` and a ``run_manifest.json``; with
+    ``REPRO_PROFILE=1`` one cProfile runs around the same bracket and
+    its hot functions are written (or logged, without a trace dir).
+    Without either, this is exactly the plain ``run_spec`` call — no
+    tracer, no profiler, zero overhead.
     """
     run_dir = trace_dir / spec.id if trace_dir is not None else None
     tracer = obs.install_tracer(obs.Tracer(run_dir)) if run_dir is not None else None
     registry = (
         obs.install_registry(obs.MetricsRegistry()) if run_dir is not None else None
     )
-    profiler = obs.install_profiler(obs.Profiler()) if profiling else None
+    profile = cProfile.Profile() if profiling else None
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
     started_at = time.time()
     try:
+        if profile is not None:
+            profile.enable()
         if tracer is not None:
             with tracer.span("experiment", spec=spec.id):
                 result = _run_spec_args(spec, args, resume_dir)
@@ -260,13 +254,15 @@ def _run_observed(
     finally:
         wall = time.perf_counter() - wall_started
         cpu = time.process_time() - cpu_started
-        if profiler is not None:
-            obs.uninstall_profiler()
+        if profile is not None:
+            profile.disable()
+            report = obs.profile_report(profile)
             if run_dir is not None:
-                path = profiler.write(run_dir)
+                path = run_dir / obs.PROFILE_FILENAME
+                path.write_text(report, encoding="utf-8")
                 _log.info("[profile written to %s]", path)
             else:
-                _log.info("profile breakdown:\n%s", profiler.report())
+                _log.info("profile:\n%s", report)
         if registry is not None:
             obs.uninstall_registry()
             metrics_path = run_dir / obs.METRICS_FILENAME
@@ -312,20 +308,6 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     add_arguments(parser)
     return run(parser.parse_args(argv), parser)
-
-
-def _save_telemetry(key: str, sweeps, elapsed: float, directory: Path) -> Path:
-    """Record the experiment's sweep telemetry next to its outputs."""
-    payload = {
-        "kind": "experiment-telemetry",
-        "version": 1,
-        "experiment": key,
-        "elapsed_seconds": round(elapsed, 3),
-        "sweeps": [record.to_dict() for record in sweeps],
-    }
-    path = directory / f"{key}.telemetry.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _maybe_save_svg(spec: ExperimentSpec, result: object, directory: Path):

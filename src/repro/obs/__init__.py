@@ -2,8 +2,8 @@
 
 The observability layer for the reproduction: nested monotonic-clock
 spans persisted as torn-tail-tolerant JSONL (:mod:`.tracing`), a typed
-counter/gauge/histogram registry (:mod:`.metrics`), opt-in
-``REPRO_PROFILE=1`` phase/cProfile breakdowns (:mod:`.profiling`),
+counter/gauge/histogram registry (:mod:`.metrics`), the opt-in
+``REPRO_PROFILE=1`` cProfile report (:mod:`.profiling`),
 ``run_manifest.json`` writers/readers (:mod:`.manifest`), the
 ``obs summarize`` renderer (:mod:`.summarize`), stderr logging
 gated by ``REPRO_LOG_LEVEL`` (:mod:`.logs`), cross-process span/metric
@@ -13,9 +13,8 @@ Prometheus text exposition (:mod:`.promtext`).
 Import direction: ``repro.obs`` imports nothing from ``repro.perf`` or
 ``repro.experiments`` — every other layer may import obs, never the
 reverse.  All hooks (:func:`span`, :func:`record`, :func:`counter`,
-:func:`section`, :func:`get_logger`) are cheap no-ops or level-gated
-when no tracer/profiler is installed, so library code stays
-instrumented unconditionally.
+:func:`get_logger`) are cheap no-ops or level-gated when no tracer is
+installed, so library code stays instrumented unconditionally.
 """
 
 from repro.obs.distributed import (
@@ -49,14 +48,7 @@ from repro.obs.promtext import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.profiling import (
-    PROFILE_FILENAME,
-    Profiler,
-    current_profiler,
-    install_profiler,
-    section,
-    uninstall_profiler,
-)
+from repro.obs.profiling import PROFILE_FILENAME, profile_report
 from repro.obs.summarize import summarize_directory, summarize_run
 from repro.obs.tracing import (
     TRACE_FILENAME,
@@ -81,7 +73,6 @@ __all__ = [
     "OBS_WIRE_VERSION",
     "PROFILE_FILENAME",
     "PROMETHEUS_CONTENT_TYPE",
-    "Profiler",
     "Span",
     "TRACE_FILENAME",
     "Tracer",
@@ -89,29 +80,26 @@ __all__ = [
     "build_manifest",
     "configure_logging",
     "counter",
-    "current_profiler",
     "current_registry",
     "current_tracer",
     "gauge",
     "get_logger",
     "git_sha",
     "histogram",
-    "install_profiler",
     "install_registry",
     "install_tracer",
     "iter_jsonl",
     "merge_cell_payload",
     "parse_prometheus",
+    "profile_report",
     "propagation_context",
     "read_manifest",
     "read_spans",
     "record",
     "render_prometheus",
-    "section",
     "span",
     "summarize_directory",
     "summarize_run",
-    "uninstall_profiler",
     "uninstall_registry",
     "uninstall_tracer",
     "write_manifest",

@@ -1,8 +1,8 @@
 """Typed in-process metrics: counters, gauges, and histograms.
 
-The sweep runner used to accumulate run summaries in a module-global
-list (``_TELEMETRY_LOG``); this registry replaces that pattern with
-named, typed series that any layer can write to:
+Named, typed series that any layer can write to; a traced experiment
+run exports them as ``metrics.json`` and ``repro serve`` as
+``/metrics``:
 
 * **counter** — monotone event count (``sweep.cells.failed``,
   ``fsm.sticky_saves``);

@@ -1,19 +1,13 @@
-"""Opt-in profiling hooks: per-phase wall time + cProfile detail.
+"""The ``REPRO_PROFILE=1`` report: the hot functions of one run.
 
-Tracing (``obs.tracing``) answers *which phase* was slow; profiling
-answers *which function inside the phase*.  Because cProfile multiplies
-the cost of every Python call, this layer is strictly opt-in: the
-frontends install a :class:`Profiler` only when ``REPRO_PROFILE=1``
-(see :func:`repro.env.profile_enabled`), and the module-level
-:func:`section` helper is a cheap no-op otherwise, so kernel dispatch
-can stay instrumented unconditionally.
-
-A :class:`Profiler` accumulates named sections (count + wall seconds on
-``perf_counter``) and, by default, runs ``cProfile`` while any section
-is open.  :meth:`Profiler.report` renders both views — the per-phase
-breakdown first, then the top functions by cumulative time — and
-:meth:`Profiler.write` drops that report as ``profile.txt`` next to a
-run's ``trace.jsonl``.
+Tracing (``obs.tracing``) answers *which phase* was slow, and
+``obs summarize`` renders that phase view; profiling answers *which
+function inside the phase*.  Because cProfile multiplies the cost of
+every Python call it is strictly opt-in: with ``REPRO_PROFILE=1`` (see
+:func:`repro.env.profile_enabled`) the experiments front-end enables one
+:class:`cProfile.Profile` around each experiment run and writes
+:func:`profile_report` as ``profile.txt`` next to the run's
+``trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -21,116 +15,16 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import threading
-import time
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Dict, List, Optional, Union
 
 #: File name used inside a trace directory.
 PROFILE_FILENAME = "profile.txt"
 
 
-class Profiler:
-    """Accumulates per-phase timings and optional cProfile stats."""
-
-    def __init__(self, cprofile: bool = True) -> None:
-        self._lock = threading.Lock()
-        self._sections: Dict[str, List[float]] = {}  # name -> [count, seconds]
-        self._profile = cProfile.Profile() if cprofile else None
-        # cProfile cannot be enabled twice; nested/concurrent sections
-        # share one activation tracked by this depth counter.
-        self._depth = 0
-
-    @contextmanager
-    def section(self, name: str):
-        with self._lock:
-            if self._profile is not None and self._depth == 0:
-                self._profile.enable()
-            self._depth += 1
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._depth -= 1
-                if self._profile is not None and self._depth == 0:
-                    self._profile.disable()
-                totals = self._sections.setdefault(name, [0, 0.0])
-                totals[0] += 1
-                totals[1] += elapsed
-
-    def sections(self) -> "Dict[str, Dict[str, float]]":
-        """Per-section totals: ``{name: {count, seconds}}``."""
-        with self._lock:
-            return {
-                name: {"count": totals[0], "seconds": totals[1]}
-                for name, totals in sorted(self._sections.items())
-            }
-
-    def report(self, top: int = 20) -> str:
-        """Human-readable breakdown: sections table, then hot functions."""
-        lines = ["phase breakdown (wall seconds)", ""]
-        sections = self.sections()
-        if sections:
-            width = max(len(name) for name in sections)
-            ranked = sorted(
-                sections.items(), key=lambda item: item[1]["seconds"], reverse=True
-            )
-            for name, totals in ranked:
-                lines.append(
-                    f"  {name:<{width}}  {totals['seconds']:>10.4f}s"
-                    f"  x{int(totals['count'])}"
-                )
-        else:
-            lines.append("  (no sections recorded)")
-        if self._profile is not None:
-            buffer = io.StringIO()
-            stats = pstats.Stats(self._profile, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(top)
-            lines += ["", f"top {top} functions by cumulative time", ""]
-            lines.append(buffer.getvalue().rstrip())
-        return "\n".join(lines) + "\n"
-
-    def write(self, directory: Union[str, Path], top: int = 20) -> Path:
-        """Write :meth:`report` to ``<directory>/profile.txt``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / PROFILE_FILENAME
-        path.write_text(self.report(top=top), encoding="utf-8")
-        return path
-
-
-# -- the process-wide profiler -------------------------------------------------
-
-_PROFILER: Optional[Profiler] = None
-
-
-def install_profiler(profiler: Profiler) -> Profiler:
-    global _PROFILER
-    _PROFILER = profiler
-    return profiler
-
-
-def uninstall_profiler() -> Optional[Profiler]:
-    global _PROFILER
-    profiler = _PROFILER
-    _PROFILER = None
-    return profiler
-
-
-def current_profiler() -> Optional[Profiler]:
-    return _PROFILER
-
-
-@contextmanager
-def section(name: str):
-    """Profile a phase on the installed profiler (no-op when profiling
-    is off — the common case)."""
-    profiler = _PROFILER
-    if profiler is None:
-        yield
-        return
-    with profiler.section(name):
-        yield
+def profile_report(profile: cProfile.Profile, top: int = 20) -> str:
+    """The ``top`` functions of ``profile`` by cumulative time."""
+    buffer = io.StringIO()
+    pstats.Stats(profile, stream=buffer).sort_stats("cumulative").print_stats(top)
+    return (
+        f"top {top} functions by cumulative time\n\n"
+        f"{buffer.getvalue().rstrip()}\n"
+    )

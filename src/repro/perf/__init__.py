@@ -8,7 +8,7 @@
   dispatch with a kernel registry and automatic reference fallback;
 * :mod:`repro.perf.parallel` — a fault-tolerant sweep runner:
   per-cell result envelopes with full identity, bounded re-dispatch on
-  worker crashes, per-cell timeouts, and structured telemetry; ships
+  worker crashes, per-cell timeouts, and ``sweep.*`` metrics; ships
   deterministic :class:`~repro.perf.parallel.TraceKey` recipes instead
   of trace arrays;
 * :mod:`repro.perf.journal` — the opt-in on-disk result journal that
@@ -58,11 +58,9 @@ from .parallel import (
     CellIdentity,
     CellOutcome,
     SweepCellError,
-    SweepTelemetry,
     TraceKey,
     as_trace,
     clear_trace_cache,
-    drain_telemetry,
     env_workers,
     evaluate_cell,
     identity_for,
@@ -86,7 +84,6 @@ __all__ = [
     "SweepCellError",
     "SweepContext",
     "SweepJournal",
-    "SweepTelemetry",
     "TraceKey",
     "as_trace",
     "backend_names",
@@ -95,7 +92,6 @@ __all__ = [
     "create_backend",
     "default_backend",
     "default_engine",
-    "drain_telemetry",
     "env_workers",
     "evaluate_cell",
     "has_kernel",

@@ -10,7 +10,7 @@ delegates *how* pending cells execute to a :class:`SweepBackend`:
 Selection: ``backend=`` argument > CLI ``--backend`` default >
 ``REPRO_BACKEND`` > automatic (``inline`` for single-worker or
 single-cell runs, ``fleet`` otherwise).  Both backends share journal,
-telemetry, and envelope semantics through :class:`SweepContext`, so a
+counter, and envelope semantics through :class:`SweepContext`, so a
 journal written under one backend resumes under the other.
 """
 
@@ -26,7 +26,6 @@ from .base import (  # noqa: F401
     outcome_observer,
     record_cell_span,
     register_backend,
-    report_outcome,
     resolve_backend,
     set_default_backend,
 )

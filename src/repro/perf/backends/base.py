@@ -7,7 +7,7 @@ local or SSH — speaking NDJSON).  Backends share one contract:
 * :meth:`SweepBackend.submit_cells` receives the pending cell indices
   and a :class:`SweepContext` and *yields* each :class:`CellOutcome` as
   it resolves, having already folded it into the run's journal and
-  telemetry via the context helpers.  The orchestrator
+  counters via the context helpers.  The orchestrator
   (:func:`repro.perf.parallel.run_labeled_cells`) reports each yielded
   outcome to observers/progress, so cells stream in completion order
   whatever strategy ran them.
@@ -33,17 +33,17 @@ from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
 from ..cells import CellEvaluator, CellOutcome, LabeledCell
 from ..journal import SweepJournal
-from ..telemetry import SweepTelemetry
 
 
 @dataclass
 class SweepContext:
-    """Everything one sweep run hands its backend.
+    """Everything one sweep run hands its backend, and its live counters.
 
     The mutation helpers (:meth:`record_success`, :meth:`fail`) are the
-    single place cell results turn into journal entries and telemetry
-    counters, so every backend journals and counts identically — the
-    backend-invariance tests pin exactly that.
+    single place cell results turn into journal entries and counters,
+    so every backend journals and counts identically — the
+    backend-invariance tests pin exactly that.  The orchestrator
+    publishes the counters as the ``sweep.*`` metrics when the run ends.
     """
 
     cells: Sequence[LabeledCell]
@@ -54,13 +54,24 @@ class SweepContext:
     pool_retries: int
     journal: Optional[SweepJournal]
     progress: bool
-    telemetry: SweepTelemetry
     evaluator: Optional[CellEvaluator] = None
     fleet_hosts: List[str] = field(default_factory=list)
     #: Trace propagation context (:func:`repro.obs.distributed
     #: .propagation_context`) the backend forwards to worker processes;
     #: None when tracing is off.
     obs_ctx: Optional[Dict[str, object]] = None
+    #: The backend that runs the pending cells (set once they are known).
+    backend: str = ""
+    completed: int = 0
+    failed: int = 0
+    cached: int = 0
+    pool_restarts: int = 0
+    #: Computed cells per fleet worker id; empty for inline runs.
+    worker_cells: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return len(self.cells)
 
     def record_success(
         self,
@@ -68,16 +79,16 @@ class SweepContext:
         metrics: Dict[str, float],
         seconds: float,
     ) -> None:
-        """Fold one computed cell into its envelope, the journal, and
-        telemetry."""
+        """Fold one computed cell into its envelope, the journal, the
+        counters and the ``cell.seconds`` histogram."""
         outcome.metrics = dict(metrics)
         outcome.miss_rate = metrics.get("miss_rate")
         outcome.seconds = seconds
-        self.telemetry.completed += 1
-        self.telemetry.cell_seconds.append(seconds)
+        self.completed += 1
+        obs_metrics.histogram("cell.seconds", seconds, engine=self.engine)
         if outcome.worker:
-            counts = self.telemetry.worker_cells
-            counts[outcome.worker] = counts.get(outcome.worker, 0) + 1
+            cells = self.worker_cells.get(outcome.worker, 0)
+            self.worker_cells[outcome.worker] = cells + 1
         if self.journal is not None and outcome.identity.journalable:
             identity = outcome.identity
             self.journal.record(
@@ -86,12 +97,31 @@ class SweepContext:
 
     def fail(self, outcome: CellOutcome, error: str) -> None:
         outcome.error = error
-        self.telemetry.failed += 1
+        self.failed += 1
 
     def report(self, outcome: CellOutcome) -> None:
         """Stream one resolved cell to the observer hook and, when
         ``--progress`` is on, a stderr progress line."""
-        report_outcome(self.progress, self.telemetry, outcome)
+        observer = getattr(_OUTCOME_OBSERVER, "callback", None)
+        if observer is not None:
+            try:
+                observer(self, outcome)
+            except Exception:
+                obs_metrics.counter("sweep.observer_errors")
+        if not self.progress:
+            return
+        if outcome.cached:
+            status = "journal"
+        elif outcome.error is not None:
+            status = f"FAILED ({outcome.error})"
+        else:
+            status = f"{outcome.seconds:.2f}s"
+        print(
+            f"[sweep {self.completed + self.failed}/{self.total}] "
+            f"{outcome.identity.describe()} -> {status}",
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 class SweepBackend:
@@ -106,7 +136,7 @@ class SweepBackend:
         """Execute the pending cells, yielding each resolved envelope.
 
         Implementations must fold every yielded outcome into the journal
-        and telemetry (via the ``ctx`` helpers) *before* yielding it.
+        and counters (via the ``ctx`` helpers) *before* yielding it.
         """
         raise NotImplementedError
 
@@ -180,7 +210,7 @@ def resolve_backend(backend: Optional[str] = None) -> Optional[str]:
     return env_backend()
 
 
-# -- outcome observation and progress -----------------------------------------
+# -- outcome observation ------------------------------------------------------
 
 # Per-thread hook observing every resolved cell (cached, computed, or
 # failed) as run_labeled_cells reports it.  Thread-local so concurrent
@@ -190,16 +220,16 @@ _OUTCOME_OBSERVER = threading.local()
 
 
 @contextmanager
-def outcome_observer(callback: "Callable[[SweepTelemetry, CellOutcome], None]"):
+def outcome_observer(callback: "Callable[[SweepContext, CellOutcome], None]"):
     """Observe each resolved cell of any sweep run on this thread.
 
-    The callback receives the run's live telemetry and the cell's
-    envelope at the same points ``--progress`` would print a line:
-    journal replays, fleet and inline completions, and failures alike.
-    ``repro.serve`` uses this to stream per-cell progress over HTTP.
-    Callback exceptions are swallowed (and counted under the
-    ``sweep.observer_errors`` metric): a broken observer must not
-    poison the sweep it is watching.
+    The callback receives two positional arguments, the run's live
+    :class:`SweepContext` and the cell's envelope, at the same points
+    ``--progress`` would print a line: journal replays, fleet and inline
+    completions, and failures alike.  ``repro.serve`` uses this to
+    stream per-cell progress over HTTP.  Callback exceptions are
+    swallowed (and counted under the ``sweep.observer_errors`` metric):
+    a broken observer must not poison the sweep it is watching.
     """
     previous = getattr(_OUTCOME_OBSERVER, "callback", None)
     _OUTCOME_OBSERVER.callback = callback
@@ -207,31 +237,6 @@ def outcome_observer(callback: "Callable[[SweepTelemetry, CellOutcome], None]"):
         yield
     finally:
         _OUTCOME_OBSERVER.callback = previous
-
-
-def report_outcome(
-    enabled: bool, telemetry: SweepTelemetry, outcome: CellOutcome
-) -> None:
-    observer = getattr(_OUTCOME_OBSERVER, "callback", None)
-    if observer is not None:
-        try:
-            observer(telemetry, outcome)
-        except Exception:
-            obs_metrics.counter("sweep.observer_errors")
-    if not enabled:
-        return
-    resolved = telemetry.completed + telemetry.failed
-    if outcome.cached:
-        status = "journal"
-    elif outcome.error is not None:
-        status = f"FAILED ({outcome.error})"
-    else:
-        status = f"{outcome.seconds:.2f}s"
-    print(
-        f"[sweep {resolved}/{telemetry.total}] {outcome.identity.describe()} -> {status}",
-        file=sys.stderr,
-        flush=True,
-    )
 
 
 # -- span helpers -------------------------------------------------------------

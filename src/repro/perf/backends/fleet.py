@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ...obs import metrics as obs_metrics
-from ...obs import profiling as obs_profiling
 from ...obs import tracing as obs_tracing
 from ..cells import CellOutcome
 from ..worker import worker_main
@@ -108,9 +107,11 @@ class _ForkedWorker:
     """A :class:`subprocess.Popen`-like handle on a forked ``local`` worker.
 
     The child closes every other worker's parent-side pipe ends, drops
-    the tracer, profiler and metrics registry it inherited (another
-    thread may have held their locks at the fork), serves
-    :func:`worker_main` on its own pipe pair and leaves via ``_exit``.
+    the tracer and metrics registry it inherited (another thread may
+    have held their locks at the fork) and any profile hook the forking
+    thread had (``REPRO_PROFILE=1`` profiles the parent's run, not its
+    workers), serves :func:`worker_main` on its own pipe pair and
+    leaves via ``_exit``.
     """
 
     def __init__(self) -> None:
@@ -132,7 +133,7 @@ class _ForkedWorker:
                     with suppress(OSError):
                         os.close(fd)
                 obs_tracing.uninstall_tracer()
-                obs_profiling.uninstall_profiler()
+                sys.setprofile(None)
                 obs_metrics.reset_registry()
                 with open(request_r, encoding="utf-8") as stdin, open(
                     reply_w, "w", encoding="utf-8"
@@ -331,7 +332,7 @@ class FleetBackend(SweepBackend):
         )
         for slot, endpoint in enumerate(endpoints):
             self._spawn(slot, endpoint)
-        ctx.telemetry.workers = len(endpoints)
+        ctx.workers = len(endpoints)
 
         todo = deque(pending)
         unresolved = set(pending)
@@ -463,7 +464,7 @@ class FleetBackend(SweepBackend):
             return
         replacement = self._spawn(dead.slot, dead.endpoint)
         if replacement is not None:
-            ctx.telemetry.pool_restarts += 1
+            ctx.pool_restarts += 1
             obs_metrics.counter("fleet.workers.respawned")
 
     def _worker_died(

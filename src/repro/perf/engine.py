@@ -31,7 +31,6 @@ from typing import Callable, Dict, Optional, Union
 
 from ..caches.base import Cache, OfflineCache
 from ..obs import metrics as obs_metrics
-from ..obs import profiling as obs_profiling
 from ..obs import tracing as obs_tracing
 from ..caches.direct_mapped import DirectMappedCache
 from ..caches.optimal import (
@@ -236,14 +235,12 @@ def simulate(
         path=path,
     ):
         if runner is not None:
-            with obs_profiling.section(f"kernel:{model}"):
-                try:
-                    return runner(trace)
-                except Exception as exc:
-                    raise KernelExecutionError(
-                        f"fast kernel for {model} failed on "
-                        f"trace {trace.name or '<unnamed>'!r} ({len(trace)} refs): "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-        with obs_profiling.section(f"reference:{model}"):
-            return simulator.simulate(trace)
+            try:
+                return runner(trace)
+            except Exception as exc:
+                raise KernelExecutionError(
+                    f"fast kernel for {model} failed on "
+                    f"trace {trace.name or '<unnamed>'!r} ({len(trace)} refs): "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+        return simulator.simulate(trace)

@@ -3,8 +3,9 @@
 A figure sweep is a grid of independent (parameter, policy, benchmark)
 cells.  This module owns the run-level contract — per-cell
 :class:`CellOutcome` envelopes, journal replay and merge-on-arrival
-resume, telemetry, progress/observer streaming — and delegates *how*
-pending cells execute to a :class:`~repro.perf.backends.SweepBackend`:
+resume, the ``sweep.*`` metrics, progress/observer streaming — and
+delegates *how* pending cells execute to a
+:class:`~repro.perf.backends.SweepBackend`:
 
 * ``inline`` — this process (the single-worker default);
 * ``fleet`` — cells sharded across long-lived worker processes (forked
@@ -23,15 +24,16 @@ Worker count resolution, in priority order:
    ``REPRO_TRACE_SCALE``),
 4. 1 (sequential — no worker process is started at all).
 
-The split history: trace recipes live in
-:mod:`repro.perf.trace_cache`, identity/envelope types in
-:mod:`repro.perf.cells`, telemetry in :mod:`repro.perf.telemetry`, and
-the execution strategies in :mod:`repro.perf.backends`.  Every public
-name historically importable from this module still is.
+Trace recipes live in :mod:`repro.perf.trace_cache`, identity/envelope
+types in :mod:`repro.perf.cells`, the per-run counters on
+:class:`~repro.perf.backends.SweepContext`, and the execution
+strategies in :mod:`repro.perf.backends`; this module re-exports the
+recipe and envelope names sweep callers use.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -39,6 +41,7 @@ from typing import List, Optional, Sequence
 from ..env import env_fleet_hosts  # noqa: F401 (re-exported; the one parser)
 from ..env import env_workers  # noqa: F401 (re-exported; the one parser)
 from ..obs import distributed as obs_distributed
+from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from . import engine as engine_mod
 from .backends import (
@@ -49,7 +52,6 @@ from .backends import (
     resolve_backend,
     set_default_backend,  # noqa: F401 (public API, re-exported)
 )
-from .backends.base import report_outcome as _report_outcome
 from .cells import (  # noqa: F401 (public API, re-exported)
     Cell,
     CellEvaluator,
@@ -62,13 +64,6 @@ from .cells import (  # noqa: F401 (public API, re-exported)
     simulate_cell,
 )
 from .journal import SweepJournal
-from .telemetry import (  # noqa: F401 (public API, re-exported)
-    TELEMETRY_LOG_LIMIT,
-    SweepTelemetry,
-    drain_telemetry,
-    log_telemetry,
-    publish_metrics as _publish_metrics,
-)
 from .trace_cache import (  # noqa: F401 (public API, re-exported)
     TraceKey,
     TraceLike,
@@ -170,7 +165,8 @@ def run_labeled_cells(
     the crash persists, the crashing cell is failed with exact
     attribution and everything else completes.
 
-    ``progress`` streams one stderr line per cell (``None`` is off).
+    ``progress`` streams one stderr line per cell and a closing
+    ``[sweep done]`` summary of the run's counters (``None`` is off).
     ``backend`` picks the execution strategy (``inline`` / ``fleet``);
     ``None`` defers to the CLI default, then ``REPRO_BACKEND``, then
     the automatic per-run choice.
@@ -183,7 +179,6 @@ def run_labeled_cells(
     backend = resolve_backend(backend)
 
     started = time.perf_counter()
-    telemetry = SweepTelemetry(engine=engine, workers=workers, total=len(cells))
     outcomes = [
         CellOutcome(identity=identity_for(label, factory, parameter, trace, engine,
                                           digest=journal is not None,
@@ -194,25 +189,6 @@ def run_labeled_cells(
     with obs_tracing.span(
         "sweep", engine=engine, workers=workers, cells=len(cells)
     ) as sweep_span:
-        pending: List[int] = []
-        for index, outcome in enumerate(outcomes):
-            entry = None
-            if journal is not None and outcome.identity.journalable:
-                entry = journal.get(outcome.identity.key())
-            if entry is not None:
-                outcome.metrics = SweepJournal.entry_metrics(entry)
-                outcome.miss_rate = outcome.metrics.get("miss_rate")
-                outcome.cached = True
-                telemetry.cached += 1
-                telemetry.completed += 1
-                _report_outcome(progress, telemetry, outcome)
-            else:
-                pending.append(index)
-
-        backend_name = backend or _auto_backend(workers, len(pending))
-        telemetry.backend = backend_name
-        if sweep_span is not None:
-            sweep_span.attrs["backend"] = backend_name
         ctx = SweepContext(
             cells=cells,
             outcomes=outcomes,
@@ -222,28 +198,68 @@ def run_labeled_cells(
             pool_retries=pool_retries,
             journal=journal,
             progress=progress,
-            telemetry=telemetry,
             evaluator=evaluator,
             fleet_hosts=env_fleet_hosts(),
             # Captured inside the sweep span, so shipped worker spans
             # parent under it (per thread, the innermost open span).
             obs_ctx=obs_distributed.propagation_context(),
         )
-        runner = create_backend(backend_name)
+        pending: List[int] = []
+        for index, outcome in enumerate(outcomes):
+            entry = None
+            if journal is not None and outcome.identity.journalable:
+                entry = journal.get(outcome.identity.key())
+            if entry is not None:
+                outcome.metrics = SweepJournal.entry_metrics(entry)
+                outcome.miss_rate = outcome.metrics.get("miss_rate")
+                outcome.cached = True
+                ctx.cached += 1
+                ctx.completed += 1
+                ctx.report(outcome)
+            else:
+                pending.append(index)
+
+        ctx.backend = backend or _auto_backend(workers, len(pending))
+        if sweep_span is not None:
+            sweep_span.attrs["backend"] = ctx.backend
+        runner = create_backend(ctx.backend)
         try:
             if pending:
                 for outcome in runner.submit_cells(pending, ctx):
                     ctx.report(outcome)
         finally:
             runner.close()
-        telemetry.elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
         if sweep_span is not None:
-            sweep_span.attrs["completed"] = telemetry.completed
-            sweep_span.attrs["failed"] = telemetry.failed
-            sweep_span.attrs["cached"] = telemetry.cached
-    log_telemetry(telemetry)
-    _publish_metrics(telemetry)
+            sweep_span.attrs["completed"] = ctx.completed
+            sweep_span.attrs["failed"] = ctx.failed
+            sweep_span.attrs["cached"] = ctx.cached
+    _publish_metrics(ctx)
+    if progress:
+        print(
+            f"[sweep done] {ctx.total} cells: {ctx.completed} done "
+            f"({ctx.cached} from journal), {ctx.failed} failed, "
+            f"{ctx.pool_restarts} pool restarts, {ctx.workers} worker(s), "
+            f"engine={engine}, backend={ctx.backend}, {elapsed:.2f}s",
+            file=sys.stderr,
+            flush=True,
+        )
     return outcomes
+
+
+def _publish_metrics(ctx: SweepContext) -> None:
+    """Fold one run's counters into the obs metrics registry."""
+    engine = ctx.engine
+    obs_metrics.counter("sweep.runs", engine=engine)
+    obs_metrics.counter("sweep.cells.total", ctx.total, engine=engine)
+    obs_metrics.counter("sweep.cells.completed", ctx.completed, engine=engine)
+    obs_metrics.counter("sweep.cells.failed", ctx.failed, engine=engine)
+    obs_metrics.counter("sweep.cells.cached", ctx.cached, engine=engine)
+    obs_metrics.counter("sweep.pool_restarts", ctx.pool_restarts, engine=engine)
+    obs_metrics.gauge("sweep.workers", ctx.workers, engine=engine)
+    obs_metrics.counter("sweep.runs.by_backend", backend=ctx.backend)
+    for worker_id, count in ctx.worker_cells.items():
+        obs_metrics.counter("sweep.cells.by_worker", count, worker=worker_id)
 
 
 def run_cells(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Union
 
 from ..obs import metrics as obs_metrics
-from ..obs import profiling as obs_profiling
 from ..obs import tracing as obs_tracing
 from ..trace.trace import Trace
 
@@ -98,8 +97,7 @@ def as_trace(trace: TraceLike) -> Trace:
             trace_kind=str(trace.kind),
             refs=int(trace.max_refs),
         ):
-            with obs_profiling.section("trace_gen"):
-                cached = build()
+            cached = build()
         obs_metrics.counter("trace.cache.miss")
         _TRACE_CACHE[trace] = cached
     else:

@@ -445,7 +445,7 @@ def _execute_run_inner(
             outcomes = _outcomes_from_store(plan, store)
             obs_metrics.counter("serve.cells.cached", len(outcomes))
         else:
-            def _on_outcome(_telemetry, outcome: CellOutcome) -> None:
+            def _on_outcome(_ctx, outcome: CellOutcome) -> None:
                 emit(
                     {
                         "event": "cell",

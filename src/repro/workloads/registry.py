@@ -3,8 +3,8 @@
 This is the public face of :mod:`repro.workloads`: experiments ask for
 ``instruction_trace("gcc", max_refs=200_000)`` and get a deterministic
 trace.  Programs and traces are *not* cached here (that is the job of
-:mod:`repro.experiments.common`); the registry only maps names to
-builders.
+:mod:`repro.perf.trace_cache`, which memoises every trace recipe); the
+registry only maps names to builders.
 """
 
 from __future__ import annotations

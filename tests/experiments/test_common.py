@@ -6,6 +6,8 @@ from repro.caches.geometry import CacheGeometry
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.long_lines import LastLineBufferCache
 from repro.experiments import common
+from repro.perf import trace_cache
+from repro.perf.trace_cache import TraceKey, as_trace
 
 
 class TestTraceScale:
@@ -30,20 +32,24 @@ class TestTraceScale:
 
 
 class TestTraceCache:
+    """all_traces materialises through the one perf.trace_cache memo."""
+
+    def _tomcatv(self, kind="instruction"):
+        traces = common.all_traces(kind)
+        return traces[[t.name for t in traces].index("tomcatv")]
+
     def test_traces_are_memoised(self):
-        a = common.cached_trace("tomcatv")
-        b = common.cached_trace("tomcatv")
-        assert a is b
+        a = self._tomcatv()
+        assert self._tomcatv() is a
+        assert as_trace(TraceKey("tomcatv", "instruction", common.max_refs())) is a
 
     def test_distinct_kinds_distinct_traces(self):
-        assert common.cached_trace("tomcatv", "instruction") is not common.cached_trace(
-            "tomcatv", "data"
-        )
+        assert self._tomcatv("instruction") is not self._tomcatv("data")
 
     def test_scale_invalidates(self, monkeypatch):
-        a = common.cached_trace("tomcatv")
+        a = self._tomcatv()
         monkeypatch.setenv("REPRO_TRACE_SCALE", "0.01")
-        b = common.cached_trace("tomcatv")
+        b = self._tomcatv()
         assert len(b) < len(a)
 
     def test_all_traces_order(self):
@@ -53,9 +59,22 @@ class TestTraceCache:
         assert [t.name for t in traces] == benchmark_names()
 
     def test_clear(self):
-        a = common.cached_trace("tomcatv")
+        a = self._tomcatv()
         common.clear_trace_cache()
-        assert common.cached_trace("tomcatv") is not a
+        assert self._tomcatv() is not a
+
+    def test_memo_is_bounded_fifo(self, monkeypatch):
+        """Past _TRACE_CACHE_LIMIT recipes the oldest trace is evicted,
+        so flipping scales or flooding recipes cannot grow the memo."""
+        monkeypatch.setattr(trace_cache, "_TRACE_CACHE_LIMIT", 3)
+        common.clear_trace_cache()
+        keys = [TraceKey("gcc", "instruction", 100 + n) for n in range(4)]
+        first = as_trace(keys[0])
+        for key in keys[1:]:
+            as_trace(key)
+        assert list(trace_cache._TRACE_CACHE) == keys[1:]
+        assert as_trace(keys[0]) is not first
+        assert list(trace_cache._TRACE_CACHE) == keys[2:] + keys[:1]
 
 
 class TestFactories:
@@ -77,39 +96,3 @@ class TestFactories:
         factories = common.standard_factories(4)
         cache = factories["direct-mapped"](2048)
         assert cache.geometry == CacheGeometry(2048, 4)
-
-
-class TestTraceCacheBounding:
-    def test_stale_scales_are_evicted(self, monkeypatch):
-        """Flipping REPRO_TRACE_SCALE must not accumulate one trace suite
-        per scale ever used."""
-        common.clear_trace_cache()
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.01")
-        common.cached_trace("gcc")
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.02")
-        common.cached_trace("gcc")
-        budget = common.max_refs()
-        assert all(key[2] == budget for key in common._TRACE_CACHE)
-        assert len(common._TRACE_CACHE) == 1
-        common.clear_trace_cache()
-
-    def test_same_scale_entries_survive(self, monkeypatch):
-        common.clear_trace_cache()
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.01")
-        common.cached_trace("gcc")
-        common.cached_trace("li")
-        gcc = common.cached_trace("gcc")  # hit: no eviction pass
-        assert common.cached_trace("gcc") is gcc
-        assert len(common._TRACE_CACHE) == 2
-        common.clear_trace_cache()
-
-    def test_flipping_back_regenerates(self, monkeypatch):
-        common.clear_trace_cache()
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.01")
-        first = common.cached_trace("gcc")
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.02")
-        common.cached_trace("gcc")
-        monkeypatch.setenv("REPRO_TRACE_SCALE", "0.01")
-        again = common.cached_trace("gcc")
-        assert again is not first and len(again) == len(first)
-        common.clear_trace_cache()

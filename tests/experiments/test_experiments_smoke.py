@@ -204,22 +204,33 @@ def test_cli_resume_dir_journals_and_replays(tmp_path, capsys):
     assert table(first) == table(second)
 
 
-def test_cli_resume_dir_records_telemetry(tmp_path, capsys):
+def test_cli_resume_dir_rerun_replays_every_cell(tmp_path, capsys):
+    """A traced rerun over a --resume-dir journal counts, in its own
+    metrics.json, every cell as replayed from the journal."""
     import json
 
+    from repro import obs
     from repro.experiments.__main__ import main
     from repro.experiments.spec import clear_result_cache
+    from repro.perf.journal import JOURNAL_FILENAME
 
-    resume = tmp_path / "resume"
+    resume, trace = tmp_path / "resume", tmp_path / "trace"
     clear_result_cache()
     assert main(["--only", "fig04", "--resume-dir", str(resume)]) == 0
-    telemetry_path = resume / "fig04.telemetry.json"
-    assert telemetry_path.exists()
-    data = json.loads(telemetry_path.read_text())
-    assert data["kind"] == "experiment-telemetry"
-    assert data["experiment"] == "fig04"
-    assert data["sweeps"]
-    assert all(s["kind"] == "sweep-telemetry" for s in data["sweeps"])
+    assert [path.name for path in resume.iterdir()] == [JOURNAL_FILENAME]
+
+    clear_result_cache()
+    assert main(["--only", "fig04", "--resume-dir", str(resume),
+                 "--trace-dir", str(trace)]) == 0
+    series = json.loads((trace / "fig04" / obs.METRICS_FILENAME).read_text())
+
+    def count(name):
+        return sum(entry["value"] for entry in series if entry["name"] == name)
+
+    assert count("sweep.cells.total") > 0
+    assert count("sweep.cells.cached") == count("sweep.cells.total")
+    assert count("sweep.cells.completed") == count("sweep.cells.total")
+    assert count("sweep.cells.failed") == 0
     capsys.readouterr()
 
 
@@ -231,7 +242,7 @@ def test_cli_progress_reports_cells(capsys):
     assert main(["--only", "fig04", "--progress"]) == 0
     err = capsys.readouterr().err
     assert "[sweep " in err
-    assert "[fig04]" in err
+    assert "[sweep done]" in err
     assert "cells:" in err
 
 
@@ -280,7 +291,9 @@ def test_cli_trace_dir_writes_observability_artifacts(tmp_path, capsys, monkeypa
     coverage = sum(span.duration for span in roots) / manifest["wall_seconds"]
     assert coverage >= 0.95
 
-    assert (run_dir / obs.PROFILE_FILENAME).exists()
+    profile = (run_dir / obs.PROFILE_FILENAME).read_text()
+    assert "functions by cumulative time" in profile
+    assert "run_spec" in profile  # one cProfile around the whole run
     # The report is on stdout; the artefact paths are stderr chatter.
     captured = capsys.readouterr()
     assert "trace.jsonl" not in captured.out

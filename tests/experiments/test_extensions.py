@@ -10,6 +10,7 @@ from repro.experiments import (
     ext_split,
     run_spec,
 )
+from repro.experiments.common import clear_trace_cache
 
 
 class TestAssociativity:
@@ -52,6 +53,18 @@ class TestContextSwitch:
             de = rates["dynamic-exclusion"]
             expected = 100.0 * (dm - de) / dm if dm else 0.0
             assert reductions[quantum] == pytest.approx(expected)
+
+    def test_timeshare_key_builds_from_its_own_max_refs(self, monkeypatch):
+        """A recipe names its trace: the halves are sized by the key's
+        max_refs, not by the building process's REPRO_TRACE_SCALE (an
+        SSH fleet worker does not inherit the parent's environment)."""
+        key = ext_context_switch.TimeshareKey("gcc", "spice", 100, 3_000)
+        lengths = []
+        for scale in ("0.01", "0.02"):
+            monkeypatch.setenv("REPRO_TRACE_SCALE", scale)
+            clear_trace_cache()
+            lengths.append(len(key._build()))
+        assert lengths == [6_000, 6_000]
 
 
 class TestHashedBits:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import perf
 from repro.experiments.common import clear_trace_cache
 from repro.experiments.spec import run_spec
 from repro.perf.journal import JOURNAL_FILENAME, SweepJournal
@@ -41,7 +40,7 @@ def parity_scale(monkeypatch):
     clear_trace_cache()
 
 
-def test_pr3_journal_replays_every_fig04_cell(tmp_path):
+def test_pr3_journal_replays_every_fig04_cell(tmp_path, sweep_metrics):
     resume = tmp_path / "resume"
     resume.mkdir()
     shutil.copy(FIXTURE, resume / JOURNAL_FILENAME)
@@ -49,12 +48,10 @@ def test_pr3_journal_replays_every_fig04_cell(tmp_path):
     assert fixture_entries > 0
 
     before = (resume / JOURNAL_FILENAME).read_text()
-    perf.drain_telemetry()
     run_spec("fig04", journal=str(resume))
-    records = perf.drain_telemetry()
 
-    cells = sum(r.total for r in records)
-    cached = sum(r.cached for r in records)
+    cells = sweep_metrics.total("sweep.cells.total")
+    cached = sweep_metrics.total("sweep.cells.cached")
     assert cells == fixture_entries, "fig04 grid size drifted from the PR-3 journal"
     assert cached == cells, (
         f"only {cached}/{cells} cells replayed from the PR-3 journal; "
@@ -64,16 +61,15 @@ def test_pr3_journal_replays_every_fig04_cell(tmp_path):
     assert (resume / JOURNAL_FILENAME).read_text() == before
 
 
-def test_spec_journal_round_trips_its_own_format(tmp_path):
+def test_spec_journal_round_trips_its_own_format(tmp_path, sweep_metrics):
     resume = tmp_path / "resume"
-    perf.drain_telemetry()
     run_spec("fig13", journal=str(resume))
-    first = perf.drain_telemetry()
-    assert sum(r.cached for r in first) == 0
+    assert sweep_metrics.total("sweep.cells.cached") == 0
 
     from repro.experiments.spec import clear_result_cache
 
     clear_result_cache()
+    sweep_metrics.clear()
     run_spec("fig13", journal=str(resume))
-    second = perf.drain_telemetry()
-    assert sum(r.cached for r in second) == sum(r.total for r in second)
+    second = sweep_metrics.total
+    assert second("sweep.cells.cached") == second("sweep.cells.total") > 0

@@ -2,8 +2,9 @@
 
 Two contracts pinned here:
 
-* **neutrality** — installing the tracer, metrics registry, and
-  profiler changes zero :class:`CacheStats` outputs on either engine
+* **neutrality** — installing the tracer and metrics registry and
+  enabling a cProfile (what ``REPRO_PROFILE=1`` does) changes zero
+  :class:`CacheStats` outputs on either engine
   (the parity goldens stay byte-identical with instrumentation on);
 * **mechanism parity** — the FSM event counters (``fsm.sticky_saves``,
   ``fsm.hit_last_loads``, ``fsm.exclusion_flips``) published by the
@@ -11,6 +12,8 @@ Two contracts pinned here:
   so the kernels are checked mechanism-for-mechanism, not just
   miss-rate-for-miss-rate.
 """
+
+import cProfile
 
 import pytest
 
@@ -50,11 +53,12 @@ class TestInstrumentationNeutrality:
         plain = _simulate(gcc_trace, engine)
         tracer = obs.install_tracer(obs.Tracer(tmp_path / engine))
         obs.install_registry(MetricsRegistry())
-        obs.install_profiler(obs.Profiler())
+        profile = cProfile.Profile()
+        profile.enable()
         try:
             instrumented = _simulate(gcc_trace, engine)
         finally:
-            obs.uninstall_profiler()
+            profile.disable()
             obs.uninstall_registry()
             obs.uninstall_tracer()
             tracer.close()

@@ -13,6 +13,7 @@ a rewritten name.
 
 import os
 import signal
+import sys
 from dataclasses import dataclass
 
 from repro.caches.direct_mapped import DirectMappedCache
@@ -27,6 +28,17 @@ class WellBehavedFactory:
 
     def __call__(self, size: object) -> DirectMappedCache:
         return DirectMappedCache(CacheGeometry(int(size), self.line_size))  # type: ignore[call-overload]
+
+
+@dataclass(frozen=True)
+class UnprofiledFactory:
+    """A direct-mapped factory that refuses to run under a profile hook
+    (a worker that inherited its parent's cProfile)."""
+
+    def __call__(self, size: object) -> DirectMappedCache:
+        if sys.getprofile() is not None:
+            raise RuntimeError(f"cell runs under profile hook {sys.getprofile()!r}")
+        return DirectMappedCache(CacheGeometry(int(size), 4))  # type: ignore[call-overload]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ The fleet factories live in :mod:`tests.perf.fleet_helpers` so exec'd
 worker processes can unpickle them by qualified name.
 """
 
+import cProfile
 import io
 import json
 import multiprocessing
@@ -46,7 +47,6 @@ from repro.perf.backends import (
 )
 from repro.perf.parallel import (
     TraceKey,
-    drain_telemetry,
     identity_for,
     run_labeled_cells,
 )
@@ -57,6 +57,7 @@ from .fleet_helpers import (
     KillAlwaysFactory,
     KillOnceFactory,
     SlowFactory,
+    UnprofiledFactory,
     WellBehavedFactory,
     raise_for_2048,
 )
@@ -97,7 +98,14 @@ def _no_ambient_backend(monkeypatch):
     set_default_backend(None)
     yield
     set_default_backend(None)
-    drain_telemetry()
+
+
+def _cells_by_worker(registry):
+    return {
+        entry["labels"]["worker"]: entry["value"]
+        for entry in registry.export()
+        if entry["name"] == "sweep.cells.by_worker"
+    }
 
 
 class TestRegistry:
@@ -149,23 +157,23 @@ class TestResolvePrecedence:
 class TestAutomaticSelection:
     """backend=None runs inline unless there is parallel work to share."""
 
-    def test_single_worker_runs_inline(self):
+    def test_single_worker_runs_inline(self, sweep_metrics):
         run_labeled_cells(_grid(WellBehavedFactory()), workers=1)
-        assert drain_telemetry()[-1].backend == "inline"
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="inline") == 1
 
-    def test_single_cell_runs_inline_despite_workers(self):
+    def test_single_cell_runs_inline_despite_workers(self, sweep_metrics):
         run_labeled_cells(_grid(WellBehavedFactory())[:1], workers=4)
-        assert drain_telemetry()[-1].backend == "inline"
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="inline") == 1
 
-    def test_multi_worker_multi_cell_uses_the_pool(self):
+    def test_multi_worker_multi_cell_uses_the_pool(self, sweep_metrics):
         # The fleet's local workers are the one multi-process pool.
         run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
-        assert drain_telemetry()[-1].backend == "fleet"
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 1
 
-    def test_env_backend_overrides_automatic(self, monkeypatch):
+    def test_env_backend_overrides_automatic(self, monkeypatch, sweep_metrics):
         monkeypatch.setenv("REPRO_BACKEND", "inline")
         run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
-        assert drain_telemetry()[-1].backend == "inline"
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="inline") == 1
 
 
 class TestBackendInvariance:
@@ -233,7 +241,7 @@ class TestFleetWorkerCommand:
 
 
 class TestFleetExecution:
-    def test_cells_shard_across_workers(self):
+    def test_cells_shard_across_workers(self, sweep_metrics):
         outcomes = run_labeled_cells(
             _grid(WellBehavedFactory()),
             engine="fast",
@@ -241,11 +249,11 @@ class TestFleetExecution:
             backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
-        telemetry = drain_telemetry()[-1]
-        assert telemetry.backend == "fleet"
-        assert telemetry.workers == 2
-        assert sum(telemetry.worker_cells.values()) == len(outcomes)
-        assert set(telemetry.worker_cells) == {"local#0", "local#1"}
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 1
+        assert sweep_metrics.value("sweep.workers", engine="fast") == 2
+        by_worker = _cells_by_worker(sweep_metrics)
+        assert sum(by_worker.values()) == len(outcomes)
+        assert set(by_worker) == {"local#0", "local#1"}
         assert {outcome.worker for outcome in outcomes} == {"local#0", "local#1"}
 
     def test_workers_torn_down_after_the_sweep(self):
@@ -268,7 +276,9 @@ class TestFleetExecution:
         assert failed[0].attempts == 1  # captured worker-side, no crash retry
         assert all(outcome.ok for outcome in outcomes if outcome is not failed[0])
 
-    def test_sigkilled_worker_retires_and_cell_redispatches(self, tmp_path):
+    def test_sigkilled_worker_retires_and_cell_redispatches(
+        self, tmp_path, sweep_metrics
+    ):
         sentinel = tmp_path / "armed"
         sentinel.write_text("armed\n")
         outcomes = run_labeled_cells(
@@ -281,8 +291,7 @@ class TestFleetExecution:
         assert not sentinel.exists()
         killed = [o for o in outcomes if o.identity.parameter == 2048]
         assert any(o.attempts > 1 for o in killed)
-        telemetry = drain_telemetry()[-1]
-        assert telemetry.pool_restarts >= 1
+        assert sweep_metrics.value("sweep.pool_restarts", engine="fast") >= 1
         assert live_workers() == 0
 
     def test_poisoned_cell_fails_with_worker_attribution(self):
@@ -305,7 +314,9 @@ class TestFleetExecution:
         survivors = [outcome for outcome in outcomes if outcome.ok]
         assert len(survivors) == len(outcomes) - len(failed) > 0
 
-    def test_never_ready_endpoint_retired_without_respawn_loop(self, monkeypatch):
+    def test_never_ready_endpoint_retired_without_respawn_loop(
+        self, monkeypatch, sweep_metrics
+    ):
         bad = f"{sys.executable} -c import#sys.exit(1)"
         monkeypatch.setenv("REPRO_FLEET_HOSTS", f"local,{bad}")
         outcomes = run_labeled_cells(
@@ -314,11 +325,10 @@ class TestFleetExecution:
             backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
-        telemetry = drain_telemetry()[-1]
         # Every cell lands on the one good worker; the bad endpoint is
         # retired on its first death, never respawned.
-        assert set(telemetry.worker_cells) == {"local#0"}
-        assert telemetry.pool_restarts == 0
+        assert set(_cells_by_worker(sweep_metrics)) == {"local#0"}
+        assert sweep_metrics.value("sweep.pool_restarts", engine="fast") == 0
 
     def test_all_endpoints_dead_fails_remaining_cells(self, monkeypatch):
         bad = f"{sys.executable} -c import#sys.exit(1)"
@@ -436,18 +446,14 @@ class TestFleetProtocol:
         ] * (len(outcomes) - 1)
         assert registry.value("fleet.protocol_errors") == 1
 
-    def test_no_more_workers_than_pending_cells(self):
-        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
-        try:
-            outcomes = run_labeled_cells(
-                _grid(WellBehavedFactory())[:2], engine="fast", workers=4,
-                backend="fleet",
-            )
-        finally:
-            obs_metrics.uninstall_registry()
+    def test_no_more_workers_than_pending_cells(self, sweep_metrics):
+        outcomes = run_labeled_cells(
+            _grid(WellBehavedFactory())[:2], engine="fast", workers=4,
+            backend="fleet",
+        )
         assert all(outcome.ok for outcome in outcomes)
-        assert drain_telemetry()[-1].workers == 2
-        assert registry.value("fleet.workers.spawned") == 2
+        assert sweep_metrics.value("sweep.workers", engine="fast") == 2
+        assert sweep_metrics.value("fleet.workers.spawned") == 2
 
 
 def _cmdline(pid) -> bytes:
@@ -482,7 +488,7 @@ class TestForkedLocalWorkers:
 
         probed = []
 
-        def observe(_telemetry, _outcome):
+        def observe(_ctx, _outcome):
             if not probed:
                 probed.extend(
                     probe(status["pid"]) for status in live_worker_status()
@@ -553,14 +559,29 @@ class TestForkedLocalWorkers:
         assert locked_at_fork[0], "the first worker was not forked under the lock"
         assert [o.error for o in outcomes if not o.ok] == []
 
-    def test_repeated_sweeps_leak_no_descriptors_or_zombies(self):
+    def test_forked_workers_shed_an_inherited_profile_hook(self):
+        # REPRO_PROFILE=1 runs the whole experiment under one cProfile,
+        # whose hook a fork copies into the child; the workers must not
+        # keep profiling (UnprofiledFactory raises under a profile hook).
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            outcomes = run_labeled_cells(
+                _grid(UnprofiledFactory()), engine="fast", workers=2,
+                backend="fleet",
+            )
+        finally:
+            profile.disable()
+        assert [o.error for o in outcomes if not o.ok] == []
+
+    def test_repeated_sweeps_leak_no_descriptors_or_zombies(self, sweep_metrics):
         cells = _grid(WellBehavedFactory())
         descriptors = len(os.listdir("/proc/self/fd"))
         zombies = _zombie_children()
         for _ in range(20):
             outcomes = run_labeled_cells(cells, engine="fast", workers=2)
             assert all(outcome.ok for outcome in outcomes)
-        assert drain_telemetry()[-1].backend == "fleet"
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 20
         assert len(os.listdir("/proc/self/fd")) == descriptors
         assert _zombie_children() == zombies
 

@@ -6,7 +6,6 @@ from repro.analysis.sweep import run_sweep
 from repro.experiments.common import StandardFactory, standard_factories
 from repro.perf import parallel
 from repro.perf.parallel import TraceKey
-from repro.perf.telemetry import log_telemetry
 
 
 class TestWorkerResolution:
@@ -105,98 +104,6 @@ class TestParallelSweep:
         assert isinstance(
             pickle.loads(pickle.dumps(StandardFactory("optimal", 4))), StandardFactory
         )
-
-
-class TestSweepTelemetry:
-    def _record(self):
-        return parallel.SweepTelemetry(
-            engine="fast",
-            workers=2,
-            total=7,
-            completed=5,
-            failed=1,
-            cached=1,
-            pool_restarts=1,
-            elapsed=1.25,
-            cell_seconds=[0.5, 0.25],
-        )
-
-    def test_as_dict_round_trips_through_json(self):
-        import json
-
-        record = self._record()
-        data = json.loads(json.dumps(record.as_dict()))
-        assert parallel.SweepTelemetry.from_dict(data) == record
-
-    def test_as_dict_matches_the_original_to_dict_shape(self):
-        record = self._record()
-        data = record.as_dict()
-        assert data == record.to_dict()
-        assert data["kind"] == "sweep-telemetry"
-        assert data["version"] == 1
-        assert data["cell_seconds_mean"] == 0.375
-        assert data["cell_seconds_max"] == 0.5
-
-    def test_from_dict_rejects_other_kinds(self):
-        with pytest.raises(ValueError, match="sweep-telemetry"):
-            parallel.SweepTelemetry.from_dict({"kind": "span"})
-
-    def test_missing_cell_seconds_tolerated(self):
-        data = self._record().as_dict()
-        del data["cell_seconds"]
-        assert parallel.SweepTelemetry.from_dict(data).cell_seconds == []
-
-
-class TestTelemetryLog:
-    def test_drain_returns_and_clears(self):
-        parallel.drain_telemetry()
-        log_telemetry(parallel.SweepTelemetry(engine="reference", workers=1))
-        drained = parallel.drain_telemetry()
-        assert len(drained) == 1
-        assert parallel.drain_telemetry() == []
-
-    def test_log_is_bounded(self):
-        parallel.drain_telemetry()
-        limit = parallel.TELEMETRY_LOG_LIMIT
-        for index in range(limit + 10):
-            log_telemetry(
-                parallel.SweepTelemetry(engine="reference", workers=1, total=index)
-            )
-        drained = parallel.drain_telemetry()
-        assert len(drained) == limit
-        # The oldest records were discarded, not the newest.
-        assert drained[0].total == 10
-        assert drained[-1].total == limit + 9
-
-    def test_concurrent_log_and_drain(self):
-        import threading
-
-        parallel.drain_telemetry()
-        collected = []
-        lock = threading.Lock()
-
-        def writer():
-            for _ in range(50):
-                log_telemetry(
-                    parallel.SweepTelemetry(engine="reference", workers=1)
-                )
-
-        def drainer():
-            for _ in range(20):
-                got = parallel.drain_telemetry()
-                with lock:
-                    collected.extend(got)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        threads += [threading.Thread(target=drainer) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        with lock:
-            collected.extend(parallel.drain_telemetry())
-        # 200 records logged (under the bound): none lost, none duplicated.
-        assert len(collected) == 200
 
 
 class TestSweepObservability:

@@ -28,7 +28,6 @@ from repro.perf.journal import JOURNAL_FILENAME, SweepJournal
 from repro.perf.parallel import (
     SweepCellError,
     TraceKey,
-    drain_telemetry,
     run_cells,
     run_labeled_cells,
 )
@@ -253,16 +252,16 @@ class TestTimeout:
 
 
 class TestJournal:
-    def test_second_run_fully_cached(self, tmp_path):
+    def test_second_run_fully_cached(self, tmp_path, sweep_metrics):
         cells = _grid({"clean": CleanFactory()})
-        drain_telemetry()
         first = run_labeled_cells(cells, workers=1, journal=tmp_path)
+        sweep_metrics.clear()
         second = run_labeled_cells(cells, workers=1, journal=tmp_path)
         assert [o.miss_rate for o in second] == [o.miss_rate for o in first]
         assert all(o.cached for o in second)
-        warm = drain_telemetry()[-1]
-        assert warm.cached == warm.total == len(cells)
-        assert warm.completed == len(cells)
+        warm = sweep_metrics.total
+        assert warm("sweep.cells.cached") == warm("sweep.cells.total") == len(cells)
+        assert warm("sweep.cells.completed") == len(cells)
 
     def test_journal_key_separates_factory_configs(self, tmp_path):
         # Same label, same parameter, same trace, different line size:
@@ -318,32 +317,32 @@ class TestJournal:
 
 
 class TestTelemetry:
-    def test_counters_for_mixed_run(self, tmp_path):
-        drain_telemetry()
+    def test_counters_for_mixed_run(self, tmp_path, capsys, sweep_metrics):
         cells = _grid({"bad": CrashingFactory(poison=2048)})
-        run_labeled_cells(cells, workers=1, journal=tmp_path)
-        record = drain_telemetry()[-1]
-        assert record.total == len(cells)
-        assert record.failed == len(TRACES)
-        assert record.completed == len(cells) - len(TRACES)
-        assert record.cached == 0
-        data = record.to_dict()
-        assert data["kind"] == "sweep-telemetry"
-        assert data["cells_failed"] == len(TRACES)
-        assert data["cell_seconds_max"] >= data["cell_seconds_mean"] >= 0.0
-        assert str(record.total) in record.summary()
+        run_labeled_cells(cells, workers=1, journal=tmp_path, progress=True)
+        count = sweep_metrics.total
+        assert count("sweep.cells.total") == len(cells)
+        assert count("sweep.cells.failed") == len(TRACES)
+        assert count("sweep.cells.completed") == len(cells) - len(TRACES)
+        assert count("sweep.cells.cached") == 0
+        (seconds,) = [
+            entry for entry in sweep_metrics.export() if entry["name"] == "cell.seconds"
+        ]
+        assert seconds["count"] == len(cells) - len(TRACES)
+        assert seconds["max"] >= seconds["sum"] / seconds["count"] >= 0.0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith(f"[sweep done] {len(cells)} cells:")
+        assert f"{len(TRACES)} failed" in summary
 
-    def test_pool_restarts_counted(self, tmp_path):
+    def test_pool_restarts_counted(self, tmp_path, sweep_metrics):
         sentinel = tmp_path / "armed"
         sentinel.touch()
-        drain_telemetry()
         factories = {
             "flaky": FlakyFactory(2048, str(sentinel), str(tmp_path / "log.txt")),
         }
         run_labeled_cells(_grid(factories), workers=2, pool_retries=1)
-        record = drain_telemetry()[-1]
-        assert record.pool_restarts >= 1
-        assert record.failed == len(TRACES)
+        assert sweep_metrics.total("sweep.pool_restarts") >= 1
+        assert sweep_metrics.total("sweep.cells.failed") == len(TRACES)
 
 
 class TestProgress:

@@ -14,18 +14,19 @@ used — and the way it is meant to fail:
    child), mid-sweep;
 3. **survive** — the run must still exit 0 with zero failed cells: the
    dead worker is retired, its in-flight cell re-dispatched, and the
-   telemetry must name the ``fleet`` backend, attribute cells to
-   workers, and (when the kill landed before the last dispatch) count
-   at least one pool restart;
+   run's ``metrics.json`` must count a ``fleet`` sweep, attribute
+   cells to workers, and (when the kill landed before the last
+   dispatch) count at least one pool restart;
 4. **merged trace** — the sweep runs under ``--trace-dir``: the single
    merged ``trace.jsonl`` must contain worker-attributed ``simulate`` /
    ``trace_gen`` spans shipped home from at least two distinct worker
    pids, nested under the parent's ``cell`` spans (via the worker's
    ``cell_exec`` bracket), and the shipped spans hanging directly off
    each cell must cover at least 90% of its wall time;
-5. **resume** — the identical command again must replay every cell
-   from the journal (``cells_cached == cells_total``) and recompute
-   nothing.
+5. **resume** — the identical command again, traced into a second
+   directory, must replay every cell from the journal
+   (``sweep.cells.cached == sweep.cells.total`` in its
+   ``metrics.json``) and recompute nothing.
 
 Exits non-zero with a named complaint on the first violation, so a CI
 failure reads as "rerun recomputed 12 cells", not as a stack trace.
@@ -43,7 +44,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.obs import TRACE_FILENAME, read_spans  # noqa: E402  (path bootstrap)
+from repro.obs import (  # noqa: E402  (path bootstrap)
+    METRICS_FILENAME,
+    TRACE_FILENAME,
+    read_spans,
+)
 
 
 def _worker_pids(parent_pid: int) -> "list[tuple[int, int]]":
@@ -108,10 +113,17 @@ def _run_and_kill_worker(command, env, resume_dir: Path) -> "tuple[int, bool]":
     return process.returncode, mid_sweep
 
 
-def _fleet_sweeps(resume_dir: Path, spec: str) -> "list[dict]":
-    path = resume_dir / f"{spec}.telemetry.json"
-    payload = json.loads(path.read_text())
-    return payload["sweeps"]
+def _run_metrics(trace_dir: Path, spec: str) -> "list[dict]":
+    """The series of one traced run's ``metrics.json``."""
+    return json.loads((trace_dir / spec / METRICS_FILENAME).read_text())
+
+
+def _total(series: "list[dict]", name: str, **labels: str) -> float:
+    """Sum of the ``name`` series whose labels include ``labels``."""
+    return sum(
+        entry["value"] for entry in series
+        if entry["name"] == name and labels.items() <= entry["labels"].items()
+    )
 
 
 def _check_merged_trace(trace_dir: Path, spec: str) -> "list[str]":
@@ -208,12 +220,14 @@ def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
         "--backend", "fleet", "--workers", "2",
         "--resume-dir", str(resume_dir), "--progress",
     ]
-    # Only the cold run is traced: the resume run below would replay
-    # every cell from the journal and overwrite the merged trace with
-    # one that (correctly) ships no worker spans.
-    traced_command = command + ["--trace-dir", str(trace_dir)]
+    # The resume run is traced into its own directory: it replays every
+    # cell from the journal, so its (correctly) worker-free trace must
+    # not overwrite the cold run's merged one.
+    rerun_dir = trace_dir.with_name(trace_dir.name + "-rerun")
 
-    code, mid_sweep = _run_and_kill_worker(traced_command, env, resume_dir)
+    code, mid_sweep = _run_and_kill_worker(
+        command + ["--trace-dir", str(trace_dir)], env, resume_dir
+    )
     if code != 0:
         print(f"FAIL: fleet sweep exited {code} after the worker kill",
               file=sys.stderr)
@@ -221,54 +235,57 @@ def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
     print(f"PASS: fleet sweep survived the kill (exit 0, "
           f"{_journal_entries(resume_dir)} cells journaled)")
 
-    sweeps = _fleet_sweeps(resume_dir, spec)
-    fleet = [s for s in sweeps if s.get("backend") == "fleet"]
-    if not fleet:
-        failures.append(f"no fleet-backend sweep in {spec}.telemetry.json "
-                        f"(backends: {[s.get('backend') for s in sweeps]})")
-    for record in fleet:
-        if record["cells_failed"]:
-            failures.append(
-                f"{record['cells_failed']} cells failed — the killed "
-                f"worker's cells were not re-dispatched"
-            )
-        if record["cells_completed"] != record["cells_total"]:
-            failures.append(
-                f"only {record['cells_completed']}/{record['cells_total']} "
-                f"cells completed"
-            )
-        if not record.get("worker_cells"):
-            failures.append("telemetry has no per-worker cell attribution")
-    if mid_sweep and not any(s.get("pool_restarts", 0) for s in fleet):
+    series = _run_metrics(trace_dir, spec)
+    source = f"{spec}/{METRICS_FILENAME}"
+    if not _total(series, "sweep.runs.by_backend", backend="fleet"):
+        backends = sorted(
+            entry["labels"]["backend"] for entry in series
+            if entry["name"] == "sweep.runs.by_backend"
+        )
+        failures.append(f"no fleet-backend sweep in {source} "
+                        f"(backends: {backends})")
+    failed = _total(series, "sweep.cells.failed")
+    if failed:
         failures.append(
-            "worker was killed mid-sweep but telemetry counted no pool "
-            "restart (dead worker was not respawned)"
+            f"{failed:.0f} cells failed — the killed worker's cells were "
+            f"not re-dispatched"
+        )
+    completed = _total(series, "sweep.cells.completed")
+    total = _total(series, "sweep.cells.total")
+    if completed != total:
+        failures.append(f"only {completed:.0f}/{total:.0f} cells completed")
+    if not _total(series, "sweep.cells.by_worker"):
+        failures.append(f"{source} has no per-worker cell attribution")
+    restarts = _total(series, "sweep.pool_restarts")
+    if mid_sweep and not restarts:
+        failures.append(
+            "worker was killed mid-sweep but no pool restart was counted "
+            "(dead worker was not respawned)"
         )
     if not failures:
-        restarts = sum(s.get("pool_restarts", 0) for s in fleet)
-        print(f"PASS: telemetry attributes the sweep to the fleet backend "
-              f"({restarts} pool restart(s))")
+        print(f"PASS: {source} attributes the sweep to the fleet backend "
+              f"({restarts:.0f} pool restart(s))")
 
     failures.extend(_check_merged_trace(trace_dir, spec))
 
     # The rerun must answer entirely from the journal.
-    rerun = subprocess.run(command, env=env)
+    rerun = subprocess.run(command + ["--trace-dir", str(rerun_dir)], env=env)
     if rerun.returncode != 0:
         failures.append(f"resume run exited {rerun.returncode}")
     else:
-        resumed = _fleet_sweeps(resume_dir, spec)
-        recomputed = sum(
-            s["cells_total"] - s["cells_cached"] for s in resumed
-        )
-        if recomputed:
+        resumed = _run_metrics(rerun_dir, spec)
+        total = _total(resumed, "sweep.cells.total")
+        recomputed = total - _total(resumed, "sweep.cells.cached")
+        if not total:
+            failures.append("rerun's metrics.json counts no sweep cells")
+        elif recomputed:
             failures.append(
-                f"rerun recomputed {recomputed} cells instead of replaying "
-                f"the journal"
+                f"rerun recomputed {recomputed:.0f} cells instead of "
+                f"replaying the journal"
             )
         else:
-            print(f"PASS: rerun replayed all "
-                  f"{sum(s['cells_total'] for s in resumed)} cells from "
-                  f"the journal")
+            print(f"PASS: rerun replayed all {total:.0f} cells from the "
+                  f"journal")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -280,11 +297,11 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", default="fig05",
                         help="experiment to sweep (default: fig05)")
     parser.add_argument("--resume-dir", type=Path, required=True,
-                        help="journal/telemetry directory for the run and "
-                        "its resume")
+                        help="journal directory for the run and its resume")
     parser.add_argument("--trace-dir", type=Path, default=None,
                         help="observability directory for the cold run "
-                        "(default: <resume-dir>/trace)")
+                        "(default: <resume-dir>/trace); the resume run is "
+                        "traced into <trace-dir>-rerun")
     args = parser.parse_args(argv)
     args.resume_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = args.trace_dir or args.resume_dir / "trace"
