@@ -120,6 +120,7 @@ def test_sweep_runner_overhead(results_dir, tmp_path):
     """
     from repro.experiments.common import StandardFactory
     from repro.perf import parallel
+    from repro.store import ResultStore
 
     trace_key = parallel.TraceKey("gcc", "instruction", TRACE_REFS)
     sizes = [kb * 1024 for kb in (1, 4, 16, 64, 256)]
@@ -136,13 +137,13 @@ def test_sweep_runner_overhead(results_dir, tmp_path):
 
     start = time.perf_counter()
     cold = parallel.run_labeled_cells(
-        cells, engine="fast", workers=1, journal=tmp_path
+        cells, engine="fast", workers=1, journal=ResultStore(tmp_path)
     )
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()
     warm = parallel.run_labeled_cells(
-        cells, engine="fast", workers=1, journal=tmp_path
+        cells, engine="fast", workers=1, journal=ResultStore(tmp_path)
     )
     warm_s = time.perf_counter() - start
 

@@ -33,7 +33,7 @@ from conftest import write_json_result
 from repro.experiments.spec import ExperimentSpec, register
 from repro.perf import engine as engine_mod
 from repro.serve import ResultServer, ServeClient, ServeError
-from repro.store import open_store
+from repro.store import ResultStore
 
 SPEC = "fig04"
 WARM_ROUNDS = 5
@@ -42,7 +42,7 @@ SPEEDUP_FLOOR = 5.0  # measured ~40x at scale 0.05; generous CI margin
 
 def test_serve_warm_vs_cold(results_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_SCALE", "0.05")
-    store = open_store(tmp_path / "store")
+    store = ResultStore(tmp_path / "store")
     with ResultServer(store, port=0) as server:
         client = ServeClient(server.url)
 
@@ -95,7 +95,7 @@ LOAD_ROUNDS = 3
 
 def test_store_compact_load(results_dir, tmp_path):
     store_dir = tmp_path / "store"
-    store = open_store(store_dir)
+    store = ResultStore(store_dir)
     for round_ in range(COMPACT_REWRITES):
         store.record_many(
             [
@@ -107,7 +107,7 @@ def test_store_compact_load(results_dir, tmp_path):
     before_seconds = float("inf")
     for _ in range(LOAD_ROUNDS):
         start = time.perf_counter()
-        replayed = open_store(store_dir)
+        replayed = ResultStore(store_dir)
         before_seconds = min(before_seconds, time.perf_counter() - start)
     assert len(replayed) == COMPACT_KEYS
     assert replayed.stats().duplicates == COMPACT_KEYS * (COMPACT_REWRITES - 1)
@@ -118,7 +118,7 @@ def test_store_compact_load(results_dir, tmp_path):
     after_seconds = float("inf")
     for _ in range(LOAD_ROUNDS):
         start = time.perf_counter()
-        compacted = open_store(store_dir)
+        compacted = ResultStore(store_dir)
         after_seconds = min(after_seconds, time.perf_counter() - start)
     assert len(compacted) == COMPACT_KEYS
     assert compacted.stats().duplicates == 0
@@ -208,7 +208,7 @@ NEGCACHE_SPEC = register(
 
 def test_serve_negative_cache(results_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_SCALE", "0.5")
-    store = open_store(tmp_path / "store")
+    store = ResultStore(tmp_path / "store")
     with ResultServer(store, port=0, neg_ttl=3600.0) as server:
         client = ServeClient(server.url)
 
@@ -264,7 +264,7 @@ ETAG_ROUNDS = 20
 
 def test_serve_etag_304(results_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_SCALE", "0.05")
-    store = open_store(tmp_path / "store")
+    store = ResultStore(tmp_path / "store")
     with ResultServer(store, port=0) as server:
         client = ServeClient(server.url)
         path = f"/spec/{SPEC}"

@@ -15,7 +15,7 @@ from typing import IO, Union
 
 from ..caches.stats import CacheStats
 from ..hierarchy.two_level import Strategy, TwoLevelResult
-from ..perf.journal import canonical_parameter, parameter_from_json
+from ..perf.cells import canonical_parameter, parameter_from_json
 from .sweep import SweepResult
 
 FORMAT_VERSION = 1
@@ -60,7 +60,7 @@ def sweep_to_dict(result: SweepResult) -> dict:
     ``KeyError`` with no context; it now raises a :class:`ValueError`
     naming the series and the missing parameters.  Parameters that do
     not survive a JSON round trip are rejected by
-    :func:`~repro.perf.journal.canonical_parameter` (tuples are
+    :func:`~repro.perf.cells.canonical_parameter` (tuples are
     canonicalised and restored as tuples on load).
     """
     parameters = [

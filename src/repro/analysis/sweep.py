@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..caches.base import Cache, OfflineCache
 from ..perf import parallel
 from ..perf.engine import simulate as engine_simulate
+from ..store import ResultStore
 from ..trace.trace import Trace
 
 #: A factory mapping one sweep parameter value to a fresh simulator.
@@ -61,7 +62,7 @@ def run_sweep(
     traces: Sequence[parallel.TraceLike],
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    journal: "parallel.SweepJournal | str | None" = None,
+    journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     timeout: Optional[float] = None,
     backend: Optional[str] = None,
@@ -79,9 +80,9 @@ def run_sweep(
 
     Cells run through the resilient envelope layer
     (:func:`repro.perf.parallel.run_labeled_cells`): worker crashes are
-    retried with pool re-creation, ``journal`` (default: the CLI's
-    ``--resume-dir``) resumes an interrupted sweep from its completed
-    cells, and any cell that still fails raises
+    retried with pool re-creation, ``journal`` (a
+    :class:`~repro.store.ResultStore`) resumes an interrupted sweep from
+    its completed cells, and any cell that still fails raises
     :class:`~repro.perf.parallel.SweepCellError` naming each failed
     cell's (label, parameter, trace, engine) identity.
 

@@ -189,14 +189,14 @@ def _cmd_obs_summarize(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import env
     from .serve import ResultServer
-    from .store import open_store
+    from .store import ResultStore
 
     store_dir = args.store or env.serve_store()
     if not store_dir:
         raise SystemExit(
             "serve needs a store directory: pass --store DIR or set REPRO_SERVE_STORE"
         )
-    store = open_store(store_dir, extra_sources=args.journals or ())
+    store = ResultStore(store_dir, args.journals or ())
     ingested = store.refresh()
     tracer = None
     if args.trace_dir:
@@ -229,7 +229,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_store_compact(args: argparse.Namespace) -> int:
     from . import env
-    from .store import DEFAULT_SHARDS, open_store
+    from .store import DEFAULT_SHARDS, ResultStore
 
     store_dir = args.store or env.serve_store()
     if not store_dir:
@@ -237,7 +237,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
             "store compact needs a store directory: pass --store DIR or "
             "set REPRO_SERVE_STORE"
         )
-    store = open_store(store_dir, extra_sources=args.journals or ())
+    store = ResultStore(store_dir, args.journals or ())
     shards = DEFAULT_SHARDS if args.shards is None else args.shards
     try:
         stats = store.compact(shards=shards)

@@ -21,7 +21,9 @@ them carried its own copy of the parsing and error wording.  The rules:
   :mod:`repro.perf.backends`);
 * ``REPRO_FLEET_HOSTS`` — comma-separated fleet worker endpoints for
   the ``fleet`` backend (``local``, an SSH host, or a full worker
-  command template; unset means ``--workers`` local workers);
+  command template; unset means ``--workers`` local workers).  Set,
+  it also makes the automatic backend choice ``fleet``, whatever the
+  worker count;
 * ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` — bind address for the
   ``repro serve`` result-store daemon (default ``127.0.0.1:8377``;
   port 0 asks the OS for an ephemeral port);
@@ -117,7 +119,8 @@ def env_fleet_hosts() -> "list[str]":
 
     Comma-separated; each entry is ``local`` (a worker process on this
     machine), a bare SSH destination (``user@host``), or — when it
-    contains whitespace — a full worker command template.  Blank
+    contains whitespace — a full worker command template.  A non-empty
+    list sends automatically placed sweeps to the fleet.  Blank
     entries are rejected rather than skipped: a trailing comma almost
     always means a host was lost to a shell quoting mistake.
     """

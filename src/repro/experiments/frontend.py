@@ -37,6 +37,7 @@ from typing import List, Optional
 from .. import obs, perf
 from ..env import profile_enabled
 from ..env import validate as validate_env
+from ..store import ResultStore
 from .spec import ExperimentSpec, fingerprint_digest, get_spec, render_spec, run_spec
 
 _log = obs.get_logger("experiments")
@@ -186,10 +187,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     selected = select_specs(args, parser)
 
-    resume_dir: Optional[Path] = None
-    if args.resume_dir:
-        resume_dir = Path(args.resume_dir)
-        resume_dir.mkdir(parents=True, exist_ok=True)
+    journal = ResultStore(args.resume_dir) if args.resume_dir else None
 
     svg_dir: Optional[Path] = None
     if args.svg:
@@ -206,7 +204,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for spec in selected:
         started = time.time()
         print(f"\n{'#' * 72}\n# {spec.id}: {spec.title}\n{'#' * 72}")
-        result = _run_observed(spec, args, resume_dir, trace_dir, profiling)
+        result = _run_observed(spec, args, journal, trace_dir, profiling)
         print(render_spec(spec, result))
         if svg_dir is not None:
             path = _maybe_save_svg(spec, result, svg_dir)
@@ -219,7 +217,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _run_observed(
     spec: ExperimentSpec,
     args: argparse.Namespace,
-    resume_dir: Optional[Path],
+    journal: Optional[ResultStore],
     trace_dir: Optional[Path],
     profiling: bool,
 ) -> object:
@@ -248,9 +246,9 @@ def _run_observed(
             profile.enable()
         if tracer is not None:
             with tracer.span("experiment", spec=spec.id):
-                result = _run_spec_args(spec, args, resume_dir)
+                result = _run_spec_args(spec, args, journal)
         else:
-            result = _run_spec_args(spec, args, resume_dir)
+            result = _run_spec_args(spec, args, journal)
     finally:
         wall = time.perf_counter() - wall_started
         cpu = time.process_time() - cpu_started
@@ -289,13 +287,13 @@ def _run_observed(
 
 
 def _run_spec_args(
-    spec: ExperimentSpec, args: argparse.Namespace, resume_dir: Optional[Path]
+    spec: ExperimentSpec, args: argparse.Namespace, journal: Optional[ResultStore]
 ) -> object:
     return run_spec(
         spec,
         engine=args.engine,
         workers=args.workers,
-        journal=str(resume_dir) if resume_dir is not None else None,
+        journal=journal,
         progress=args.progress,
         backend=getattr(args, "backend", None),
     )

@@ -41,6 +41,7 @@ from ..env import max_refs
 from ..obs import tracing as obs_tracing
 from ..perf import parallel
 from ..perf.parallel import CellEvaluator, CellOutcome, SweepCellError, TraceLike
+from ..store import ResultStore
 
 
 # -- trace axes ----------------------------------------------------------------
@@ -84,11 +85,10 @@ class ExperimentSpec:
     * **custom** — a ``compute`` thunk for experiments with no grid
       structure (e.g. the Section 3 analytic patterns).
 
-    ``engine`` is a hint (``"fast"``/``"reference"``)
-    applied when the caller passes none; ``render`` turns the result into the report
-    text; ``hidden`` keeps auxiliary base specs (the b=16B size sweep,
-    the two-level hierarchy grid) out of the CLI listing while still
-    letting derived specs and ``--only`` reach them.
+    ``render`` turns the result into the report text; ``hidden`` keeps
+    auxiliary base specs (the b=16B size sweep, the two-level hierarchy
+    grid) out of the CLI listing while still letting derived specs and
+    ``--only`` reach them.
     """
 
     id: str
@@ -105,9 +105,8 @@ class ExperimentSpec:
     derive: Optional[Callable[..., object]] = None
     # custom shape
     compute: Optional[Callable[[], object]] = None
-    # presentation / execution hints
+    # presentation
     render: Optional[Callable[[object], str]] = None
-    engine: Optional[str] = None
     hidden: bool = False
 
     def __post_init__(self) -> None:
@@ -310,7 +309,7 @@ def run_spec(
     spec: "ExperimentSpec | str",
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    journal: "parallel.SweepJournal | str | None" = None,
+    journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     timeout: Optional[float] = None,
     backend: Optional[str] = None,
@@ -420,7 +419,7 @@ def _run_grid(
     spec: ExperimentSpec,
     engine: Optional[str],
     workers: Optional[int],
-    journal: "parallel.SweepJournal | str | None",
+    journal: Optional[ResultStore],
     progress: Optional[bool],
     timeout: Optional[float],
     backend: Optional[str] = None,
@@ -428,7 +427,7 @@ def _run_grid(
     cells, traces_by_parameter = grid_cells(spec)
     outcomes = parallel.run_labeled_cells(
         cells,
-        engine=engine if engine is not None else spec.engine,
+        engine=engine,
         workers=workers,
         timeout=timeout,
         journal=journal,

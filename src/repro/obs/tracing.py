@@ -25,8 +25,7 @@ seconds from its result envelope via :meth:`Tracer.record`, and
 :mod:`repro.obs.distributed` merges the worker's shipped sub-phases
 under it.
 
-:func:`iter_jsonl` is the shared tolerant JSONL reader; the sweep
-journal (:mod:`repro.perf.journal`) loads through it too.
+:func:`iter_jsonl` is the tolerant JSONL reader for span traces.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[dict]:
     """Yield the parseable JSON object lines of ``path``.
 
     Blank lines, lines that fail to parse (the torn tail of a crashed
-    writer), and lines whose value is not an object are skipped — the
-    shared loading rule for every append-only JSONL artefact in this
-    repo (sweep journal, span trace).
+    writer), and lines whose value is not an object are skipped.
     """
     path = Path(path)
     if not path.exists():

@@ -8,11 +8,10 @@
   dispatch with a kernel registry and automatic reference fallback;
 * :mod:`repro.perf.parallel` — a fault-tolerant sweep runner:
   per-cell result envelopes with full identity, bounded re-dispatch on
-  worker crashes, per-cell timeouts, and ``sweep.*`` metrics; ships
-  deterministic :class:`~repro.perf.parallel.TraceKey` recipes instead
-  of trace arrays;
-* :mod:`repro.perf.journal` — the opt-in on-disk result journal that
-  lets a crashed or interrupted sweep resume from its completed cells;
+  worker crashes, per-cell timeouts, ``sweep.*`` metrics, and resume
+  from a :class:`~repro.store.ResultStore`; ships deterministic
+  :class:`~repro.perf.parallel.TraceKey` recipes instead of trace
+  arrays;
 * :mod:`repro.perf.backends` — the pluggable execution backends the
   sweep runner delegates to: ``inline`` (this process) and ``fleet``
   (cells sharded across long-lived worker processes, forked locally or
@@ -31,7 +30,7 @@ from .engine import (
     resolve_engine,
     simulate,
 )
-from .journal import SweepJournal, canonical_parameter, parameter_from_json
+from .cells import canonical_parameter, parameter_from_json
 from .kernels import (
     simulate_belady,
     simulate_direct_mapped,
@@ -83,7 +82,6 @@ __all__ = [
     "SweepBackend",
     "SweepCellError",
     "SweepContext",
-    "SweepJournal",
     "TraceKey",
     "as_trace",
     "backend_names",

@@ -16,8 +16,9 @@ local or SSH — speaking NDJSON).  Backends share one contract:
 
 Selection, in priority order: an explicit ``backend=`` argument, the
 process default set by ``--backend`` on a CLI, the ``REPRO_BACKEND``
-environment variable, and finally the automatic choice (``inline`` for
-single-worker or single-cell runs, ``fleet`` otherwise).
+environment variable, and finally the automatic choice (``fleet`` when
+``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` for
+single-worker or single-cell runs and ``fleet`` otherwise).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type
 from ...env import env_backend
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
+from ...store import ResultStore
 from ..cells import CellEvaluator, CellOutcome, LabeledCell
-from ..journal import SweepJournal
 
 
 @dataclass
@@ -52,7 +53,7 @@ class SweepContext:
     workers: int
     timeout: Optional[float]
     pool_retries: int
-    journal: Optional[SweepJournal]
+    journal: Optional[ResultStore]
     progress: bool
     evaluator: Optional[CellEvaluator] = None
     fleet_hosts: List[str] = field(default_factory=list)
@@ -194,8 +195,9 @@ def default_backend() -> Optional[str]:
 def resolve_backend(backend: Optional[str] = None) -> Optional[str]:
     """Explicit argument > CLI default > REPRO_BACKEND > None (automatic).
 
-    ``None`` means the orchestrator picks per run: ``inline`` when the
-    run is single-worker or has at most one pending cell, otherwise
+    ``None`` means the orchestrator picks per run: ``fleet`` when
+    ``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` when the run
+    is single-worker or has at most one pending cell, otherwise
     ``fleet``.
     """
     if backend is not None:

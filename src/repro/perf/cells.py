@@ -8,19 +8,87 @@ captured exception, so a failure names exactly which cell died instead
 of aborting the whole grid anonymously.  Everything here is backend-
 independent: the execution strategies in :mod:`repro.perf.backends`
 consume these envelopes, and :mod:`repro.perf.parallel` orchestrates.
+
+This module also owns the content keys the result store
+(:mod:`repro.store`) indexes cells by: :func:`content_key` hashes a
+:class:`CellIdentity` payload, and :func:`canonical_parameter` is the
+single source of truth for which sweep parameter types survive a JSON
+round trip — the sweep serialiser reuses it, so journal keys and
+persisted sweeps agree.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import tracing as obs_tracing
 from ..trace.trace import Trace
 from . import engine as engine_mod
-from .journal import canonical_parameter, content_key, is_stable_parameter
 from .trace_cache import TraceLike, as_trace, is_trace_recipe
+
+
+def canonical_parameter(value: object, where: str = "sweep parameter") -> object:
+    """Return a JSON-stable form of a sweep parameter.
+
+    Scalars (``str``/``int``/``float``/``bool``/``None``) pass through;
+    tuples — including nested ones — become JSON arrays and are restored
+    as tuples by :func:`parameter_from_json`, so ``Series.points``
+    lookups keyed by tuple parameters still hit after a reload.
+    Anything else (lists, dicts, arbitrary objects, non-finite floats)
+    does not survive a JSON round trip losslessly and is rejected with a
+    descriptive :class:`TypeError` instead of coming back subtly
+    different.
+    """
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise TypeError(f"{where} {value!r} is a non-finite float and has no stable JSON form")
+        return value
+    if isinstance(value, tuple):
+        return [canonical_parameter(item, where=where) for item in value]
+    raise TypeError(
+        f"{where} {value!r} of type {type(value).__name__} does not survive a "
+        f"JSON round trip; use str/int/float/bool/None or (nested) tuples of them"
+    )
+
+
+def parameter_from_json(value: object) -> object:
+    """Restore a canonical parameter (JSON arrays come back as tuples)."""
+    if isinstance(value, list):
+        return tuple(parameter_from_json(item) for item in value)
+    return value
+
+
+def is_stable_parameter(value: object) -> bool:
+    """Whether :func:`canonical_parameter` accepts ``value``."""
+    try:
+        canonical_parameter(value)
+    except TypeError:
+        return False
+    return True
+
+
+def content_key(payload: dict) -> str:
+    """Deterministic hex digest of a cell-identity payload dict.
+
+    ``allow_nan=False`` rejects non-finite floats outright: Python would
+    otherwise serialise them as bare ``NaN``/``Infinity`` tokens, which
+    are not JSON — and ``NaN != NaN``, so such a payload could never be
+    a stable content address anyway.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise ValueError(
+            f"cell-identity payload contains a non-finite float and has no "
+            f"stable content key: {payload!r}"
+        ) from None
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

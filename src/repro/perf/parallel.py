@@ -13,8 +13,9 @@ delegates *how* pending cells execute to a
   crash attribution, and per-cell timeouts.
 
 Backend selection: an explicit ``backend=`` argument > the CLI's
-``--backend`` default > ``REPRO_BACKEND`` > automatic (``inline`` for
-single-worker or single-cell runs, ``fleet`` otherwise).
+``--backend`` default > ``REPRO_BACKEND`` > automatic (``fleet`` when
+``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` for
+single-worker or single-cell runs and ``fleet`` otherwise).
 
 Worker count resolution, in priority order:
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..env import env_fleet_hosts  # noqa: F401 (re-exported; the one parser)
@@ -43,6 +43,7 @@ from ..env import env_workers  # noqa: F401 (re-exported; the one parser)
 from ..obs import distributed as obs_distributed
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from ..store import ResultStore
 from . import engine as engine_mod
 from .backends import (
     SweepContext,
@@ -63,7 +64,6 @@ from .cells import (  # noqa: F401 (public API, re-exported)
     identity_for,
     simulate_cell,
 )
-from .journal import SweepJournal
 from .trace_cache import (  # noqa: F401 (public API, re-exported)
     TraceKey,
     TraceLike,
@@ -107,26 +107,15 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 DEFAULT_POOL_RETRIES = 2
 
 
-def _resolve_journal(journal: "SweepJournal | str | Path | None") -> Optional[SweepJournal]:
-    if journal is None:
-        return None
-    if isinstance(journal, SweepJournal):
-        return journal
-    # Anything speaking the journal protocol — get/record/record_many —
-    # works as a cell cache; repro.store.ResultStore passes itself here
-    # so sweeps replay from (and record into) the content-addressed
-    # store instead of one bare journal file.
-    if hasattr(journal, "get") and hasattr(journal, "record_many"):
-        return journal  # type: ignore[return-value]
-    return SweepJournal(journal)
-
-
-def _auto_backend(workers: int, pending: int) -> str:
+def _auto_backend(workers: int, pending: int, fleet_hosts: Sequence[str]) -> str:
     """The automatic strategy.
 
-    Single-worker and single-cell runs stay inline (no workers, nothing
-    needs pickling); everything else runs on the fleet.
+    Configured fleet endpoints always get the cells.  Otherwise
+    single-worker and single-cell runs stay inline (no workers, nothing
+    needs pickling) and everything else runs on the fleet.
     """
+    if fleet_hosts:
+        return "fleet"
     if workers <= 1 or pending <= 1:
         return "inline"
     return "fleet"
@@ -138,7 +127,7 @@ def run_labeled_cells(
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
     pool_retries: Optional[int] = None,
-    journal: "SweepJournal | str | Path | None" = None,
+    journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     evaluator: Optional[CellEvaluator] = None,
     backend: Optional[str] = None,
@@ -151,12 +140,11 @@ def run_labeled_cells(
     :func:`repro.analysis.sweep.run_sweep` raise :class:`SweepCellError`
     listing exactly the failed cells).
 
-    ``journal`` (a :class:`~repro.perf.journal.SweepJournal` or a
-    directory path; ``None`` journals nothing) replays
-    already-completed cells and records each new success immediately, so
-    a crashed or interrupted sweep re-runs only the remainder.  Journal
-    keys are backend-independent: a journal written under any backend
-    resumes under any other.
+    ``journal`` (a :class:`~repro.store.ResultStore`; ``None`` journals
+    nothing) replays already-completed cells and records each new
+    success immediately, so a crashed or interrupted sweep re-runs only
+    the remainder.  Journal keys are backend-independent: a journal
+    written under any backend resumes under any other.
 
     ``timeout`` (seconds; ``None`` for none; fleet runs only — a
     sequential run cannot interrupt itself) terminates the worker of a cell that exceeds it
@@ -173,7 +161,6 @@ def run_labeled_cells(
     """
     engine = engine_mod.resolve_engine(engine)
     workers = resolve_workers(workers)
-    journal = _resolve_journal(journal)
     progress = bool(progress)
     pool_retries = DEFAULT_POOL_RETRIES if pool_retries is None else pool_retries
     backend = resolve_backend(backend)
@@ -206,11 +193,11 @@ def run_labeled_cells(
         )
         pending: List[int] = []
         for index, outcome in enumerate(outcomes):
-            entry = None
+            metrics = None
             if journal is not None and outcome.identity.journalable:
-                entry = journal.get(outcome.identity.key())
-            if entry is not None:
-                outcome.metrics = SweepJournal.entry_metrics(entry)
+                metrics = journal.metrics(outcome.identity.key())
+            if metrics is not None:
+                outcome.metrics = metrics
                 outcome.miss_rate = outcome.metrics.get("miss_rate")
                 outcome.cached = True
                 ctx.cached += 1
@@ -219,7 +206,9 @@ def run_labeled_cells(
             else:
                 pending.append(index)
 
-        ctx.backend = backend or _auto_backend(workers, len(pending))
+        ctx.backend = backend or _auto_backend(
+            workers, len(pending), ctx.fleet_hosts
+        )
         if sweep_span is not None:
             sweep_span.attrs["backend"] = ctx.backend
         runner = create_backend(ctx.backend)
@@ -267,7 +256,7 @@ def run_cells(
     engine: Optional[str] = None,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    journal: "SweepJournal | str | Path | None" = None,
+    journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> List[float]:

@@ -83,6 +83,7 @@ from ..obs import tracing as obs_tracing
 from ..obs.promtext import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..perf import engine as engine_mod
 from ..perf.backends import backend_names, live_worker_status, live_workers
+from ..perf.cells import content_key
 from ..perf.parallel import (
     CellIdentity,
     CellOutcome,
@@ -91,12 +92,11 @@ from ..perf.parallel import (
     outcome_observer,
     run_labeled_cells,
 )
-from ..perf.journal import content_key
 from ..store import ResultStore
 
 SERVE_VERSION = 1
 
-#: Engine used when neither the request nor the spec names one.  The
+#: Engine used when the request names none.  The
 #: fast tier is the serving default on purpose: its results are pinned
 #: equal to the reference simulators, and a store filled under one
 #: engine name answers every later request under the same name.
@@ -167,11 +167,9 @@ def expand_grid_specs(
     return list(_seen.values())
 
 
-def resolve_serve_engine(
-    spec: ExperimentSpec, requested: "Optional[str]", default: str
-) -> str:
-    """Request > spec hint > server default; always a valid engine name."""
-    name = requested or spec.engine or default
+def resolve_serve_engine(requested: "Optional[str]", default: str) -> str:
+    """Request > server default; always a valid engine name."""
+    name = requested or default
     if name not in engine_mod.ENGINES:
         raise ValueError(
             f"unknown engine {name!r}; expected one of {sorted(engine_mod.ENGINES)}"
@@ -409,11 +407,8 @@ def _execute_run_inner(
     wall_started: float,
     cpu_started: float,
 ) -> dict:
-    grids = expand_grid_specs(spec)
-    plans = [
-        plan_grid(grid, resolve_serve_engine(grid, engine, default_engine))
-        for grid in grids
-    ]
+    engine = resolve_serve_engine(engine, default_engine)
+    plans = [plan_grid(grid, engine) for grid in expand_grid_specs(spec)]
     store.refresh()
     total = sum(len(plan.cells) for plan in plans)
     missing = [
@@ -716,13 +711,8 @@ class _Handler(BaseHTTPRequestHandler):
         except ServeUnsupportedError:
             payload["servable"] = False
         else:
-            plans = [
-                plan_grid(
-                    grid,
-                    resolve_serve_engine(grid, None, self.app.default_engine),
-                )
-                for grid in grids
-            ]
+            engine = resolve_serve_engine(None, self.app.default_engine)
+            plans = [plan_grid(grid, engine) for grid in grids]
             total = sum(len(plan.cells) for plan in plans)
             cached = sum(
                 1

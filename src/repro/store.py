@@ -1,51 +1,52 @@
-"""Content-addressed result store over the sweep-journal format.
+"""The result store: the one reader and writer of sweep-cell journals.
 
-The journal (:mod:`repro.perf.journal`) already keys every completed
-sweep cell by a sha256 content hash of its full identity, but each
-:class:`~repro.perf.journal.SweepJournal` reads exactly one
-``journal.jsonl``.  A production result service wants the union: every
-journal this machine (or a fleet) has ever written, deduplicated by
-cell key, behind one lookup — so repeat queries are O(1) hits and only
-genuinely new cells cost simulation time.
+Every completed sweep cell is keyed by a sha256 content hash of its full
+identity (:mod:`repro.perf.cells`: factory fingerprint, parameter, trace
+recipe incl. ``max_refs``, engine).  :class:`ResultStore` persists those
+results as JSON lines and answers "has this exact cell already been
+computed?" from one in-memory index.  A ``--resume-dir`` is a store
+directory, so is a ``repro serve --store`` directory, and either one
+replays in the other.
 
-:class:`ResultStore` provides that union:
-
-* **many sources, one index** — the store owns a writable *primary*
-  journal and merges any number of read-only extra journal files or
-  directories at load time, in source order, last-wins per key (the
-  same rule ``SweepJournal`` applies within one file);
-* **integrity on load** — every candidate line must be a well-formed
-  ``sweep-cell`` entry of a known version whose metrics pass
-  :meth:`SweepJournal.entry_metrics`; anything else (torn tail, future
-  version, corrupted metrics) is counted in :class:`StoreStats` and
-  skipped, never served;
-* **incremental refresh** — :meth:`refresh` tails every source from its
-  last byte offset, picking up entries appended by concurrent writers
-  without re-reading gigabytes of history (only complete,
-  newline-terminated lines are consumed, so a torn tail is retried on
-  the next refresh rather than mis-parsed);
-* **compaction** — :meth:`compact` rewrites the deduplicated index into
+* **one append path** — ``sweep-cell`` lines (:meth:`ResultStore.record`,
+  :meth:`ResultStore.record_many`) and ``sweep-cell-error`` lines
+  (:meth:`ResultStore.record_errors`) are appended, flushed, to the
+  store's *primary* ``journal.jsonl``.  A batch is validated before any
+  byte of it is written.  A primary that ends mid-line (the torn tail of
+  a crash) gets a newline before the first record, so the fragment
+  stays its own line instead of swallowing the next one;
+* **one tail reader** — every source is read from its consumed byte
+  offset, and only newline-terminated lines count, so a writer caught
+  mid-append leaves its tail for the next :meth:`ResultStore.refresh`.
+  Compaction shards load first, then the primary, then read-only extra
+  journal files or directories in caller order.  A later line wins its
+  key, within a file and across files;
+* **integrity** — a line is indexed only if it is a JSON object of a
+  known kind and version with a string key and usable metrics (or, for
+  an error line, an error text and a numeric ``recorded_at``); anything
+  else is counted in :class:`StoreStats` and never served.  A success
+  evicts a cached failure of the same key;
+* **compaction** — :meth:`ResultStore.compact` rewrites the index into
   generation-stamped shard files (``journal-<gen>-<shard>.jsonl``,
   sharded by key prefix) behind an atomic ``store_manifest.json`` swap,
-  then truncates the primary journal; a store over a multi-gigabyte
-  append history reloads from the shards without replaying every
-  superseded line;
-* **negative-result cache** — failed cells can be recorded as
-  ``sweep-cell-error`` entries (:meth:`record_errors`); the serve layer
-  bounds them with a TTL so a hot failing spec stops burning simulation
-  time on every request (see ``REPRO_SERVE_NEG_TTL``);
-* **journal protocol** — ``get``/``record``/``record_many`` match
-  :class:`SweepJournal`, so a store passes directly as the ``journal=``
-  argument of :func:`repro.perf.parallel.run_labeled_cells`: cached
-  cells replay from the whole store, new results append to the primary
-  and are immediately servable.
+  then truncates the primary, so a store over a long append history
+  reloads without replaying every superseded line;
+* **negative-result cache** — cached failures carry a ``recorded_at``
+  stamp; the serve layer bounds them with a TTL
+  (``REPRO_SERVE_NEG_TTL``) so a hot failing spec stops burning
+  simulation time on every request.
 
-The server in :mod:`repro.serve` is the network face of this class.
+A store passes as the ``journal=`` argument of
+:func:`repro.perf.parallel.run_labeled_cells`: cached cells replay from
+the whole store, new results append to the primary and are immediately
+servable.  The server in :mod:`repro.serve` is the network face of this
+class.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -54,19 +55,26 @@ import uuid
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from .perf.journal import JOURNAL_FILENAME, JOURNAL_VERSION, SweepJournal
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "CompactionStats",
     "DEFAULT_SHARDS",
     "ERROR_KIND",
+    "JOURNAL_FILENAME",
+    "JOURNAL_VERSION",
     "ResultStore",
     "STORE_MANIFEST_FILENAME",
     "StoreStats",
-    "open_store",
 ]
+
+JOURNAL_VERSION = 1
+
+#: The primary journal's file name inside a store (or resume) directory.
+JOURNAL_FILENAME = "journal.jsonl"
+
+#: Journal-line kind for a completed cell.
+CELL_KIND = "sweep-cell"
 
 #: Journal-line kind for a cached *failure* (the negative-result cache).
 ERROR_KIND = "sweep-cell-error"
@@ -139,6 +147,72 @@ class CompactionStats:
         }
 
 
+def _entry_metrics(entry: dict) -> "Optional[Dict[str, float]]":
+    """The metric dict a cell line replays, or ``None`` if unusable.
+
+    Single-metric lines (the original format — one ``miss_rate``
+    number) come back as ``{"miss_rate": value}``; multi-metric lines
+    written by custom cell evaluators carry an explicit ``metrics``
+    dict.
+    """
+    metrics = entry.get("metrics")
+    if isinstance(metrics, dict):
+        if metrics and all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in metrics.values()
+        ):
+            return {str(k): float(v) for k, v in metrics.items()}
+        return None
+    rate = entry.get("miss_rate")
+    if isinstance(rate, (int, float)) and not isinstance(rate, bool):
+        return {"miss_rate": float(rate)}
+    return None
+
+
+def _cell_entry(
+    key: str,
+    fields: dict,
+    metrics: "Union[Dict[str, float], float]",
+    seconds: float,
+) -> dict:
+    """The ``sweep-cell`` line for one completed cell, validated.
+
+    A bare number is shorthand for ``{"miss_rate": value}``.  A plain
+    miss-rate metric set is written in the original single-number
+    format, so journals stay byte-compatible with the pre-spec tooling;
+    any other metric set adds a ``metrics`` dict.
+    """
+    if not isinstance(metrics, dict):
+        metrics = {"miss_rate": float(metrics)}
+    for name, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"journal entry {key!r} metric {name!r} is not a "
+                f"number ({value!r} of type {type(value).__name__}); "
+                f"refusing to record it"
+            )
+        if not math.isfinite(value):
+            # json.dumps would emit a bare NaN/Infinity token — not
+            # JSON — and a non-finite metric is a broken measurement,
+            # not a result worth replaying.
+            raise ValueError(
+                f"journal entry {key!r} metric {name!r} is "
+                f"non-finite ({value!r}); refusing to record it"
+            )
+    entry = {
+        "kind": CELL_KIND,
+        "version": JOURNAL_VERSION,
+        "key": key,
+        "seconds": round(seconds, 6),
+        **fields,
+    }
+    if "miss_rate" in metrics:
+        entry["miss_rate"] = metrics["miss_rate"]
+    if set(metrics) != {"miss_rate"}:
+        entry["metrics"] = dict(metrics)
+    return entry
+
+
 def _journal_path(source: Union[str, Path]) -> Path:
     """A journal file: either the path itself or ``<dir>/journal.jsonl``.
 
@@ -207,13 +281,16 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 class ResultStore:
-    """A deduplicated, content-addressed index over many sweep journals.
+    """A deduplicated, content-addressed index over sweep journals.
 
-    ``primary`` is the writable journal directory — new results recorded
-    through the store append there (and only there).  ``extra_sources``
-    are read-only journal files or directories merged into the index;
-    they are tailed again on every :meth:`refresh`, so a store can watch
-    directories that other sweep runs are still appending to.
+    ``primary`` is the store directory.  Its ``journal.jsonl`` is the
+    only file records append to; its compaction shards and any
+    ``extra_sources`` (read-only journal files or directories) are
+    merged into the index.  Every source is tailed again on each
+    :meth:`refresh`, so a store can watch directories that other sweep
+    runs are still appending to.  The primary belongs to this store's
+    process; a journal other processes write belongs in
+    ``extra_sources``.
 
     Thread safety: the index is guarded by one lock, so a serving
     daemon's request threads can read while a run thread records.
@@ -225,7 +302,8 @@ class ResultStore:
         extra_sources: "Sequence[str | Path]" = (),
     ) -> None:
         self.primary_dir = Path(primary)
-        self.journal = SweepJournal(self.primary_dir)
+        self.primary_dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.primary_dir / JOURNAL_FILENAME
         self._lock = threading.RLock()
         self._entries: Dict[str, dict] = {}
         self._errors: Dict[str, dict] = {}
@@ -237,48 +315,31 @@ class ResultStore:
         ]
         # Compaction shards first (they hold the oldest, already
         # deduplicated history), then the primary journal, then extras
-        # in caller order: a later source wins a key collision, and
-        # within one file the later line wins — exactly SweepJournal's
-        # own replay rule, extended across files.
-        self._sources: List[Path] = [*self._shards, self.journal.path]
+        # in caller order: a later source wins a key collision.
+        self._sources: List[Path] = [*self._shards, self.path]
         for source in extra_sources:
-            self.add_source(source)
-        self.refresh()
-
-    # -- sources ---------------------------------------------------------------
-
-    def add_source(self, source: Union[str, Path]) -> Path:
-        """Merge another journal file or directory into the index.
-
-        Returns the resolved journal path.  The new source is read on
-        the next :meth:`refresh` (call it yourself for immediate
-        visibility); a missing file is fine — it is tailed from offset 0
-        whenever it appears.
-        """
-        path = _journal_path(source)
-        with self._lock:
+            path = _journal_path(source)
             if path not in self._sources:
                 self._sources.append(path)
-        return path
+        self.refresh()
+        # The reader stops at the last newline, so unconsumed primary
+        # bytes are an unterminated tail; the first append ends it.
+        try:
+            size = self.path.stat().st_size
+        except OSError:
+            size = 0
+        self._newline_due = size > self._stats.sources.get(str(self.path), 0)
 
     def sources(self) -> List[Path]:
         """The journal files feeding the index, shards and primary first."""
         with self._lock:
             return list(self._sources)
 
-    # -- change tokens ---------------------------------------------------------
-
     @property
     def generation(self) -> int:
         """The live compaction generation (0 until the first compact)."""
         with self._lock:
             return self._generation
-
-    @property
-    def revision(self) -> int:
-        """A counter that bumps on every index mutation (never persisted)."""
-        with self._lock:
-            return self._revision
 
     def state_token(self) -> str:
         """``<generation>.<revision>`` — changes iff the index changed.
@@ -290,7 +351,7 @@ class ResultStore:
         with self._lock:
             return f"{self._generation}.{self._revision}"
 
-    # -- loading ---------------------------------------------------------------
+    # -- reading ---------------------------------------------------------------
 
     def _ingest_line(self, line: str) -> None:
         """Index one raw journal line if it passes every integrity check."""
@@ -302,14 +363,12 @@ class ResultStore:
         except ValueError:
             self._stats.skipped += 1
             return
-        if not isinstance(entry, dict):
-            self._stats.skipped += 1
-            return
-        if entry.get("version", 0) > JOURNAL_VERSION:
+        if not isinstance(entry, dict) or entry.get("version", 0) > JOURNAL_VERSION:
             self._stats.skipped += 1
             return
         key = entry.get("key")
-        if entry.get("kind") == ERROR_KIND:
+        kind = entry.get("kind")
+        if kind == ERROR_KIND:
             recorded_at = entry.get("recorded_at")
             if (
                 not isinstance(key, str)
@@ -320,19 +379,19 @@ class ResultStore:
                 self._stats.skipped += 1
                 return
             self._errors[key] = entry
-            self._revision += 1
-            return
-        if entry.get("kind") != "sweep-cell":
+        elif (
+            kind == CELL_KIND
+            and isinstance(key, str)
+            and _entry_metrics(entry) is not None
+        ):
+            if key in self._entries:
+                self._stats.duplicates += 1
+            self._entries[key] = entry
+            # A success supersedes any cached failure for the same cell.
+            self._errors.pop(key, None)
+        else:
             self._stats.skipped += 1
             return
-        if not isinstance(key, str) or SweepJournal.entry_metrics(entry) is None:
-            self._stats.skipped += 1
-            return
-        if key in self._entries:
-            self._stats.duplicates += 1
-        self._entries[key] = entry
-        # A success supersedes any cached failure for the same cell.
-        self._errors.pop(key, None)
         self._revision += 1
 
     def refresh(self) -> int:
@@ -376,8 +435,6 @@ class ResultStore:
             self._stats.errors = len(self._errors)
             return len(self._entries) - before
 
-    # -- reads -----------------------------------------------------------------
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -398,7 +455,7 @@ class ResultStore:
             entry = self._entries.get(key)
         if entry is None:
             return None
-        return SweepJournal.entry_metrics(entry)
+        return _entry_metrics(entry)
 
     def keys(self) -> List[str]:
         with self._lock:
@@ -407,16 +464,13 @@ class ResultStore:
     def stats(self) -> StoreStats:
         """A snapshot of the load/refresh accounting."""
         with self._lock:
-            snapshot = StoreStats(
+            return StoreStats(
                 entries=self._stats.entries,
                 errors=self._stats.errors,
                 duplicates=self._stats.duplicates,
                 skipped=self._stats.skipped,
                 sources=dict(self._stats.sources),
             )
-            return snapshot
-
-    # -- the negative-result cache ---------------------------------------------
 
     def error_entry(self, key: str) -> Optional[dict]:
         """The cached ``sweep-cell-error`` entry for ``key``, or ``None``.
@@ -434,6 +488,57 @@ class ResultStore:
         with self._lock:
             return list(self._errors)
 
+    # -- writing ---------------------------------------------------------------
+
+    def _append(self, entries: "List[dict]") -> None:
+        """Append ``entries`` to the primary (one flush) and index them.
+
+        The new lines reach the index the way every line does, through
+        :meth:`refresh`, which also consumes anything appended before
+        them.
+        """
+        text = "".join(
+            json.dumps(entry, sort_keys=True, allow_nan=False) + "\n"
+            for entry in entries
+        )
+        with self._lock:
+            if self._newline_due:
+                text = "\n" + text
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+            self._newline_due = False
+            self.refresh()
+
+    def record(
+        self,
+        key: str,
+        fields: dict,
+        metrics: "Union[Dict[str, float], float]",
+        seconds: float,
+    ) -> None:
+        """Append one completed cell (flushed immediately) and index it.
+
+        ``metrics`` is the cell's metric dict; a bare number is accepted
+        as shorthand for ``{"miss_rate": value}``.
+        """
+        self.record_many([(key, fields, metrics, seconds)])
+
+    def record_many(
+        self,
+        entries: "Sequence[Tuple[str, dict, Union[Dict[str, float], float], float]]",
+    ) -> None:
+        """Append a batch of ``(key, fields, metrics, seconds)`` cells.
+
+        Each becomes its own ``sweep-cell`` line.  Every metric is
+        checked first: a non-numeric or non-finite value raises
+        :class:`ValueError` naming the cell and metric, and nothing of
+        the batch is written.
+        """
+        built = [_cell_entry(*entry) for entry in entries]
+        if built:
+            self._append(built)
+
     def record_errors(
         self,
         failures: "Sequence[Tuple[str, str]]",
@@ -444,82 +549,22 @@ class ResultStore:
         Each failure becomes one ``sweep-cell-error`` line stamped with
         ``recorded_at`` (default: now), replacing any previous failure
         under the same key — the TTL window restarts on every recorded
-        attempt.  Plain :class:`SweepJournal` readers ignore these lines
-        (unknown kind), so resume semantics are unchanged.
+        attempt.  Cell replay reads only successes, so a cached failure
+        never short-circuits a resumed sweep.
         """
         if not failures:
             return
         stamp = time.time() if at is None else float(at)
-        with self._lock:
-            self.refresh()
-            built = []
-            for key, error in failures:
-                entry = {
-                    "kind": ERROR_KIND,
-                    "version": JOURNAL_VERSION,
-                    "key": str(key),
-                    "error": str(error),
-                    "recorded_at": stamp,
-                }
-                built.append(entry)
-            with self.journal.path.open("a", encoding="utf-8") as handle:
-                for entry in built:
-                    handle.write(
-                        json.dumps(entry, sort_keys=True, allow_nan=False) + "\n"
-                    )
-                handle.flush()
-            for entry in built:
-                self._errors[entry["key"]] = entry
-            self._revision += 1
-            self._stats.errors = len(self._errors)
-            self._stats.sources[str(self.journal.path)] = (
-                self.journal.path.stat().st_size
-            )
-
-    # -- writes (the SweepJournal protocol) ------------------------------------
-
-    def record(
-        self,
-        key: str,
-        fields: dict,
-        metrics: "Union[Dict[str, float], float]",
-        seconds: float,
-    ) -> None:
-        """Append one completed cell to the primary journal and index it."""
-        self.record_many([(key, fields, metrics, seconds)])
-
-    def record_many(
-        self,
-        entries: "Sequence[Tuple[str, dict, Union[Dict[str, float], float], float]]",
-    ) -> None:
-        """Append a batch to the primary journal and index it (one flush)."""
-        if not entries:
-            return
-        with self._lock:
-            # Consume anything already appended to the sources first, so
-            # advancing the primary's offset below cannot step over
-            # unread lines.  (The primary journal is owned by this
-            # store's process; a journal other processes write belongs
-            # in ``extra_sources``, where it is only ever tailed.)
-            self.refresh()
-            self.journal.record_many(entries)
-            # The primary's in-memory index already has the parsed
-            # entries; mirror them instead of re-reading the file.  The
-            # file offset must still advance past the new bytes so the
-            # next refresh doesn't double-count them as duplicates.
-            for key, _fields, _metrics, _seconds in entries:
-                entry = self.journal.get(key)
-                if entry is not None:
-                    if key in self._entries:
-                        self._stats.duplicates += 1
-                    self._entries[key] = entry
-                    self._errors.pop(key, None)
-            self._revision += 1
-            self._stats.entries = len(self._entries)
-            self._stats.errors = len(self._errors)
-            self._stats.sources[str(self.journal.path)] = (
-                self.journal.path.stat().st_size
-            )
+        self._append([
+            {
+                "kind": ERROR_KIND,
+                "version": JOURNAL_VERSION,
+                "key": str(key),
+                "error": str(error),
+                "recorded_at": stamp,
+            }
+            for key, error in failures
+        ])
 
     # -- compaction ------------------------------------------------------------
 
@@ -554,7 +599,7 @@ class ResultStore:
             generation = self._generation + 1
             old_shards = list(self._shards)
             bytes_before = 0
-            for path in [*old_shards, self.journal.path]:
+            for path in [*old_shards, self.path]:
                 try:
                     bytes_before += path.stat().st_size
                 except OSError:
@@ -599,7 +644,8 @@ class ResultStore:
             # Post-commit cleanup: empty the journal (its lines live in
             # the shards now) and drop every shard file the manifest no
             # longer names, including orphans from a crashed compact.
-            self.journal.path.open("w", encoding="utf-8").close()
+            self.path.open("w", encoding="utf-8").close()
+            self._newline_due = False
             live = set(new_names)
             for stale in self.primary_dir.glob("journal-*.jsonl"):
                 if stale.name not in live and _SHARD_NAME_RE.match(stale.name):
@@ -611,15 +657,15 @@ class ResultStore:
 
             extras = [
                 path for path in self._sources
-                if path != self.journal.path and path not in set(old_shards)
+                if path != self.path and path not in set(old_shards)
             ]
             self._shards = new_paths
-            self._sources = [*new_paths, self.journal.path, *extras]
+            self._sources = [*new_paths, self.path, *extras]
             for path in new_paths:
                 # Fully consumed by construction: the shards were
                 # written from the in-memory index.
                 self._stats.sources[str(path)] = path.stat().st_size
-            self._stats.sources[str(self.journal.path)] = 0
+            self._stats.sources[str(self.path)] = 0
             self._generation = generation
             self._revision += 1
             return CompactionStats(
@@ -630,11 +676,3 @@ class ResultStore:
                 bytes_before=bytes_before,
                 bytes_after=bytes_after,
             )
-
-
-def open_store(
-    primary: Union[str, Path],
-    extra_sources: "Iterable[str | Path]" = (),
-) -> ResultStore:
-    """Convenience constructor mirroring the CLI's flags."""
-    return ResultStore(primary, tuple(extra_sources))

@@ -182,21 +182,21 @@ def test_cli_svg_skips_non_sweep_experiments(tmp_path, capsys):
 def test_cli_resume_dir_journals_and_replays(tmp_path, capsys):
     from repro.experiments.__main__ import main
     from repro.experiments.spec import clear_result_cache
-    from repro.perf.journal import JOURNAL_FILENAME, SweepJournal
+    from repro.store import JOURNAL_FILENAME, ResultStore
 
     resume = tmp_path / "resume"
     clear_result_cache()  # the per-process memo would skip the sweep
     assert main(["--only", "fig04", "--resume-dir", str(resume)]) == 0
     first = capsys.readouterr().out
     assert (resume / JOURNAL_FILENAME).exists()
-    journaled = len(SweepJournal(resume))
+    journaled = len(ResultStore(resume))
     assert journaled > 0
 
     # Second run replays the journal and reports identically.
     clear_result_cache()
     assert main(["--only", "fig04", "--resume-dir", str(resume)]) == 0
     second = capsys.readouterr().out
-    assert len(SweepJournal(resume)) == journaled
+    assert len(ResultStore(resume)) == journaled
 
     def table(text):
         return [line for line in text.splitlines() if "KB" in line or "%" in line]
@@ -212,7 +212,7 @@ def test_cli_resume_dir_rerun_replays_every_cell(tmp_path, capsys):
     from repro import obs
     from repro.experiments.__main__ import main
     from repro.experiments.spec import clear_result_cache
-    from repro.perf.journal import JOURNAL_FILENAME
+    from repro.store import JOURNAL_FILENAME
 
     resume, trace = tmp_path / "resume", tmp_path / "trace"
     clear_result_cache()
@@ -231,6 +231,36 @@ def test_cli_resume_dir_rerun_replays_every_cell(tmp_path, capsys):
     assert count("sweep.cells.cached") == count("sweep.cells.total")
     assert count("sweep.cells.completed") == count("sweep.cells.total")
     assert count("sweep.cells.failed") == 0
+    capsys.readouterr()
+
+
+def test_cli_compacted_resume_dir_still_resumes(tmp_path, capsys):
+    """Compacting a --resume-dir moves its cells into shards; the next
+    rerun must still replay all of them and append nothing."""
+    import json
+
+    from repro import obs
+    from repro.cli import main as cli_main
+    from repro.experiments.__main__ import main
+    from repro.experiments.spec import clear_result_cache
+    from repro.store import JOURNAL_FILENAME
+
+    resume, trace = tmp_path / "resume", tmp_path / "trace"
+    clear_result_cache()
+    assert main(["--only", "fig04", "--resume-dir", str(resume)]) == 0
+    assert cli_main(["store", "compact", "--store", str(resume)]) == 0
+
+    clear_result_cache()
+    assert main(["--only", "fig04", "--resume-dir", str(resume),
+                 "--trace-dir", str(trace)]) == 0
+    series = json.loads((trace / "fig04" / obs.METRICS_FILENAME).read_text())
+
+    def count(name):
+        return sum(entry["value"] for entry in series if entry["name"] == name)
+
+    assert count("sweep.cells.total") > 0
+    assert count("sweep.cells.cached") == count("sweep.cells.total")
+    assert (resume / JOURNAL_FILENAME).read_text() == ""
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.common import clear_trace_cache
 from repro.experiments.spec import run_spec
-from repro.perf.journal import JOURNAL_FILENAME, SweepJournal
+from repro.store import JOURNAL_FILENAME, ResultStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE = GOLDEN_DIR / "pr3_journal_fig04.jsonl"
@@ -44,11 +44,12 @@ def test_pr3_journal_replays_every_fig04_cell(tmp_path, sweep_metrics):
     resume = tmp_path / "resume"
     resume.mkdir()
     shutil.copy(FIXTURE, resume / JOURNAL_FILENAME)
-    fixture_entries = len(SweepJournal(resume))
+    store = ResultStore(resume)
+    fixture_entries = len(store)
     assert fixture_entries > 0
 
     before = (resume / JOURNAL_FILENAME).read_text()
-    run_spec("fig04", journal=str(resume))
+    run_spec("fig04", journal=store)
 
     cells = sweep_metrics.total("sweep.cells.total")
     cached = sweep_metrics.total("sweep.cells.cached")
@@ -63,13 +64,13 @@ def test_pr3_journal_replays_every_fig04_cell(tmp_path, sweep_metrics):
 
 def test_spec_journal_round_trips_its_own_format(tmp_path, sweep_metrics):
     resume = tmp_path / "resume"
-    run_spec("fig13", journal=str(resume))
+    run_spec("fig13", journal=ResultStore(resume))
     assert sweep_metrics.total("sweep.cells.cached") == 0
 
     from repro.experiments.spec import clear_result_cache
 
     clear_result_cache()
     sweep_metrics.clear()
-    run_spec("fig13", journal=str(resume))
+    run_spec("fig13", journal=ResultStore(resume))
     second = sweep_metrics.total
     assert second("sweep.cells.cached") == second("sweep.cells.total") > 0

@@ -11,6 +11,7 @@ from repro.experiments.spec import (
     SweepCellError,
     _RESULT_CACHE,
     all_specs,
+    clear_result_cache,
     get_spec,
     register,
     run_spec,
@@ -178,8 +179,9 @@ class TestRunSpec:
             run_spec(spec)
 
     def test_engine_hint_matches_reference(self):
-        reference = run_spec(_grid_spec())
-        fast = run_spec(_grid_spec(engine="fast"))
+        reference = run_spec(_grid_spec(), engine="reference")
+        clear_result_cache()  # the memo would answer the fast run
+        fast = run_spec(_grid_spec(), engine="fast")
         for size in reference.parameters:
             assert fast.series["dm"].points[size] == pytest.approx(
                 reference.series["dm"].points[size]

@@ -50,8 +50,8 @@ from repro.perf.parallel import (
     identity_for,
     run_labeled_cells,
 )
-from repro.perf.journal import SweepJournal
 from repro.perf.worker import worker_main
+from repro.store import ResultStore
 
 from .fleet_helpers import (
     KillAlwaysFactory,
@@ -155,7 +155,8 @@ class TestResolvePrecedence:
 
 
 class TestAutomaticSelection:
-    """backend=None runs inline unless there is parallel work to share."""
+    """backend=None runs inline unless there is parallel work to share
+    or fleet endpoints are configured."""
 
     def test_single_worker_runs_inline(self, sweep_metrics):
         run_labeled_cells(_grid(WellBehavedFactory()), workers=1)
@@ -175,6 +176,19 @@ class TestAutomaticSelection:
         run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
         assert sweep_metrics.value("sweep.runs.by_backend", backend="inline") == 1
 
+    def test_fleet_hosts_run_on_the_fleet_without_workers(
+        self, monkeypatch, sweep_metrics
+    ):
+        # Configured endpoints ask for the fleet: the default single
+        # worker must not run the cells inline behind their back.
+        monkeypatch.setenv("REPRO_FLEET_HOSTS", "local")
+        outcomes = run_labeled_cells(_grid(WellBehavedFactory())[:2], engine="fast")
+        assert all(outcome.ok for outcome in outcomes)
+        assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 1
+        workers = _cells_by_worker(sweep_metrics)
+        assert workers and all(worker.startswith("local#") for worker in workers)
+        assert all(outcome.worker.startswith("local#") for outcome in outcomes)
+
 
 class TestBackendInvariance:
     """Identical metrics and journal entries across both backends."""
@@ -186,10 +200,10 @@ class TestBackendInvariance:
             engine="fast",
             workers=workers,
             backend=backend,
-            journal=str(journal_dir),
+            journal=ResultStore(journal_dir),
         )
         assert all(outcome.ok for outcome in outcomes)
-        return outcomes, SweepJournal(journal_dir)
+        return outcomes, ResultStore(journal_dir)
 
     def test_metrics_and_journal_keys_identical(self, tmp_path):
         inline, inline_journal = self._run("inline", tmp_path)
@@ -201,23 +215,23 @@ class TestBackendInvariance:
         assert keys == [o.identity.key() for o in fleet]
         for key, outcome in zip(keys, inline):
             for journal in (inline_journal, fleet_journal):
-                entry = journal.get(key)
-                assert entry is not None
-                assert journal.entry_metrics(entry) == outcome.metrics
+                assert journal.metrics(key) == outcome.metrics
 
     @pytest.mark.parametrize(
         "first,second",
         [("fleet", "inline"), ("inline", "fleet")],
     )
     def test_cross_backend_resume(self, tmp_path, first, second):
-        journal_dir = str(tmp_path / "journal")
+        journal_dir = tmp_path / "journal"
         cells = _grid(WellBehavedFactory())
         initial = run_labeled_cells(
-            cells, engine="fast", workers=2, backend=first, journal=journal_dir
+            cells, engine="fast", workers=2, backend=first,
+            journal=ResultStore(journal_dir),
         )
         assert all(outcome.ok for outcome in initial)
         resumed = run_labeled_cells(
-            cells, engine="fast", workers=2, backend=second, journal=journal_dir
+            cells, engine="fast", workers=2, backend=second,
+            journal=ResultStore(journal_dir),
         )
         assert all(outcome.cached for outcome in resumed)
         assert [o.metrics for o in resumed] == [o.metrics for o in initial]

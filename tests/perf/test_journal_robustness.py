@@ -1,10 +1,10 @@
-"""Robustness tests for the sweep journal and its non-finite hardening.
+"""Robustness tests for the result store's journal lines.
 
 The basics (torn tails, unknown kinds, future versions within one file)
 live in test_resilient.py; this module covers the cross-file and
-adversarial cases the result store leans on: duplicate keys across many
-journal files, non-finite metric rejection at record time, and
-non-finite payload rejection at content-key time.
+adversarial cases: duplicate keys across many journal files, non-finite
+metric rejection at record time, and non-finite payload rejection at
+content-key time.
 """
 
 import json
@@ -13,27 +13,22 @@ import threading
 
 import pytest
 
-from repro.perf.journal import (
-    JOURNAL_FILENAME,
-    JOURNAL_VERSION,
-    SweepJournal,
-    content_key,
-)
-from repro.store import open_store
+from repro.perf.cells import content_key
+from repro.store import JOURNAL_VERSION, ResultStore
 
 
 class TestLastWins:
     def test_duplicate_key_last_line_wins_in_one_journal(self, tmp_path):
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         journal.record("k1", {"label": "dm"}, 0.1, 0.0)
         journal.record("k1", {"label": "dm"}, 0.9, 0.0)
-        reloaded = SweepJournal(tmp_path)
-        assert SweepJournal.entry_metrics(reloaded.get("k1")) == {"miss_rate": 0.9}
+        reloaded = ResultStore(tmp_path)
+        assert reloaded.metrics("k1") == {"miss_rate": 0.9}
 
     def test_duplicate_key_across_files_later_source_wins(self, tmp_path):
-        SweepJournal(tmp_path / "old").record("k1", {}, 0.1, 0.0)
-        SweepJournal(tmp_path / "new").record("k1", {}, 0.9, 0.0)
-        store = open_store(
+        ResultStore(tmp_path / "old").record("k1", {}, 0.1, 0.0)
+        ResultStore(tmp_path / "new").record("k1", {}, 0.9, 0.0)
+        store = ResultStore(
             tmp_path / "store", [tmp_path / "old", tmp_path / "new"]
         )
         assert store.metrics("k1") == {"miss_rate": 0.9}
@@ -42,7 +37,7 @@ class TestLastWins:
 
 class TestCorruptionIsolation:
     def test_corrupted_and_future_lines_do_not_poison_neighbours(self, tmp_path):
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         journal.record("before", {}, 0.1, 0.0)
         with journal.path.open("a", encoding="utf-8") as handle:
             handle.write("{corrupted json\n")
@@ -59,12 +54,12 @@ class TestCorruptionIsolation:
             )
         journal.record("after", {}, 0.2, 0.0)
 
-        reloaded = SweepJournal(tmp_path)
+        reloaded = ResultStore(tmp_path)
         assert reloaded.get("before") is not None
         assert reloaded.get("after") is not None
         assert reloaded.get("future") is None
 
-        store = open_store(tmp_path / "store", [tmp_path])
+        store = ResultStore(tmp_path / "store", [tmp_path])
         assert sorted(store.keys()) == ["after", "before"]
         assert store.stats().skipped == 2
 
@@ -72,7 +67,7 @@ class TestCorruptionIsolation:
 class TestNonFiniteRejection:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_record_refuses_non_finite_metrics(self, tmp_path, bad):
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="non-finite"):
             journal.record("bad", {"label": "dm"}, bad, 0.0)
         with pytest.raises(ValueError, match="non-finite"):
@@ -85,7 +80,7 @@ class TestNonFiniteRejection:
 
     def test_record_many_is_atomic_per_batch_validation(self, tmp_path):
         """Validation happens before any line of the batch is written."""
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="non-finite"):
             journal.record_many(
                 [
@@ -101,7 +96,7 @@ class TestNonFiniteRejection:
         """Regression: a string (or other non-numeric) metric used to
         crash ``math.isfinite`` with a raw TypeError; the journal now
         raises its own descriptive ValueError before writing anything."""
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="is not a number"):
             journal.record_many(
                 [("bad", {"label": "dm"}, {"miss_rate": 0.1, "ipc": bad}, 0.0)]
@@ -110,7 +105,7 @@ class TestNonFiniteRejection:
         assert not journal.path.exists() or not journal.path.read_text()
 
     def test_non_numeric_error_names_the_metric(self, tmp_path):
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="'ipc'"):
             journal.record("bad", {}, {"miss_rate": 0.1, "ipc": "fast"}, 0.0)
 
@@ -128,7 +123,7 @@ class TestConcurrentReaders:
     def test_journal_reload_while_writer_appends(self, tmp_path):
         """Re-loading the journal directory mid-write never raises and
         never surfaces a half-written entry."""
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         total = 100
         done = threading.Event()
 
@@ -140,10 +135,10 @@ class TestConcurrentReaders:
         thread = threading.Thread(target=write)
         thread.start()
         while not done.is_set():
-            snapshot = SweepJournal(tmp_path)
-            for key in list(snapshot._entries):
-                metrics = SweepJournal.entry_metrics(snapshot.get(key))
+            snapshot = ResultStore(tmp_path)
+            for key in snapshot.keys():
+                metrics = snapshot.metrics(key)
                 assert metrics is not None
                 assert math.isfinite(metrics["miss_rate"])
         thread.join()
-        assert len(SweepJournal(tmp_path)) == total
+        assert len(ResultStore(tmp_path)) == total

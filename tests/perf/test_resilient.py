@@ -24,13 +24,13 @@ from repro.analysis.sweep import run_sweep
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.geometry import CacheGeometry
 from repro.perf import parallel
-from repro.perf.journal import JOURNAL_FILENAME, SweepJournal
 from repro.perf.parallel import (
     SweepCellError,
     TraceKey,
     run_cells,
     run_labeled_cells,
 )
+from repro.store import JOURNAL_FILENAME, ResultStore
 
 TRACES = [TraceKey("gcc", "instruction", 2_000), TraceKey("li", "instruction", 2_000)]
 SIZES = [1024, 2048, 4096]
@@ -184,13 +184,13 @@ class TestWorkerCrashRecovery:
         with pytest.raises(SweepCellError) as excinfo:
             run_sweep(
                 "size", SIZES, factories, TRACES,
-                workers=2, journal=str(journal_dir),
+                workers=2, journal=ResultStore(journal_dir),
             )
         assert all(f.identity.parameter == 2048 for f in excinfo.value.failures)
         assert all(f.identity.label == "flaky" for f in excinfo.value.failures)
 
         # Every completed cell was journaled; the poisoned ones were not.
-        journal = SweepJournal(journal_dir)
+        journal = ResultStore(journal_dir)
         total = len(SIZES) * len(factories) * len(TRACES)
         assert len(journal) == total - len(TRACES)
 
@@ -199,7 +199,7 @@ class TestWorkerCrashRecovery:
 
         resumed = run_sweep(
             "size", SIZES, factories, TRACES,
-            workers=2, journal=str(journal_dir),
+            workers=2, journal=ResultStore(journal_dir),
         )
 
         # Only the failed cells were recomputed on resume.
@@ -254,9 +254,9 @@ class TestTimeout:
 class TestJournal:
     def test_second_run_fully_cached(self, tmp_path, sweep_metrics):
         cells = _grid({"clean": CleanFactory()})
-        first = run_labeled_cells(cells, workers=1, journal=tmp_path)
+        first = run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))
         sweep_metrics.clear()
-        second = run_labeled_cells(cells, workers=1, journal=tmp_path)
+        second = run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))
         assert [o.miss_rate for o in second] == [o.miss_rate for o in first]
         assert all(o.cached for o in second)
         warm = sweep_metrics.total
@@ -268,25 +268,25 @@ class TestJournal:
         # the factory fingerprint must keep the journal entries apart.
         cells_a = [("curve", CleanFactory(line_size=4), 2048, TRACES[0])]
         cells_b = [("curve", CleanFactory(line_size=16), 2048, TRACES[0])]
-        run_labeled_cells(cells_a, workers=1, journal=tmp_path)
-        outcome_b = run_labeled_cells(cells_b, workers=1, journal=tmp_path)[0]
+        run_labeled_cells(cells_a, workers=1, journal=ResultStore(tmp_path))
+        outcome_b = run_labeled_cells(cells_b, workers=1, journal=ResultStore(tmp_path))[0]
         assert not outcome_b.cached
-        outcome_a = run_labeled_cells(cells_a, workers=1, journal=tmp_path)[0]
+        outcome_a = run_labeled_cells(cells_a, workers=1, journal=ResultStore(tmp_path))[0]
         assert outcome_a.cached
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
         cells = _grid({"clean": CleanFactory()})
-        run_labeled_cells(cells, workers=1, journal=tmp_path)
+        run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))
         path = tmp_path / JOURNAL_FILENAME
-        intact = len(SweepJournal(tmp_path))
+        intact = len(ResultStore(tmp_path))
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "sweep-cell", "version": 1, "key": "abc')
-        assert len(SweepJournal(tmp_path)) == intact
-        outcomes = run_labeled_cells(cells, workers=1, journal=tmp_path)
+        assert len(ResultStore(tmp_path)) == intact
+        outcomes = run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))
         assert all(o.cached for o in outcomes)
 
     def test_newer_version_entries_are_not_trusted(self, tmp_path):
-        journal = SweepJournal(tmp_path)
+        journal = ResultStore(tmp_path)
         journal.record("k1", {"label": "x"}, 0.5, 0.1)
         path = tmp_path / JOURNAL_FILENAME
         entry = json.loads(path.read_text().splitlines()[0])
@@ -294,16 +294,16 @@ class TestJournal:
         entry["key"] = "k2"
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry) + "\n")
-        reloaded = SweepJournal(tmp_path)
+        reloaded = ResultStore(tmp_path)
         assert reloaded.get("k1") is not None
         assert reloaded.get("k2") is None
 
     def test_unpicklable_factory_is_never_journaled(self, tmp_path):
         factory = lambda size: DirectMappedCache(CacheGeometry(int(size), 4))  # noqa: E731
         cells = [("lambda", factory, 2048, TRACES[0])]
-        run_labeled_cells(cells, workers=1, journal=tmp_path)
-        assert len(SweepJournal(tmp_path)) == 0
-        outcome = run_labeled_cells(cells, workers=1, journal=tmp_path)[0]
+        run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))
+        assert len(ResultStore(tmp_path)) == 0
+        outcome = run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path))[0]
         assert outcome.ok and not outcome.cached
 
     def test_scale_change_misses_the_journal(self, tmp_path):
@@ -311,15 +311,15 @@ class TestJournal:
         # replay the old scale's miss rate.
         short = [("clean", CleanFactory(), 2048, TraceKey("gcc", "instruction", 2_000))]
         longer = [("clean", CleanFactory(), 2048, TraceKey("gcc", "instruction", 3_000))]
-        run_labeled_cells(short, workers=1, journal=tmp_path)
-        outcome = run_labeled_cells(longer, workers=1, journal=tmp_path)[0]
+        run_labeled_cells(short, workers=1, journal=ResultStore(tmp_path))
+        outcome = run_labeled_cells(longer, workers=1, journal=ResultStore(tmp_path))[0]
         assert not outcome.cached
 
 
 class TestTelemetry:
     def test_counters_for_mixed_run(self, tmp_path, capsys, sweep_metrics):
         cells = _grid({"bad": CrashingFactory(poison=2048)})
-        run_labeled_cells(cells, workers=1, journal=tmp_path, progress=True)
+        run_labeled_cells(cells, workers=1, journal=ResultStore(tmp_path), progress=True)
         count = sweep_metrics.total
         assert count("sweep.cells.total") == len(cells)
         assert count("sweep.cells.failed") == len(TRACES)

@@ -23,14 +23,14 @@ from repro.serve import (
     plan_grid,
 )
 from repro.serve.server import execute_run, resolve_serve_engine
-from repro.store import open_store
+from repro.store import ResultStore
 
 from . import _specs
 
 
 @pytest.fixture()
 def server(tmp_path):
-    store = open_store(tmp_path / "store")
+    store = ResultStore(tmp_path / "store")
     with ResultServer(store, port=0) as running:
         yield running
 
@@ -57,18 +57,16 @@ class TestPlanning:
         from repro.perf.parallel import run_labeled_cells
 
         plan = plan_grid(_specs.GRID, "fast")
-        store = open_store(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         run_labeled_cells(plan.cells, engine="fast", journal=store, progress=False)
         assert all(key in store for key in plan.keys)
 
     def test_engine_resolution(self):
-        assert resolve_serve_engine(_specs.GRID, None, "fast") == "fast"
-        assert (
-            resolve_serve_engine(_specs.GRID, "reference", "fast") == "reference"
-        )
+        assert resolve_serve_engine(None, "fast") == "fast"
+        assert resolve_serve_engine("reference", "fast") == "reference"
         for engine in ("warp", "batch"):
             with pytest.raises(ValueError, match="unknown engine"):
-                resolve_serve_engine(_specs.GRID, engine, "fast")
+                resolve_serve_engine(engine, "fast")
 
 
 class TestReadRoutes:
@@ -287,7 +285,7 @@ class TestEtag:
 class TestNegativeCache:
     @pytest.fixture()
     def failing_server(self, tmp_path):
-        store = open_store(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         with ResultServer(store, port=0, neg_ttl=30.0) as running:
             yield running
 
@@ -313,7 +311,7 @@ class TestNegativeCache:
         assert "poisoned cell" in warm_error
 
     def test_expired_entries_are_retried(self, tmp_path):
-        store = open_store(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         with ResultServer(store, port=0, neg_ttl=0.2) as running:
             _, cold_cells = self._run(running)
             assert len(cold_cells) == 2
@@ -322,7 +320,7 @@ class TestNegativeCache:
             assert len(retry_cells) == 2  # TTL passed: simulated again
 
     def test_zero_ttl_disables_the_negative_cache(self, tmp_path):
-        store = open_store(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         with ResultServer(store, port=0, neg_ttl=0) as running:
             self._run(running)
             assert running.store.error_keys() == []  # nothing recorded
@@ -331,7 +329,7 @@ class TestNegativeCache:
 
     def test_negative_ttl_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="neg_ttl"):
-            ResultServer(open_store(tmp_path / "store"), port=0, neg_ttl=-1)
+            ResultServer(ResultStore(tmp_path / "store"), port=0, neg_ttl=-1)
 
     def test_healthz_reports_the_ttl(self, failing_server):
         health = ServeClient(failing_server.url).healthz()
@@ -493,7 +491,7 @@ class TestServedRunsSimulateOnlyPendingCells:
 
     @pytest.mark.parametrize("spec_id", SPECS)
     def test_fully_stored_spec_simulates_nothing(self, tmp_path, spec_id):
-        store = open_store(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         execute_run(store, get_spec(spec_id), lambda event: None, engine="fast",
                     workers=1)
         clear_result_cache()  # what a freshly started daemon holds
@@ -505,7 +503,7 @@ class TestServedRunsSimulateOnlyPendingCells:
         clear_result_cache()
         events = []
         sweeps, dispatches = self._simulations(
-            open_store(tmp_path / "store"), "fig11", events
+            ResultStore(tmp_path / "store"), "fig11", events
         )
         assert sweeps == 1
         assert dispatches == events[0]["cells"] == events[0]["pending"]

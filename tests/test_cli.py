@@ -237,9 +237,9 @@ class TestObservabilityEnvValidation:
 
 class TestStoreCompactCommand:
     def _seed_store(self, directory):
-        from repro.store import open_store
+        from repro.store import ResultStore
 
-        store = open_store(directory)
+        store = ResultStore(directory)
         for i in range(6):
             store.record(f"{i:08x}aa", {"label": "dm"}, 0.1 + i / 100, 0.0)
         return store
@@ -274,7 +274,7 @@ class TestStoreCompactCommand:
             main(["store", "compact"])
 
     def test_compacted_store_round_trips(self, tmp_path):
-        from repro.store import open_store
+        from repro.store import ResultStore
 
         store_dir = tmp_path / "results"
         before = {
@@ -282,5 +282,5 @@ class TestStoreCompactCommand:
             for key in self._seed_store(store_dir).keys()
         }
         assert main(["store", "compact", "--store", str(store_dir)]) == 0
-        reloaded = open_store(store_dir)
+        reloaded = ResultStore(store_dir)
         assert {key: reloaded.metrics(key) for key in reloaded.keys()} == before

@@ -60,7 +60,7 @@ from repro.obs.promtext import (  # noqa: E402
     parse_prometheus,
 )
 from repro.serve import ResultServer, ServeClient  # noqa: E402
-from repro.store import open_store  # noqa: E402
+from repro.store import ResultStore  # noqa: E402
 
 
 #: The daemon counters that move whenever anything is simulated.
@@ -98,7 +98,7 @@ def _describe(added: dict) -> str:
 def check(spec: str, store_dir: Path) -> int:
     failures = []
 
-    store = open_store(store_dir)
+    store = ResultStore(store_dir)
     with ResultServer(store, port=0) as server:
         client = ServeClient(server.url)
 
