@@ -1,20 +1,19 @@
-"""Fleet backend benchmark: full-registry sweep, fleet workers vs inline.
+"""Fleet benchmark: full-registry sweep, fleet workers vs inline.
 
 Runs the registry-representative grid — every SPEC trace x the three
-standard curves x the Figure-4 size sweep — once through the ``inline``
-backend and once through the ``fleet`` backend (long-lived worker
-processes speaking NDJSON, forked where fork is the platform's start
-method), asserts the two
-backends agree on every miss rate, and records the wall-clock ratio as
-the gated ``fleet_speedup``.
+standard curves x the Figure-4 size sweep — once with one worker
+(inline) and once with two (the fleet: long-lived worker processes
+speaking NDJSON, forked where fork is the platform's start method),
+asserts the two runs agree on every miss rate, and records the
+wall-clock ratio as the gated ``fleet_speedup``.
 
 The fleet runs two workers, so the ratio measures parallel scale-out.
 On a single-CPU host one worker can only race the inline loop and the
 ratio would measure dispatch overhead instead, so the benchmark skips
 there rather than record a number that means something else.  A drop
 beyond ``tools/check_bench_regression.py``'s tolerance means the fleet
-backend got slower relative to inline on the same host.  Each timed
-round clears the parent's trace memo so both backends pay trace
+got slower relative to inline on the same host.  Each timed
+round clears the parent's trace memo so both runs pay trace
 generation (fleet workers start from the cleared memo: forked ones
 inherit it, exec'd ones start empty).
 """
@@ -76,14 +75,12 @@ def test_fleet_speedup(results_dir):
     cells = _grid()
     refs = max_refs()
 
-    inline_s, inline_out = _best_seconds(cells, backend="inline")
-    fleet_s, fleet_out = _best_seconds(
-        cells, backend="fleet", workers=WORKERS
-    )
+    inline_s, inline_out = _best_seconds(cells, workers=1)
+    fleet_s, fleet_out = _best_seconds(cells, workers=WORKERS)
 
     assert [o.miss_rate for o in fleet_out] == [
         o.miss_rate for o in inline_out
-    ], "fleet and inline backends disagree on miss rates"
+    ], "fleet and inline runs disagree on miss rates"
 
     total_refs = len(cells) * refs
     speedup = inline_s / fleet_s

@@ -151,7 +151,7 @@ def test_fleet_backend_tracing_overhead(results_dir, tmp_path):
     metric deltas home for merging — per-cell wire and merge cost the
     bare run doesn't pay.  This times a whole fleet sweep (2 local
     worker subprocesses, pool spin-up included, exactly what a traced
-    ``--backend fleet`` run pays) bare vs live-traced, interleaved
+    ``--workers 2`` run pays) bare vs live-traced, interleaved
     best-of-rounds.
     """
     from repro.experiments.common import StandardFactory
@@ -170,8 +170,7 @@ def test_fleet_backend_tracing_overhead(results_dir, tmp_path):
     def sweep_seconds():
         start = time.perf_counter()
         outcomes = parallel.run_labeled_cells(
-            cells, engine="fast", workers=2, backend="fleet",
-            journal=None, progress=False,
+            cells, engine="fast", workers=2, journal=None, progress=False,
         )
         assert all(o.ok for o in outcomes)
         return time.perf_counter() - start

@@ -7,7 +7,7 @@ set of traces, collecting miss rates into a
 Sweeps execute through :mod:`repro.perf`: the ``engine`` argument picks
 the fast set-partitioned kernels or the reference simulators (results
 are identical), and ``workers`` fans the independent (parameter,
-policy, trace) cells out to a process pool.  Traces may be given as
+policy, trace) cells out to fleet workers.  Traces may be given as
 :class:`~repro.trace.trace.Trace` objects or as cheap
 :class:`~repro.perf.parallel.TraceKey` recipes; parallel runs want keys
 so workers regenerate traces locally instead of unpickling megabyte
@@ -65,7 +65,6 @@ def run_sweep(
     journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     timeout: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Simulate every (parameter, factory) pair over ``traces``.
 
@@ -73,14 +72,14 @@ def run_sweep(
     paper averages miss rates over the SPEC benchmarks, not over pooled
     references, and we follow it.
 
-    ``engine`` and ``workers`` default to the process-wide settings
-    (see :mod:`repro.perf`); passing ``workers`` above 1 requires
-    picklable factories and is cheapest with
-    :class:`~repro.perf.parallel.TraceKey` traces.
+    ``engine`` defaults to the process default engine and ``workers``
+    to ``REPRO_WORKERS`` or 1 (see :mod:`repro.perf`); passing
+    ``workers`` above 1 requires picklable factories and is cheapest
+    with :class:`~repro.perf.parallel.TraceKey` traces.
 
     Cells run through the resilient envelope layer
     (:func:`repro.perf.parallel.run_labeled_cells`): worker crashes are
-    retried with pool re-creation, ``journal`` (a
+    retried on respawned workers, ``journal`` (a
     :class:`~repro.store.ResultStore`) resumes an interrupted sweep from
     its completed cells, and any cell that still fails raises
     :class:`~repro.perf.parallel.SweepCellError` naming each failed
@@ -106,7 +105,7 @@ def run_sweep(
     ]
     outcomes = parallel.run_labeled_cells(
         cells, engine=engine, workers=workers, timeout=timeout,
-        journal=journal, progress=progress, backend=backend,
+        journal=journal, progress=progress,
     )
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures:

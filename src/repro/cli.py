@@ -18,10 +18,9 @@ Ten subcommands make the library usable without writing Python:
   multi-gigabyte journals reload without replaying superseded lines;
 * ``query``    — talk to a running daemon: list specs, look up a stored
   cell by content key, or run an experiment server-side;
-* ``worker``   — the fleet-backend protocol loop: serve sweep cells
+* ``worker``   — the fleet worker's protocol loop: serve sweep cells
   over NDJSON on stdin/stdout until EOF or a shutdown op (launched by
-  ``--backend fleet``, locally or as ``ssh host python3 -m repro.cli
-  worker``).
+  the fleet, locally or as ``ssh host python3 -m repro.cli worker``).
 
 Examples::
 
@@ -59,9 +58,7 @@ from .core.hitlast import HashedHitLastStore, IdealHitLastStore
 from .core.long_lines import make_long_line_exclusion_cache
 from .env import validate as validate_env
 from .obs import configure_logging, summarize_directory
-from .perf.backends import backend_names, set_default_backend
 from .perf.engine import ENGINES, simulate as engine_simulate
-from .perf.parallel import set_default_workers
 from .trace.io import load_din, save_din
 from .trace.trace import Trace
 from .workloads.registry import benchmark_names, trace_by_kind
@@ -206,7 +203,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"tracing requests to {tracer.path}", file=sys.stderr)
     server = ResultServer(
         store, host=args.host, port=args.port, default_engine=args.engine,
-        default_backend=args.backend,
+        default_workers=args.workers,
     )
     print(
         f"serving {store_dir} ({len(store)} cells, {ingested} ingested, "
@@ -292,7 +289,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         done = client.run(
             args.spec, engine=args.engine, workers=args.workers,
-            backend=args.backend, on_event=on_event,
+            on_event=on_event,
         )
         manifest = done["manifest"]
         print(
@@ -349,13 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="'fast' uses the set-partitioned numpy "
                             "kernels where available (identical results); "
                             "default: the process default ('reference')")
-    sim_parser.add_argument("--workers", type=int, default=None, metavar="N",
-                            help="default worker count for any sweep "
-                            "run in-process (default: REPRO_WORKERS or 1)")
-    sim_parser.add_argument("--backend", choices=backend_names(), default=None,
-                            help="default sweep execution backend for any "
-                            "sweep run in-process: inline or fleet "
-                            "(default: REPRO_BACKEND or automatic)")
     sim_parser.set_defaults(func=_cmd_simulate)
 
     classify_parser = sub.add_parser("classify", help="3C miss classification")
@@ -431,14 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="default worker count for server-side sweeps "
-        "(default: REPRO_WORKERS or 1)",
-    )
-    serve_parser.add_argument(
-        "--backend", choices=backend_names(), default=None,
-        help="default execution backend for server-side sweeps: inline "
-        "or fleet (default: REPRO_BACKEND or automatic); "
-        "per-run override via the POST /run body",
+        help="worker count for server-side sweeps when the POST /run "
+        "body names none (default: REPRO_WORKERS or 1)",
     )
     serve_parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
@@ -497,12 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="server-side worker count for this run",
-    )
-    run_parser.add_argument(
-        "--backend", choices=backend_names(), default=None,
-        help="server-side execution backend for this run "
-        "(default: the daemon's)",
+        help="server-side worker count for this run (default: the daemon's)",
     )
     run_parser.add_argument(
         "--progress", action="store_true",
@@ -512,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker_parser = sub.add_parser(
         "worker",
-        help="serve fleet-backend sweep cells over NDJSON on stdin/stdout "
-        "(long-lived; launched by --backend fleet, locally or over SSH)",
+        help="serve fleet sweep cells over NDJSON on stdin/stdout "
+        "(long-lived; launched by the fleet, locally or over SSH)",
     )
     worker_parser.set_defaults(func=_cmd_worker)
 
@@ -531,13 +510,8 @@ def main(argv: "List[str] | None" = None) -> int:
         parser.error(str(exc))
     configure_logging()
     workers = getattr(args, "workers", None)
-    if workers is not None:
-        if workers < 1:
-            parser.error("--workers must be at least 1")
-        set_default_workers(workers)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        set_default_backend(backend)
+    if workers is not None and workers < 1:
+        parser.error("--workers must be at least 1")
     return args.func(args)
 
 

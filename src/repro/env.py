@@ -15,15 +15,11 @@ them carried its own copy of the parsing and error wording.  The rules:
 * ``REPRO_PROFILE`` — when truthy (``1``/``true``/``yes``/``on``),
   each experiment run executes under one cProfile and writes its hot
   functions (see :mod:`repro.obs.profiling`);
-* ``REPRO_BACKEND`` — default sweep execution backend (any registered
-  backend name; ``inline``/``fleet`` are built in, and
-  unset means the runner picks automatically, see
-  :mod:`repro.perf.backends`);
-* ``REPRO_FLEET_HOSTS`` — comma-separated fleet worker endpoints for
-  the ``fleet`` backend (``local``, an SSH host, or a full worker
-  command template; unset means ``--workers`` local workers).  Set,
-  it also makes the automatic backend choice ``fleet``, whatever the
-  worker count;
+* ``REPRO_FLEET_HOSTS`` — comma-separated fleet worker endpoints
+  (``local``, an SSH host, or a full worker command template; unset
+  means ``--workers`` local workers).  Set, it sends every sweep with
+  pending cells to the fleet, whatever the worker count (see
+  :mod:`repro.perf.parallel`);
 * ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` — bind address for the
   ``repro serve`` result-store daemon (default ``127.0.0.1:8377``;
   port 0 asks the OS for an ephemeral port);
@@ -90,37 +86,13 @@ def env_workers() -> Optional[int]:
     return workers
 
 
-def env_backend() -> Optional[str]:
-    """The validated REPRO_BACKEND setting (None when unset or blank).
-
-    Checked against the live ``repro.perf.backends`` registry rather
-    than a hard-coded list, so a backend added at runtime via
-    ``register_backend()`` is accepted here exactly as it is by the
-    explicit argument and ``--backend`` paths.  The import is deferred
-    to the call so this module stays an import leaf.
-    """
-    raw = os.environ.get("REPRO_BACKEND")
-    if raw is None:
-        return None
-    raw = raw.strip().lower()
-    if not raw:
-        return None
-    from .perf.backends import backend_names
-
-    names = backend_names()
-    if raw not in names:
-        options = ", ".join(names)
-        raise ValueError(f"REPRO_BACKEND must be one of {options}, got {raw!r}")
-    return raw
-
-
 def env_fleet_hosts() -> "list[str]":
     """The parsed REPRO_FLEET_HOSTS endpoint list (empty when unset).
 
     Comma-separated; each entry is ``local`` (a worker process on this
     machine), a bare SSH destination (``user@host``), or — when it
     contains whitespace — a full worker command template.  A non-empty
-    list sends automatically placed sweeps to the fleet.  Blank
+    list sends every sweep with pending cells to the fleet.  Blank
     entries are rejected rather than skipped: a trailing comma almost
     always means a host was lost to a shell quoting mistake.
     """
@@ -258,7 +230,6 @@ def validate() -> None:
     generated.
     """
     env_workers()
-    env_backend()
     env_fleet_hosts()
     trace_scale()
     log_level()

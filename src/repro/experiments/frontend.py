@@ -108,17 +108,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="worker processes for sweep cells (default: REPRO_WORKERS "
-        "or 1 = sequential)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=perf.backend_names(),
-        default=None,
-        help="sweep execution backend: 'inline' runs cells in this "
-        "process, 'fleet' shards cells across long-lived worker "
-        "processes — local by default, or the "
-        "REPRO_FLEET_HOSTS endpoints (SSH or command templates) "
-        "(default: REPRO_BACKEND, or automatic by worker count)",
+        "or 1 = sequential); with more than one, a sweep with more than "
+        "one pending cell runs on the fleet, as does every sweep when "
+        "REPRO_FLEET_HOSTS names endpoints",
     )
     parser.add_argument(
         "--resume-dir",
@@ -295,7 +287,6 @@ def _run_spec_args(
         workers=args.workers,
         journal=journal,
         progress=args.progress,
-        backend=getattr(args, "backend", None),
     )
 
 

@@ -312,12 +312,11 @@ def run_spec(
     journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     timeout: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> object:
     """Execute a spec (or registered spec id) and return its result.
 
     Results are memoised by ``(fingerprint, trace budget)``; execution
-    options (engine, workers, journal, backend) are deliberately *not*
+    options (engine, workers, journal) are deliberately *not*
     part of the key because they cannot change the result, only how
     fast and how durably it is computed.  Grid cells run through the resilient
     sweep runner, so ``--workers``/``--resume-dir``/``--progress`` and
@@ -339,12 +338,12 @@ def run_spec(
         elif spec.derive is not None:
             bases = [
                 run_spec(base, engine=engine, workers=workers, journal=journal,
-                         progress=progress, timeout=timeout, backend=backend)
+                         progress=progress, timeout=timeout)
                 for base in spec.base
             ]
             result = spec.derive(*bases)
         else:
-            grid = _run_grid(spec, engine, workers, journal, progress, timeout, backend)
+            grid = _run_grid(spec, engine, workers, journal, progress, timeout)
             result = collect_result(spec, grid)
     return remember_result(spec, result)
 
@@ -422,7 +421,6 @@ def _run_grid(
     journal: Optional[ResultStore],
     progress: Optional[bool],
     timeout: Optional[float],
-    backend: Optional[str] = None,
 ) -> GridResult:
     cells, traces_by_parameter = grid_cells(spec)
     outcomes = parallel.run_labeled_cells(
@@ -433,7 +431,6 @@ def _run_grid(
         journal=journal,
         progress=progress,
         evaluator=spec.evaluator,
-        backend=backend,
     )
     return grid_from_outcomes(spec, outcomes, traces_by_parameter)
 

@@ -11,11 +11,12 @@
   worker crashes, per-cell timeouts, ``sweep.*`` metrics, and resume
   from a :class:`~repro.store.ResultStore`; ships deterministic
   :class:`~repro.perf.parallel.TraceKey` recipes instead of trace
-  arrays;
-* :mod:`repro.perf.backends` — the pluggable execution backends the
-  sweep runner delegates to: ``inline`` (this process) and ``fleet``
-  (cells sharded across long-lived worker processes, forked locally or
-  ``repro worker`` over SSH);
+  arrays.  It runs a sweep's cells on the fleet when
+  ``REPRO_FLEET_HOSTS`` names endpoints or more than one worker has
+  more than one pending cell, and inline otherwise;
+* :mod:`repro.perf.backends` — the two cell runners: inline (this
+  process) and the fleet (cells sharded across long-lived worker
+  processes, forked locally or ``repro worker`` over SSH);
 * :mod:`repro.perf.worker` — the NDJSON protocol loop every fleet
   worker runs (``python -m repro.cli worker`` when exec'd).
 """
@@ -40,17 +41,9 @@ from .kernels import (
     simulate_two_level,
 )
 from .backends import (
-    BACKENDS,
-    SweepBackend,
     SweepContext,
-    backend_names,
-    create_backend,
-    default_backend,
     live_worker_ids,
     live_workers,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
     worker_command,
 )
 from .parallel import (
@@ -66,29 +59,22 @@ from .parallel import (
     is_trace_recipe,
     outcome_observer,
     resolve_workers,
-    run_cells,
     run_labeled_cells,
-    set_default_workers,
     simulate_cell,
 )
 from .worker import worker_main
 
 __all__ = [
-    "BACKENDS",
     "ENGINES",
     "CellIdentity",
     "CellOutcome",
     "KernelExecutionError",
-    "SweepBackend",
     "SweepCellError",
     "SweepContext",
     "TraceKey",
     "as_trace",
-    "backend_names",
     "canonical_parameter",
     "clear_trace_cache",
-    "create_backend",
-    "default_backend",
     "default_engine",
     "env_workers",
     "evaluate_cell",
@@ -100,15 +86,10 @@ __all__ = [
     "live_workers",
     "outcome_observer",
     "parameter_from_json",
-    "register_backend",
     "registered_kernel_types",
-    "resolve_backend",
     "resolve_engine",
     "resolve_workers",
-    "run_cells",
     "run_labeled_cells",
-    "set_default_backend",
-    "set_default_workers",
     "simulate",
     "simulate_belady",
     "simulate_cell",

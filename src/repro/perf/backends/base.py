@@ -1,35 +1,26 @@
-"""The sweep-backend interface, registry, and shared execution helpers.
+"""What a sweep run hands the code that executes its cells.
 
-A **backend** is one strategy for executing a sweep's pending cells:
-``inline`` (this process) or ``fleet`` (long-lived worker processes —
-local or SSH — speaking NDJSON).  Backends share one contract:
-
-* :meth:`SweepBackend.submit_cells` receives the pending cell indices
-  and a :class:`SweepContext` and *yields* each :class:`CellOutcome` as
-  it resolves, having already folded it into the run's journal and
-  counters via the context helpers.  The orchestrator
-  (:func:`repro.perf.parallel.run_labeled_cells`) reports each yielded
-  outcome to observers/progress, so cells stream in completion order
-  whatever strategy ran them.
-* :meth:`SweepBackend.close` releases whatever the run held (worker
-  processes); the orchestrator always calls it.
-
-Selection, in priority order: an explicit ``backend=`` argument, the
-process default set by ``--backend`` on a CLI, the ``REPRO_BACKEND``
-environment variable, and finally the automatic choice (``fleet`` when
-``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` for
-single-worker or single-cell runs and ``fleet`` otherwise).
+The orchestrator (:func:`repro.perf.parallel.run_labeled_cells`) runs
+pending cells either inline (:func:`~repro.perf.backends.run_sequential`)
+or on the fleet (:class:`~repro.perf.backends.FleetBackend`).  Both
+receive the pending cell indices and a :class:`SweepContext`, and
+*yield* each :class:`CellOutcome` as it resolves, having already
+folded it into the run's journal and counters through the context
+helpers.  The orchestrator reports each yielded outcome to
+observers/progress, so cells stream in completion order wherever they
+ran.  This module also holds the observer hook and the span helpers
+both runners share.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ...env import env_backend
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
 from ...store import ResultStore
@@ -38,12 +29,13 @@ from ..cells import CellEvaluator, CellOutcome, LabeledCell
 
 @dataclass
 class SweepContext:
-    """Everything one sweep run hands its backend, and its live counters.
+    """Everything one sweep run hands its cell runner, and its live
+    counters.
 
     The mutation helpers (:meth:`record_success`, :meth:`fail`) are the
     single place cell results turn into journal entries and counters,
-    so every backend journals and counts identically — the
-    backend-invariance tests pin exactly that.  The orchestrator
+    so inline and fleet runs journal and count identically — the
+    placement-invariance tests pin exactly that.  The orchestrator
     publishes the counters as the ``sweep.*`` metrics when the run ends.
     """
 
@@ -58,10 +50,11 @@ class SweepContext:
     evaluator: Optional[CellEvaluator] = None
     fleet_hosts: List[str] = field(default_factory=list)
     #: Trace propagation context (:func:`repro.obs.distributed
-    #: .propagation_context`) the backend forwards to worker processes;
+    #: .propagation_context`) the fleet forwards to worker processes;
     #: None when tracing is off.
     obs_ctx: Optional[Dict[str, object]] = None
-    #: The backend that runs the pending cells (set once they are known).
+    #: Where the pending cells run, ``"inline"`` or ``"fleet"`` (set
+    #: once they are known).
     backend: str = ""
     completed: int = 0
     failed: int = 0
@@ -81,10 +74,21 @@ class SweepContext:
         seconds: float,
     ) -> None:
         """Fold one computed cell into its envelope, the journal, the
-        counters and the ``cell.seconds`` histogram."""
+        counters and the ``cell.seconds`` histogram.
+
+        A non-finite metric is a broken measurement, not a result: it
+        fails the cell instead, so it is neither journaled nor averaged
+        into a figure.
+        """
+        outcome.seconds = seconds
+        for name, value in metrics.items():
+            if not math.isfinite(value):
+                self.fail(outcome, (
+                    f"ValueError: metric {name!r} is non-finite ({value!r})"
+                ))
+                return
         outcome.metrics = dict(metrics)
         outcome.miss_rate = metrics.get("miss_rate")
-        outcome.seconds = seconds
         self.completed += 1
         obs_metrics.histogram("cell.seconds", seconds, engine=self.engine)
         if outcome.worker:
@@ -123,93 +127,6 @@ class SweepContext:
             file=sys.stderr,
             flush=True,
         )
-
-
-class SweepBackend:
-    """One execution strategy for a sweep's pending cells."""
-
-    #: Registry key ("inline", "fleet").
-    name = ""
-
-    def submit_cells(
-        self, pending: Sequence[int], ctx: SweepContext
-    ) -> Iterator[CellOutcome]:
-        """Execute the pending cells, yielding each resolved envelope.
-
-        Implementations must fold every yielded outcome into the journal
-        and counters (via the ``ctx`` helpers) *before* yielding it.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release run-scoped resources (worker processes)."""
-
-
-# -- registry -----------------------------------------------------------------
-
-BACKENDS: Dict[str, Type[SweepBackend]] = {}
-
-
-def register_backend(cls: Type[SweepBackend]) -> Type[SweepBackend]:
-    """Register a backend class under its ``name`` (usable as a decorator)."""
-    if not cls.name:
-        raise ValueError(f"backend class {cls.__name__} has no name")
-    BACKENDS[cls.name] = cls
-    return cls
-
-
-def backend_names() -> List[str]:
-    return sorted(BACKENDS)
-
-
-def create_backend(name: str) -> SweepBackend:
-    """Instantiate a registered backend for one sweep run."""
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r} (choose from {', '.join(backend_names())})"
-        ) from None
-    return cls()
-
-
-# -- backend selection --------------------------------------------------------
-
-_DEFAULT_BACKEND: Optional[str] = None
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set the process-wide default (the CLI's ``--backend`` flag)."""
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (choose from {', '.join(backend_names())})"
-        )
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = backend
-
-
-def default_backend() -> Optional[str]:
-    return _DEFAULT_BACKEND
-
-
-def resolve_backend(backend: Optional[str] = None) -> Optional[str]:
-    """Explicit argument > CLI default > REPRO_BACKEND > None (automatic).
-
-    ``None`` means the orchestrator picks per run: ``fleet`` when
-    ``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` when the run
-    is single-worker or has at most one pending cell, otherwise
-    ``fleet``.
-    """
-    if backend is not None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(choose from {', '.join(backend_names())})"
-            )
-        return backend
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    return env_backend()
 
 
 # -- outcome observation ------------------------------------------------------
@@ -262,8 +179,8 @@ def record_cell_span(
 
     Worker processes cannot reach the parent's tracer, so the parent
     back-dates a span from the envelope's worker-measured seconds once
-    the cell resolves (success or terminal failure).  ``extra`` tags the
-    strategy (``fleet=True``).
+    the cell resolves (success or terminal failure).  ``extra`` tags
+    where it ran (``fleet=True``).
     Returns the recorded span (None when tracing is off) so the
     distributed merge can parent the worker's shipped spans under it.
     """
@@ -285,7 +202,7 @@ def merge_worker_obs(
 
     Thin wrapper over :func:`repro.obs.distributed.merge_cell_payload`
     adding the sweep-side attribution (the envelope's ``worker`` id,
-    when the backend assigned one).
+    when the fleet assigned one).
     """
     if not isinstance(payload, dict):
         return 0

@@ -1,6 +1,7 @@
-"""The ``fleet`` backend: cells sharded across worker processes.
+"""The fleet: cells sharded across worker processes.
 
-The fleet runs every multi-process sweep.  It shards cells across
+The fleet runs every multi-process sweep, and every sweep when
+``REPRO_FLEET_HOSTS`` names endpoints.  It shards cells across
 long-lived worker processes speaking the NDJSON protocol of
 :mod:`repro.perf.worker`, one per endpoint:
 
@@ -53,13 +54,7 @@ from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
 from ..cells import CellOutcome
 from ..worker import worker_main
-from .base import (
-    SweepBackend,
-    SweepContext,
-    merge_worker_obs,
-    record_cell_span,
-    register_backend,
-)
+from .base import SweepContext, merge_worker_obs, record_cell_span
 
 #: Seconds close() waits for a worker to exit after a shutdown request
 #: before killing it.
@@ -243,7 +238,7 @@ def _track(worker: "FleetWorker", alive: bool) -> None:
 class FleetWorker:
     """One worker subprocess plus its reader thread.
 
-    The reader pushes ``(worker, line)`` events onto the backend's queue
+    The reader pushes ``(worker, line)`` events onto the fleet's queue
     and ``(worker, None)`` at EOF, so the scheduler consumes results and
     deaths from a single stream.
     """
@@ -314,9 +309,10 @@ class FleetWorker:
         return f"{self.id} (pid {self.process.pid})"
 
 
-@register_backend
-class FleetBackend(SweepBackend):
-    name = "fleet"
+class FleetBackend:
+    """One sweep's fleet: :meth:`submit_cells` starts the workers and
+    yields each resolved cell; :meth:`close` shuts them down (the
+    orchestrator always calls it)."""
 
     def __init__(self) -> None:
         self._workers: List[FleetWorker] = []

@@ -1,8 +1,9 @@
-"""The ``inline`` backend: everything in this process, no workers.
+"""Inline execution: every pending cell in this process, no workers.
 
-The degenerate — and often correct — strategy: single-worker runs,
-single-cell runs, and environments where forking is unwelcome (test
-harnesses, notebook kernels).
+The sweep runtime runs cells here when no fleet endpoints are
+configured and the run has one worker or one pending cell — and in
+environments where forking is unwelcome (test harnesses, notebook
+kernels) that is simply ``workers=1``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterator, Sequence
 from ...obs import tracing as obs_tracing
 from .. import cells
 from ..cells import CellOutcome
-from .base import SweepBackend, SweepContext, cell_attrs, register_backend
+from .base import SweepContext, cell_attrs
 
 
 def run_sequential(
@@ -35,20 +36,10 @@ def run_sequential(
             except Exception as exc:
                 outcome.seconds = time.perf_counter() - cell_started
                 ctx.fail(outcome, f"{type(exc).__name__}: {exc}")
-                if cell_span is not None:
-                    cell_span.attrs["error"] = outcome.error
             else:
                 ctx.record_success(
                     outcome, metrics, time.perf_counter() - cell_started
                 )
+            if cell_span is not None and outcome.error is not None:
+                cell_span.attrs["error"] = outcome.error
         yield outcome
-
-
-@register_backend
-class InlineBackend(SweepBackend):
-    name = "inline"
-
-    def submit_cells(
-        self, pending: Sequence[int], ctx: SweepContext
-    ) -> Iterator[CellOutcome]:
-        yield from run_sequential(pending, ctx)

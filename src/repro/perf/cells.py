@@ -257,13 +257,10 @@ class SweepCellError(RuntimeError):
 
 # -- cell execution -----------------------------------------------------------
 
-#: One sweep cell: (factory, parameter, trace).  The factory and the
-#: trace reference must be picklable when workers > 1 — pass module
-#: -level callables / dataclass instances and TraceKeys, not lambdas
-#: and raw Traces.
-Cell = Tuple[Callable[[object], object], object, TraceLike]
-
-#: A labelled sweep cell: (label, factory, parameter, trace).
+#: A labelled sweep cell: (label, factory, parameter, trace).  The
+#: factory and the trace reference must be picklable when the cell runs
+#: on the fleet — pass module-level callables / dataclass instances and
+#: TraceKeys, not lambdas and raw Traces.
 LabeledCell = Tuple[str, Callable[[object], object], object, TraceLike]
 
 

@@ -1,35 +1,32 @@
-"""The sweep runtime: orchestration over pluggable execution backends.
+"""The sweep runtime: one orchestrator, two places a cell can run.
 
 A figure sweep is a grid of independent (parameter, policy, benchmark)
 cells.  This module owns the run-level contract — per-cell
 :class:`CellOutcome` envelopes, journal replay and merge-on-arrival
 resume, the ``sweep.*`` metrics, progress/observer streaming — and
-delegates *how* pending cells execute to a
-:class:`~repro.perf.backends.SweepBackend`:
+runs the pending cells in one of two places, chosen per run from
+inputs it already has:
 
-* ``inline`` — this process (the single-worker default);
-* ``fleet`` — cells sharded across long-lived worker processes (forked
+* the **fleet** (:class:`~repro.perf.backends.FleetBackend`) when
+  ``REPRO_FLEET_HOSTS`` names endpoints, or when more than one worker
+  has more than one pending cell: long-lived worker processes (forked
   locally, or ``repro worker`` over SSH) with crash re-dispatch, exact
-  crash attribution, and per-cell timeouts.
-
-Backend selection: an explicit ``backend=`` argument > the CLI's
-``--backend`` default > ``REPRO_BACKEND`` > automatic (``fleet`` when
-``REPRO_FLEET_HOSTS`` names endpoints, else ``inline`` for
-single-worker or single-cell runs and ``fleet`` otherwise).
+  crash attribution, and per-cell timeouts;
+* **inline** (:func:`~repro.perf.backends.run_sequential`) otherwise:
+  this process, one cell at a time.
 
 Worker count resolution, in priority order:
 
-1. an explicit ``workers=`` argument,
-2. the process default set by ``--workers`` on the experiments CLI,
-3. the ``REPRO_WORKERS`` environment variable (validated like
+1. an explicit ``workers=`` argument (the CLIs' ``--workers``),
+2. the ``REPRO_WORKERS`` environment variable (validated like
    ``REPRO_TRACE_SCALE``),
-4. 1 (sequential — no worker process is started at all).
+3. 1 (sequential — no worker process is started at all).
 
 Trace recipes live in :mod:`repro.perf.trace_cache`, identity/envelope
 types in :mod:`repro.perf.cells`, the per-run counters on
-:class:`~repro.perf.backends.SweepContext`, and the execution
-strategies in :mod:`repro.perf.backends`; this module re-exports the
-recipe and envelope names sweep callers use.
+:class:`~repro.perf.backends.SweepContext`, and the two runners in
+:mod:`repro.perf.backends`; this module re-exports the recipe and
+envelope names sweep callers use.
 """
 
 from __future__ import annotations
@@ -46,15 +43,12 @@ from ..obs import tracing as obs_tracing
 from ..store import ResultStore
 from . import engine as engine_mod
 from .backends import (
+    FleetBackend,
     SweepContext,
-    create_backend,
-    default_backend,
     outcome_observer,  # noqa: F401 (public API, re-exported)
-    resolve_backend,
-    set_default_backend,  # noqa: F401 (public API, re-exported)
+    run_sequential,
 )
 from .cells import (  # noqa: F401 (public API, re-exported)
-    Cell,
     CellEvaluator,
     CellIdentity,
     CellOutcome,
@@ -75,25 +69,13 @@ from .trace_cache import (  # noqa: F401 (public API, re-exported)
 
 # -- worker-count resolution --------------------------------------------------
 
-_DEFAULT_WORKERS: Optional[int] = None
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process-wide default (the CLI's ``--workers`` flag)."""
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be at least 1")
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = workers
-
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument > CLI default > REPRO_WORKERS > 1."""
+    """Explicit argument > REPRO_WORKERS > 1."""
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         return workers
-    if _DEFAULT_WORKERS is not None:
-        return _DEFAULT_WORKERS
     env = env_workers()
     if env is not None:
         return env
@@ -107,8 +89,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 DEFAULT_POOL_RETRIES = 2
 
 
-def _auto_backend(workers: int, pending: int, fleet_hosts: Sequence[str]) -> str:
-    """The automatic strategy.
+def _placement(workers: int, pending: int, fleet_hosts: Sequence[str]) -> str:
+    """Where a run's pending cells execute: ``"fleet"`` or ``"inline"``.
 
     Configured fleet endpoints always get the cells.  Otherwise
     single-worker and single-cell runs stay inline (no workers, nothing
@@ -130,21 +112,21 @@ def run_labeled_cells(
     journal: Optional[ResultStore] = None,
     progress: Optional[bool] = None,
     evaluator: Optional[CellEvaluator] = None,
-    backend: Optional[str] = None,
 ) -> List[CellOutcome]:
     """Execute labelled cells, returning one envelope per cell (in order).
 
-    Never raises for an individual cell failure: every exception is
-    captured into its envelope's ``error`` field with full identity, and
-    callers decide whether to raise (:func:`run_cells` and
-    :func:`repro.analysis.sweep.run_sweep` raise :class:`SweepCellError`
+    Never raises for an individual cell failure: every exception, and
+    every non-finite metric, is captured into its envelope's ``error``
+    field with full identity, and callers decide whether to raise
+    (:func:`repro.analysis.sweep.run_sweep` and
+    :func:`repro.experiments.run_spec` raise :class:`SweepCellError`
     listing exactly the failed cells).
 
     ``journal`` (a :class:`~repro.store.ResultStore`; ``None`` journals
     nothing) replays already-completed cells and records each new
     success immediately, so a crashed or interrupted sweep re-runs only
-    the remainder.  Journal keys are backend-independent: a journal
-    written under any backend resumes under any other.
+    the remainder.  Journal keys do not depend on where a cell ran: a
+    journal written inline resumes on the fleet and vice versa.
 
     ``timeout`` (seconds; ``None`` for none; fleet runs only — a
     sequential run cannot interrupt itself) terminates the worker of a cell that exceeds it
@@ -155,15 +137,11 @@ def run_labeled_cells(
 
     ``progress`` streams one stderr line per cell and a closing
     ``[sweep done]`` summary of the run's counters (``None`` is off).
-    ``backend`` picks the execution strategy (``inline`` / ``fleet``);
-    ``None`` defers to the CLI default, then ``REPRO_BACKEND``, then
-    the automatic per-run choice.
     """
     engine = engine_mod.resolve_engine(engine)
     workers = resolve_workers(workers)
     progress = bool(progress)
     pool_retries = DEFAULT_POOL_RETRIES if pool_retries is None else pool_retries
-    backend = resolve_backend(backend)
 
     started = time.perf_counter()
     outcomes = [
@@ -173,9 +151,7 @@ def run_labeled_cells(
         for label, factory, parameter, trace in cells
     ]
 
-    with obs_tracing.span(
-        "sweep", engine=engine, workers=workers, cells=len(cells)
-    ) as sweep_span:
+    with obs_tracing.span("sweep", engine=engine, cells=len(cells)) as sweep_span:
         ctx = SweepContext(
             cells=cells,
             outcomes=outcomes,
@@ -206,23 +182,28 @@ def run_labeled_cells(
             else:
                 pending.append(index)
 
-        ctx.backend = backend or _auto_backend(
-            workers, len(pending), ctx.fleet_hosts
-        )
-        if sweep_span is not None:
-            sweep_span.attrs["backend"] = ctx.backend
-        runner = create_backend(ctx.backend)
-        try:
-            if pending:
-                for outcome in runner.submit_cells(pending, ctx):
+        ctx.backend = _placement(workers, len(pending), ctx.fleet_hosts)
+        if pending and ctx.backend == "fleet":
+            # The fleet sets ctx.workers to the workers it starts.
+            fleet = FleetBackend()
+            try:
+                for outcome in fleet.submit_cells(pending, ctx):
                     ctx.report(outcome)
-        finally:
-            runner.close()
+            finally:
+                fleet.close()
+        else:
+            ctx.workers = 1
+            for outcome in run_sequential(pending, ctx):
+                ctx.report(outcome)
         elapsed = time.perf_counter() - started
         if sweep_span is not None:
-            sweep_span.attrs["completed"] = ctx.completed
-            sweep_span.attrs["failed"] = ctx.failed
-            sweep_span.attrs["cached"] = ctx.cached
+            sweep_span.attrs.update(
+                backend=ctx.backend,
+                workers=ctx.workers,
+                completed=ctx.completed,
+                failed=ctx.failed,
+                cached=ctx.cached,
+            )
     _publish_metrics(ctx)
     if progress:
         print(
@@ -249,38 +230,3 @@ def _publish_metrics(ctx: SweepContext) -> None:
     obs_metrics.counter("sweep.runs.by_backend", backend=ctx.backend)
     for worker_id, count in ctx.worker_cells.items():
         obs_metrics.counter("sweep.cells.by_worker", count, worker=worker_id)
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    journal: Optional[ResultStore] = None,
-    progress: Optional[bool] = None,
-    backend: Optional[str] = None,
-) -> List[float]:
-    """Miss rates for every cell, preserving order.
-
-    ``workers <= 1`` runs inline (no workers, nothing needs pickling).
-    Otherwise the cells are farmed to the selected backend; the engine
-    name is resolved *before* submission, so every worker runs the
-    engine this process chose.
-
-    Cells are executed through the resilient envelope layer
-    (:func:`run_labeled_cells`); any cell failure raises
-    :class:`SweepCellError` naming the failed cells rather than losing
-    the grid to an anonymous worker exception.
-    """
-    labeled: List[LabeledCell] = [
-        (getattr(factory, "__name__", type(factory).__name__), factory, parameter, trace)
-        for factory, parameter, trace in cells
-    ]
-    outcomes = run_labeled_cells(
-        labeled, engine=engine, workers=workers, timeout=timeout,
-        journal=journal, progress=progress, backend=backend,
-    )
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures:
-        raise SweepCellError(failures, len(outcomes))
-    return [outcome.miss_rate for outcome in outcomes]  # type: ignore[misc]

@@ -1,4 +1,4 @@
-"""The ``repro worker`` protocol loop for the fleet backend.
+"""The ``repro worker`` protocol loop every fleet worker runs.
 
 A fleet worker is a long-lived process — forked locally, or launched
 as ``python -m repro.cli worker`` (possibly via ``ssh host``) — that

@@ -131,7 +131,6 @@ class ServeClient:
         spec_id: str,
         engine: "Optional[str]" = None,
         workers: "Optional[int]" = None,
-        backend: "Optional[str]" = None,
     ) -> "Iterator[dict]":
         """Stream a run's NDJSON events as dicts (plan, cell*, done|error)."""
         body: dict = {"spec": spec_id}
@@ -139,8 +138,6 @@ class ServeClient:
             body["engine"] = engine
         if workers is not None:
             body["workers"] = workers
-        if backend is not None:
-            body["backend"] = backend
         with self._open("/run", body) as response:
             for line in response:
                 line = line.strip()
@@ -152,7 +149,6 @@ class ServeClient:
         spec_id: str,
         engine: "Optional[str]" = None,
         workers: "Optional[int]" = None,
-        backend: "Optional[str]" = None,
         on_event: "Optional[Callable[[dict], None]]" = None,
     ) -> dict:
         """Run a spec on the daemon and return the final ``done`` payload.
@@ -162,9 +158,7 @@ class ServeClient:
         error or ends without a ``done`` event.
         """
         done: "Optional[dict]" = None
-        for event in self.run_events(
-            spec_id, engine=engine, workers=workers, backend=backend
-        ):
+        for event in self.run_events(spec_id, engine=engine, workers=workers):
             if on_event is not None:
                 on_event(event)
             kind = event.get("event")

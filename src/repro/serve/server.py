@@ -20,18 +20,17 @@ Protocol (all JSON; ``POST /run`` streams newline-delimited events):
   with ``304 Not Modified`` before any cell planning happens;
 * ``GET /cell/<key>`` — the stored journal entry for a content key,
   ``ETag``-tagged by the entry's own content hash (``304`` on repeats);
-* ``GET /healthz`` — liveness + store statistics, the active sweep
-  backend, and the live fleet-worker count;
+* ``GET /healthz`` — liveness + store statistics and the live
+  fleet-worker count;
 * ``GET /metrics`` — the process obs metrics registry
-  (``serve.*`` and ``fleet.*`` series included) plus the active
-  backend and live fleet-worker count.  Content-negotiated: JSON by
+  (``serve.*`` and ``fleet.*`` series included) plus the live
+  fleet-worker count.  Content-negotiated: JSON by
   default, Prometheus text exposition under ``?format=prometheus`` or
   ``Accept: text/plain`` (see :mod:`repro.obs.promtext`);
 * ``GET /statusz`` — live-run snapshot: the active ``/run`` requests
   (spec, elapsed seconds), per-fleet-worker in-flight cells, and
   store/negcache generation state;
-* ``POST /run`` — body ``{"spec": id, "engine"?: name, "workers"?: n,
-  "backend"?: name}``;
+* ``POST /run`` — body ``{"spec": id, "engine"?: name, "workers"?: n}``;
   the response is ``application/x-ndjson``: one ``plan`` event, a
   ``cell`` event per newly resolved cell, and a final ``done`` event
   carrying every cell's metrics, the collected result, the rendered
@@ -82,7 +81,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..obs.promtext import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..perf import engine as engine_mod
-from ..perf.backends import backend_names, live_worker_status, live_workers
+from ..perf.backends import live_worker_status, live_workers
 from ..perf.cells import content_key
 from ..perf.parallel import (
     CellIdentity,
@@ -353,8 +352,6 @@ def execute_run(
     workers: "Optional[int]" = None,
     default_engine: str = DEFAULT_SERVE_ENGINE,
     neg_ttl: float = 0.0,
-    backend: "Optional[str]" = None,
-    default_backend: "Optional[str]" = None,
 ) -> dict:
     """Serve one run request: plan, answer from store, compute the rest.
 
@@ -371,21 +368,12 @@ def execute_run(
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
 
-    run_backend = backend or default_backend
-    if run_backend is not None and run_backend not in backend_names():
-        raise ValueError(
-            f"unknown backend {run_backend!r}; expected one of "
-            f"{sorted(backend_names())}"
-        )
     with obs_tracing.span(
-        "execute_run",
-        spec=spec.id,
-        engine=engine or default_engine,
-        backend=run_backend or "auto",
+        "execute_run", spec=spec.id, engine=engine or default_engine
     ) as run_span:
         done = _execute_run_inner(
             store, spec, emit, engine, workers, default_engine,
-            neg_ttl, run_backend, started_at, wall_started, cpu_started,
+            neg_ttl, started_at, wall_started, cpu_started,
         )
         if run_span is not None:
             manifest = done.get("manifest", {})
@@ -402,7 +390,6 @@ def _execute_run_inner(
     workers: "Optional[int]",
     default_engine: str,
     neg_ttl: float,
-    run_backend: "Optional[str]",
     started_at: float,
     wall_started: float,
     cpu_started: float,
@@ -423,7 +410,6 @@ def _execute_run_inner(
             "fingerprint": fingerprint_digest(spec),
             "grids": [plan.spec.id for plan in plans],
             "engine": plans[0].engine if plans else default_engine,
-            "backend": run_backend or "auto",
             "cells": total,
             "cached": total - pending,
             "pending": pending,
@@ -463,7 +449,6 @@ def _execute_run_inner(
                     journal=store,
                     progress=False,
                     evaluator=plan.spec.evaluator,
-                    backend=run_backend,
                 )
             failures = [outcome for outcome in outcomes if not outcome.ok]
             if failures:
@@ -499,7 +484,6 @@ def _execute_run_inner(
         extra={
             "run_id": run_id,
             "served_by": f"repro.serve/{SERVE_VERSION}",
-            "backend": run_backend or "auto",
             "cells_total": total,
             "cells_cached": total - computed,
             "cells_computed": computed,
@@ -663,7 +647,6 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             {
                 "metrics": obs_metrics.current_registry().export(),
-                "backend": self.app.default_backend or "auto",
                 "fleet_workers": live_workers(),
             },
         )
@@ -758,7 +741,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "ok": True,
                 "version": SERVE_VERSION,
                 "engine": self.app.default_engine,
-                "backend": self.app.default_backend or "auto",
                 "fleet_workers": live_workers(),
                 "specs": len(all_specs(include_hidden=True)),
                 "generation": self.app.store.generation,
@@ -833,14 +815,8 @@ class _Handler(BaseHTTPRequestHandler):
                 workers = int(workers)
                 if workers < 1:
                     raise ValueError("workers must be at least 1")
-            backend = body.get("backend")
-            if backend is not None:
-                backend = str(backend)
-                if backend not in backend_names():
-                    raise ValueError(
-                        f"unknown backend {backend!r}; expected one of "
-                        f"{sorted(backend_names())}"
-                    )
+            else:
+                workers = self.app.default_workers
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
             return 400
@@ -874,8 +850,6 @@ class _Handler(BaseHTTPRequestHandler):
                     workers=workers,
                     default_engine=self.app.default_engine,
                     neg_ttl=self.app.neg_ttl,
-                    backend=backend,
-                    default_backend=self.app.default_backend,
                 )
         except (ServeUnsupportedError, SweepCellError, ValueError) as exc:
             emit({"event": "error", "error": f"{type(exc).__name__}: {exc}"})
@@ -898,10 +872,9 @@ class ResultServer:
     ``host``/``port`` default to the ``REPRO_SERVE_HOST``/``PORT``
     knobs; pass ``port=0`` for an OS-assigned ephemeral port (tests).
     ``neg_ttl`` (seconds) bounds the negative-result cache and defaults
-    to ``REPRO_SERVE_NEG_TTL``; ``0`` disables it.  ``default_backend``
-    names the sweep backend server-side runs use when the request body
-    carries none (``None`` = the sweep runner's automatic choice, or
-    ``REPRO_BACKEND``).  Use as a context
+    to ``REPRO_SERVE_NEG_TTL``; ``0`` disables it.  ``default_workers``
+    is the worker count server-side runs use when the request body
+    names none (``None`` = ``REPRO_WORKERS`` or 1).  Use as a context
     manager, or call :meth:`start` / :meth:`serve_forever` and
     :meth:`close` explicitly.
     """
@@ -913,21 +886,18 @@ class ResultServer:
         port: "Optional[int]" = None,
         default_engine: str = DEFAULT_SERVE_ENGINE,
         neg_ttl: "Optional[float]" = None,
-        default_backend: "Optional[str]" = None,
+        default_workers: "Optional[int]" = None,
     ) -> None:
         if default_engine not in engine_mod.ENGINES:
             raise ValueError(
                 f"unknown engine {default_engine!r}; expected one of "
                 f"{sorted(engine_mod.ENGINES)}"
             )
-        if default_backend is not None and default_backend not in backend_names():
-            raise ValueError(
-                f"unknown backend {default_backend!r}; expected one of "
-                f"{sorted(backend_names())}"
-            )
+        if default_workers is not None and default_workers < 1:
+            raise ValueError("default_workers must be at least 1")
         self.store = store
         self.default_engine = default_engine
-        self.default_backend = default_backend
+        self.default_workers = default_workers
         self.neg_ttl = env.serve_neg_ttl() if neg_ttl is None else float(neg_ttl)
         if self.neg_ttl < 0:
             raise ValueError("neg_ttl must be >= 0 (0 disables the negative cache)")

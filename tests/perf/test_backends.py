@@ -1,14 +1,14 @@
-"""Tests for the pluggable sweep execution backends.
+"""Tests for where sweep cells run: inline or on the fleet.
 
 Four properties matter:
 
-* **registry** — both backends are registered, selectable, and
-  resolved with the documented precedence (explicit > CLI default >
-  ``REPRO_BACKEND`` > automatic);
+* **placement** — a run goes to the fleet when ``REPRO_FLEET_HOSTS``
+  names endpoints or more than one worker has more than one pending
+  cell, and inline otherwise; the span, gauge and ``[sweep done]`` line
+  report the workers that actually ran the cells;
 * **invariance** — the same grid produces identical metrics and
-  identical journal entries under ``inline`` and ``fleet``, and a
-  journal written under one backend resumes under the other (both
-  directions);
+  identical journal entries inline and on the fleet, and a journal
+  written by one resumes under the other (both directions);
 * **fleet fault tolerance** — a SIGKILLed worker retires, its in-flight
   cell re-dispatches inside the crash budget, a poisoned cell that
   kills every worker it touches fails with exact worker attribution,
@@ -16,7 +16,8 @@ Four properties matter:
   malformed reply fails only its cell;
 * **forked-worker hygiene** — a forked ``local`` worker starts with
   fresh observability state and its own pipes only, and a long-lived
-  parent running many sweeps leaks neither descriptors nor zombies.
+  parent running many sweeps leaks neither descriptors nor zombies;
+  the worker protocol loop answers any line, however malformed.
 
 The fleet factories live in :mod:`tests.perf.fleet_helpers` so exec'd
 worker processes can unpickle them by qualified name.
@@ -32,17 +33,14 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.perf.backends import (
-    FleetBackend,
-    InlineBackend,
-    backend_names,
-    create_backend,
     live_worker_status,
     live_workers,
-    resolve_backend,
-    set_default_backend,
     worker_command,
 )
 from repro.perf.parallel import (
@@ -91,13 +89,10 @@ def _zombie_children():
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_backend(monkeypatch):
-    """Tests control selection explicitly; the ambient env must not."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def _no_ambient_placement(monkeypatch):
+    """Tests control placement explicitly; the ambient env must not."""
     monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
 
 def _cells_by_worker(registry):
@@ -108,55 +103,9 @@ def _cells_by_worker(registry):
     }
 
 
-class TestRegistry:
-    def test_two_backends_registered(self):
-        assert backend_names() == ["fleet", "inline"]
-
-    def test_create_returns_registered_classes(self):
-        assert isinstance(create_backend("inline"), InlineBackend)
-        assert isinstance(create_backend("fleet"), FleetBackend)
-
-    def test_unknown_backend_names_the_choices(self):
-        with pytest.raises(ValueError, match="unknown backend 'threads'"):
-            create_backend("threads")
-        with pytest.raises(ValueError, match=r"\(choose from fleet, inline\)"):
-            create_backend("local-pool")
-
-    def test_run_labeled_cells_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_labeled_cells(_grid(WellBehavedFactory()), backend="threads")
-
-
-class TestResolvePrecedence:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "inline")
-        set_default_backend("inline")
-        assert resolve_backend("fleet") == "fleet"
-
-    def test_cli_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        set_default_backend("inline")
-        assert resolve_backend(None) == "inline"
-
-    def test_env_when_nothing_else(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        assert resolve_backend(None) == "fleet"
-
-    def test_unset_means_automatic(self):
-        assert resolve_backend(None) is None
-
-    def test_explicit_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("threads")
-
-    def test_set_default_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_default_backend("threads")
-
-
 class TestAutomaticSelection:
-    """backend=None runs inline unless there is parallel work to share
-    or fleet endpoints are configured."""
+    """A run goes inline unless there is parallel work to share or fleet
+    endpoints are configured."""
 
     def test_single_worker_runs_inline(self, sweep_metrics):
         run_labeled_cells(_grid(WellBehavedFactory()), workers=1)
@@ -171,11 +120,6 @@ class TestAutomaticSelection:
         run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
         assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 1
 
-    def test_env_backend_overrides_automatic(self, monkeypatch, sweep_metrics):
-        monkeypatch.setenv("REPRO_BACKEND", "inline")
-        run_labeled_cells(_grid(WellBehavedFactory()), workers=2)
-        assert sweep_metrics.value("sweep.runs.by_backend", backend="inline") == 1
-
     def test_fleet_hosts_run_on_the_fleet_without_workers(
         self, monkeypatch, sweep_metrics
     ):
@@ -189,17 +133,80 @@ class TestAutomaticSelection:
         assert workers and all(worker.startswith("local#") for worker in workers)
         assert all(outcome.worker.startswith("local#") for outcome in outcomes)
 
+    def test_fully_journaled_sweep_starts_no_worker(
+        self, tmp_path, monkeypatch, sweep_metrics
+    ):
+        cells = _grid(WellBehavedFactory())
+        run_labeled_cells(
+            cells, engine="fast", workers=1, journal=ResultStore(tmp_path)
+        )
+        monkeypatch.setenv("REPRO_FLEET_HOSTS", "local")
+        sweep_metrics.clear()
+        outcomes = run_labeled_cells(
+            cells, engine="fast", journal=ResultStore(tmp_path)
+        )
+        assert all(outcome.cached for outcome in outcomes)
+        assert sweep_metrics.value("fleet.workers.spawned") is None
+
+
+class TestReportedWorkers:
+    """The sweep span, the ``sweep.workers`` gauge and the ``[sweep
+    done]`` line agree on the workers that actually ran the cells."""
+
+    def _reported(self, tmp_path, capsys, sweep_metrics, cells, workers):
+        tracer = obs.install_tracer(obs.Tracer(tmp_path))
+        try:
+            outcomes = run_labeled_cells(
+                cells, engine="fast", workers=workers, progress=True
+            )
+        finally:
+            obs.uninstall_tracer()
+            tracer.close()
+        assert all(outcome.ok for outcome in outcomes)
+        spans = obs.read_spans(tmp_path / obs.TRACE_FILENAME)
+        (sweep,) = [span for span in spans if span.name == "sweep"]
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("[sweep done]")
+        ]
+        gauge = sweep_metrics.value("sweep.workers", engine="fast")
+        return sweep.attrs["workers"], gauge, line
+
+    def test_one_cell_runs_inline_on_one_worker(
+        self, tmp_path, capsys, sweep_metrics
+    ):
+        span, gauge, line = self._reported(
+            tmp_path, capsys, sweep_metrics,
+            _grid(WellBehavedFactory())[:1], workers=4,
+        )
+        assert (span, gauge) == (1, 1)
+        assert " 1 worker(s), " in line and "backend=inline" in line
+
+    def test_fleet_reports_the_workers_it_started(
+        self, tmp_path, monkeypatch, capsys, sweep_metrics
+    ):
+        monkeypatch.setenv("REPRO_FLEET_HOSTS", "local,local")
+        span, gauge, line = self._reported(
+            tmp_path, capsys, sweep_metrics,
+            _grid(WellBehavedFactory())[:3], workers=1,
+        )
+        assert (span, gauge) == (2, 2)
+        assert " 2 worker(s), " in line and "backend=fleet" in line
+
+
+#: The worker count that places a six-cell grid inline or on the fleet.
+PLACEMENT_WORKERS = {"inline": 1, "fleet": 2}
+
 
 class TestBackendInvariance:
-    """Identical metrics and journal entries across both backends."""
+    """Identical metrics and journal entries inline and on the fleet."""
 
-    def _run(self, backend, tmp_path, workers=2):
-        journal_dir = tmp_path / backend
+    def _run(self, placement, tmp_path):
+        journal_dir = tmp_path / placement
         outcomes = run_labeled_cells(
             _grid(WellBehavedFactory()),
             engine="fast",
-            workers=workers,
-            backend=backend,
+            workers=PLACEMENT_WORKERS[placement],
             journal=ResultStore(journal_dir),
         )
         assert all(outcome.ok for outcome in outcomes)
@@ -208,6 +215,8 @@ class TestBackendInvariance:
     def test_metrics_and_journal_keys_identical(self, tmp_path):
         inline, inline_journal = self._run("inline", tmp_path)
         fleet, fleet_journal = self._run("fleet", tmp_path)
+        assert not any(o.worker for o in inline)
+        assert all(o.worker.startswith("local#") for o in fleet)
 
         assert [o.metrics for o in inline] == [o.metrics for o in fleet]
 
@@ -225,12 +234,12 @@ class TestBackendInvariance:
         journal_dir = tmp_path / "journal"
         cells = _grid(WellBehavedFactory())
         initial = run_labeled_cells(
-            cells, engine="fast", workers=2, backend=first,
+            cells, engine="fast", workers=PLACEMENT_WORKERS[first],
             journal=ResultStore(journal_dir),
         )
         assert all(outcome.ok for outcome in initial)
         resumed = run_labeled_cells(
-            cells, engine="fast", workers=2, backend=second,
+            cells, engine="fast", workers=PLACEMENT_WORKERS[second],
             journal=ResultStore(journal_dir),
         )
         assert all(outcome.cached for outcome in resumed)
@@ -260,7 +269,6 @@ class TestFleetExecution:
             _grid(WellBehavedFactory()),
             engine="fast",
             workers=2,
-            backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
         assert sweep_metrics.value("sweep.runs.by_backend", backend="fleet") == 1
@@ -273,7 +281,6 @@ class TestFleetExecution:
     def test_workers_torn_down_after_the_sweep(self):
         run_labeled_cells(
             _grid(WellBehavedFactory()), engine="fast", workers=2,
-            backend="fleet",
         )
         assert live_workers() == 0
 
@@ -282,7 +289,6 @@ class TestFleetExecution:
             [("curve", raise_for_2048, size, TRACES[0]) for size in SIZES],
             engine="fast",
             workers=2,
-            backend="fleet",
         )
         failed = [outcome for outcome in outcomes if not outcome.ok]
         assert len(failed) == 1
@@ -299,7 +305,6 @@ class TestFleetExecution:
             _grid(KillOnceFactory(poison=2048, sentinel=str(sentinel))),
             engine="fast",
             workers=2,
-            backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
         assert not sentinel.exists()
@@ -313,7 +318,6 @@ class TestFleetExecution:
             _grid(KillAlwaysFactory(poison=2048)),
             engine="fast",
             workers=2,
-            backend="fleet",
             pool_retries=1,
         )
         failed = [outcome for outcome in outcomes if not outcome.ok]
@@ -336,7 +340,6 @@ class TestFleetExecution:
         outcomes = run_labeled_cells(
             _grid(WellBehavedFactory()),
             engine="fast",
-            backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
         # Every cell lands on the one good worker; the bad endpoint is
@@ -350,7 +353,6 @@ class TestFleetExecution:
         outcomes = run_labeled_cells(
             _grid(WellBehavedFactory()),
             engine="fast",
-            backend="fleet",
         )
         assert not any(outcome.ok for outcome in outcomes)
         assert all(
@@ -359,7 +361,7 @@ class TestFleetExecution:
             if outcome.error and "BrokenFleet" in outcome.error
         )
 
-    def test_unpicklable_payloads_fail_fast_without_hanging(self):
+    def test_unpicklable_payloads_fail_fast_without_hanging(self, monkeypatch):
         # Regression: a cell whose payload fails to pickle resolves at
         # dispatch without ever occupying a worker, so a sweep where
         # nothing gets in flight must terminate instead of blocking on
@@ -370,14 +372,13 @@ class TestFleetExecution:
         done = {}
 
         def run():
-            done["bad"] = run_labeled_cells(
-                bad, engine="fast", workers=1, backend="fleet"
-            )
+            with monkeypatch.context() as patch:
+                patch.setenv("REPRO_FLEET_HOSTS", "local")  # one worker
+                done["bad"] = run_labeled_cells(bad, engine="fast", workers=1)
             done["mixed"] = run_labeled_cells(
                 bad + _grid(WellBehavedFactory()),
                 engine="fast",
                 workers=2,
-                backend="fleet",
             )
 
         thread = threading.Thread(target=run, daemon=True)
@@ -397,7 +398,6 @@ class TestFleetExecution:
             _grid(SlowFactory(poison=2048)),
             engine="fast",
             workers=2,
-            backend="fleet",
             timeout=3.0,
         )
         timed_out = [outcome for outcome in outcomes if not outcome.ok]
@@ -447,7 +447,7 @@ class TestFleetProtocol:
         registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
         try:
             outcomes = run_labeled_cells(
-                _grid(WellBehavedFactory()), engine="fast", backend="fleet"
+                _grid(WellBehavedFactory()), engine="fast"
             )
         finally:
             obs_metrics.uninstall_registry()
@@ -463,7 +463,6 @@ class TestFleetProtocol:
     def test_no_more_workers_than_pending_cells(self, sweep_metrics):
         outcomes = run_labeled_cells(
             _grid(WellBehavedFactory())[:2], engine="fast", workers=4,
-            backend="fleet",
         )
         assert all(outcome.ok for outcome in outcomes)
         assert sweep_metrics.value("sweep.workers", engine="fast") == 2
@@ -511,7 +510,6 @@ class TestForkedLocalWorkers:
         with outcome_observer(observe):
             outcomes = run_labeled_cells(
                 _grid(WellBehavedFactory()), engine="fast", workers=2,
-                backend="fleet",
             )
         assert all(outcome.ok for outcome in outcomes)
         assert len(probed) == 2
@@ -582,7 +580,6 @@ class TestForkedLocalWorkers:
         try:
             outcomes = run_labeled_cells(
                 _grid(UnprofiledFactory()), engine="fast", workers=2,
-                backend="fleet",
             )
         finally:
             profile.disable()
@@ -678,3 +675,91 @@ class TestWorkerMain:
         assert results[0]["ok"] is False
         assert "RuntimeError: poisoned parameter 2048" in results[0]["error"]
         assert {"event": "pong", "id": 8} in events  # loop survived
+
+#: One arbitrary protocol value: what ``json.loads`` can return.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _b64(raw: bytes) -> str:
+    import base64
+
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _pickled(value) -> str:
+    import pickle
+
+    return _b64(pickle.dumps(value))
+
+
+#: A ``cell`` request whose every field is arbitrary.
+CELL_REQUESTS = st.fixed_dictionaries(
+    {"op": st.just("cell")},
+    optional={
+        "id": JSON_VALUES,
+        "engine": JSON_VALUES,
+        "obs": JSON_VALUES,
+        "payload": JSON_VALUES
+        | st.binary(max_size=64).map(_b64)
+        | JSON_VALUES.map(_pickled),
+    },
+).map(json.dumps)
+
+#: Every line but a shutdown: raw text, JSON values, ops, cell requests.
+PROTOCOL_LINES = st.one_of(
+    st.text(
+        st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)),
+        max_size=40,
+    ),
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries(
+        {"op": JSON_VALUES.filter(lambda op: op != "shutdown")},
+        optional={"id": JSON_VALUES},
+    ).map(json.dumps),
+    CELL_REQUESTS,
+)
+
+
+def _expected_event(line: str) -> str:
+    """The one event the protocol owes a non-blank line."""
+    try:
+        request = json.loads(line)
+    except ValueError:
+        return "error"
+    if not isinstance(request, dict):
+        return "error"
+    op = request.get("op")
+    if op == "ping":
+        return "pong"
+    return "result" if op == "cell" else "error"
+
+
+class TestWorkerMainFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(lines=st.lists(PROTOCOL_LINES, max_size=8))
+    def test_every_line_answered_and_the_loop_survives(self, lines):
+        stdin = io.StringIO(
+            "".join(line + "\n" for line in lines)
+            + json.dumps({"op": "ping", "id": "last"}) + "\n"
+        )
+        stdout = io.StringIO()
+        assert worker_main(stdin=stdin, stdout=stdout) == 0
+        events = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert events[0]["event"] == "ready"
+        answered = [line for line in lines if line.strip()]
+        assert len(events) == len(answered) + 2
+        for line, event in zip(answered, events[1:]):
+            assert event["event"] == _expected_event(line), line
+            if event["event"] == "result":
+                assert event["ok"] is False, line
+        assert events[-1] == {"event": "pong", "id": "last"}

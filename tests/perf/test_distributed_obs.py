@@ -1,4 +1,4 @@
-"""Distributed observability across sweep backends.
+"""Distributed observability across the places a sweep cell runs.
 
 The differential contract: a fleet run of a grid must
 produce (1) one merged trace whose worker-side ``simulate`` /
@@ -35,11 +35,11 @@ def _clean_process_state():
     obs_metrics.uninstall_registry()
 
 
-def _traced_run(tmp_path, backend):
+def _traced_fleet_run(tmp_path):
     tracer = obs.install_tracer(obs.Tracer(tmp_path))
     registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
     outcomes = run_labeled_cells(
-        _grid(), engine="reference", workers=2, backend=backend, progress=False
+        _grid(), engine="reference", workers=2, progress=False
     )
     obs.uninstall_tracer()
     tracer.close()
@@ -51,7 +51,7 @@ def _traced_run(tmp_path, backend):
 def _inline_fsm_totals():
     registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
     outcomes = run_labeled_cells(
-        _grid(), engine="reference", workers=1, backend="inline", progress=False
+        _grid(), engine="reference", workers=1, progress=False
     )
     obs_metrics.uninstall_registry()
     assert all(outcome.ok for outcome in outcomes)
@@ -60,7 +60,7 @@ def _inline_fsm_totals():
 
 class TestFleetDistributedObs:
     def test_merged_trace_and_fsm_parity(self, tmp_path):
-        spans, registry, outcomes = _traced_run(tmp_path, "fleet")
+        spans, registry, outcomes = _traced_fleet_run(tmp_path)
         by_id = {span.span_id: span for span in spans}
         cells = [span for span in spans if span.name == "cell"]
         assert len(cells) == 3
@@ -103,10 +103,9 @@ class TestFleetDistributedObs:
         assert all(worker for _, worker in exported)
 
     def test_cell_metrics_unaffected_by_tracing(self, tmp_path):
-        _, _, traced = _traced_run(tmp_path, "fleet")
+        _, _, traced = _traced_fleet_run(tmp_path)
         bare = run_labeled_cells(
-            _grid(), engine="reference", workers=2, backend="fleet",
-            progress=False,
+            _grid(), engine="reference", workers=2, progress=False
         )
         assert [outcome.miss_rate for outcome in traced] == [
             outcome.miss_rate for outcome in bare

@@ -35,19 +35,9 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert parallel.resolve_workers(2) == 2
 
-    def test_cli_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        parallel.set_default_workers(2)
-        try:
-            assert parallel.resolve_workers() == 2
-        finally:
-            parallel.set_default_workers(None)
-
     def test_invalid_explicit_workers(self):
         with pytest.raises(ValueError):
             parallel.resolve_workers(0)
-        with pytest.raises(ValueError):
-            parallel.set_default_workers(0)
 
 
 class TestTraceKey:

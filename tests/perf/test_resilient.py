@@ -16,6 +16,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,11 +24,11 @@ from repro.analysis import serialize
 from repro.analysis.sweep import run_sweep
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.geometry import CacheGeometry
+from repro.experiments.spec import ExperimentSpec, run_spec
 from repro.perf import parallel
 from repro.perf.parallel import (
     SweepCellError,
     TraceKey,
-    run_cells,
     run_labeled_cells,
 )
 from repro.store import JOURNAL_FILENAME, ResultStore
@@ -89,6 +90,33 @@ class SleepingFactory:
         return DirectMappedCache(CacheGeometry(int(size), 4))  # type: ignore[call-overload]
 
 
+class _NanModel:
+    """A model whose statistics carry a NaN miss rate."""
+
+    def simulate(self, trace):
+        return SimpleNamespace(miss_rate=float("nan"))
+
+
+@dataclass(frozen=True)
+class NanAtFactory:
+    """Direct-mapped, except a NaN-reporting model at one poisoned size."""
+
+    poison: int
+
+    def __call__(self, size: object):
+        if int(size) == self.poison:  # type: ignore[call-overload]
+            return _NanModel()
+        return DirectMappedCache(CacheGeometry(int(size), 4))  # type: ignore[call-overload]
+
+
+@dataclass(frozen=True)
+class GccOnly:
+    """Trace recipe: the first test trace for every parameter."""
+
+    def for_parameter(self, parameter):
+        return TRACES[:1]
+
+
 def _grid(factories):
     return [
         (label, factory, size, trace)
@@ -127,25 +155,35 @@ class TestFailureAttribution:
         assert all(o.attempts == 1 for o in failed)
 
     def test_run_cells_raises_with_identity(self):
-        cells = [(CrashingFactory(poison=2048), size, TRACES[0]) for size in SIZES]
-        with pytest.raises(SweepCellError) as excinfo:
-            run_cells(cells, workers=1)
+        """The error built from pooled outcomes names the failed cell."""
+        cells = [
+            ("CrashingFactory", CrashingFactory(poison=2048), size, TRACES[0])
+            for size in SIZES
+        ]
+        outcomes = run_labeled_cells(cells, workers=2)
+        error = SweepCellError([o for o in outcomes if not o.ok], len(outcomes))
+        message = str(error)
+        assert "1 of 3 sweep cell(s) failed" in message
+        assert "CrashingFactory" in message
+        assert "2048" in message
+        assert "gcc" in message
+        assert len(error.failures) == 1
+
+    def test_run_sweep_raises_sweep_cell_error(self):
+        with pytest.raises(SweepCellError, match="poisoned parameter 2048") as excinfo:
+            run_sweep(
+                "size",
+                SIZES,
+                {"CrashingFactory": CrashingFactory(poison=2048)},
+                TRACES[:1],
+                workers=1,
+            )
         message = str(excinfo.value)
         assert "1 of 3 sweep cell(s) failed" in message
         assert "CrashingFactory" in message
         assert "2048" in message
         assert "gcc" in message
         assert len(excinfo.value.failures) == 1
-
-    def test_run_sweep_raises_sweep_cell_error(self):
-        with pytest.raises(SweepCellError, match="poisoned parameter 2048"):
-            run_sweep(
-                "size",
-                SIZES,
-                {"bad": CrashingFactory(poison=2048)},
-                TRACES,
-                workers=1,
-            )
 
 
 class TestWorkerCrashRecovery:
@@ -352,3 +390,59 @@ class TestProgress:
         err = capsys.readouterr().err
         assert "[sweep 1/1]" in err
         assert "clean | 2048 | gcc(instruction, 2000 refs)" in err
+
+
+class TestNonFiniteMetric:
+    """A NaN metric is a broken measurement: it fails its own cell, never
+    the sweep, and is neither journaled nor averaged into a figure."""
+
+    NAN_CELL = "[dm | 1024 | gcc(instruction, 2000 refs) | engine=fast]"
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_fails_only_its_cell(self, tmp_path, workers, stored):
+        factory = NanAtFactory(poison=1024)
+        cells = [("dm", factory, size, TRACES[0]) for size in SIZES]
+        outcomes = run_labeled_cells(
+            cells, engine="fast", workers=workers,
+            journal=ResultStore(tmp_path) if stored else None,
+        )
+        (failed,) = [o for o in outcomes if not o.ok]
+        assert failed.identity.parameter == 1024
+        assert "metric 'miss_rate' is non-finite (nan)" in failed.error
+        assert self.NAN_CELL in str(SweepCellError([failed], len(outcomes)))
+        done = [o for o in outcomes if o.ok]
+        assert [o.identity.parameter for o in done] == [2048, 4096]
+        if stored:
+            journal = ResultStore(tmp_path)
+            assert len(journal) == len(done)
+            assert failed.identity.key() not in journal
+            for outcome in done:
+                assert journal.metrics(outcome.identity.key()) == outcome.metrics
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_spec_raises_naming_the_cell(self, workers):
+        spec = ExperimentSpec(
+            id="nan-grid",
+            title="a grid with one NaN cell",
+            parameter_name="size",
+            parameters=tuple(SIZES),
+            factories=(("dm", NanAtFactory(poison=1024)),),
+            traces=GccOnly(),
+        )
+        with pytest.raises(SweepCellError) as excinfo:
+            run_spec(spec, engine="fast", workers=workers)
+        message = str(excinfo.value)
+        assert "1 of 3 sweep cell(s) failed" in message
+        assert f"{self.NAN_CELL} ValueError: metric 'miss_rate'" in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_sweep_raises_naming_the_cell(self, workers):
+        with pytest.raises(SweepCellError) as excinfo:
+            run_sweep(
+                "size", SIZES, {"dm": NanAtFactory(poison=1024)}, TRACES[:1],
+                engine="fast", workers=workers,
+            )
+        message = str(excinfo.value)
+        assert "1 of 3 sweep cell(s) failed" in message
+        assert f"{self.NAN_CELL} ValueError: metric 'miss_rate'" in message

@@ -139,7 +139,7 @@ class TestOpsEndpoints:
         headers, body = self._fetch(server, "/metrics")
         assert headers["Content-Type"].startswith("application/json")
         payload = json.loads(body)
-        assert {"metrics", "backend", "fleet_workers"} <= set(payload)
+        assert {"metrics", "fleet_workers"} <= set(payload)
         # An explicit format= wins even over a text/plain Accept.
         headers, body = self._fetch(
             server, "/metrics?format=json", headers={"Accept": "text/plain"}
@@ -416,11 +416,19 @@ class TestRun:
                 client.run("serve-test-grid", engine=engine)
             assert excinfo.value.status == 400
 
-    def test_unknown_backend_400(self, client):
-        for backend in ("threads", "local-pool"):
-            with pytest.raises(ServeError, match="unknown backend") as excinfo:
-                client.run("serve-test-grid", backend=backend)
-            assert excinfo.value.status == 400
+    def test_default_workers_apply_when_the_body_names_none(self, tmp_path):
+        # serve --workers N: four pending cells on two workers go to the
+        # fleet, and the run manifest records the count.
+        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
+        try:
+            store = ResultStore(tmp_path / "store")
+            with ResultServer(store, port=0, default_workers=2) as running:
+                done = ServeClient(running.url).run("serve-test-grid")
+        finally:
+            obs_metrics.uninstall_registry()
+        assert done["manifest"]["workers"] == 2
+        assert registry.value("sweep.runs.by_backend", backend="fleet") == 1
+        assert registry.value("sweep.workers", engine="fast") == 2
 
     def test_cold_compact_warm_round_trip(self, server, client):
         """The acceptance path: cold run, ``compact()``, then a warm run

@@ -145,33 +145,17 @@ class TestSimulateEngineFlags:
             assert "invalid choice: 'batch'" in err
             assert "'fast', 'reference'" in err
 
-    def test_local_pool_backend_rejected_by_both_clis(self, capsys):
+    def test_zero_workers_rejected(self, capsys):
         from repro.experiments.__main__ import main as experiments_main
 
         for cli, argv in (
-            (experiments_main, ["--only", "fig04", "--backend", "local-pool"]),
-            (main, ["simulate", "gcc", "--refs", "2000", "--backend", "local-pool"]),
+            (experiments_main, ["--only", "fig04", "--workers", "0"]),
+            (main, ["serve", "--store", "unused", "--workers", "0"]),
+            (main, ["query", "run", "fig04", "--workers", "0"]),
         ):
-            with pytest.raises(SystemExit) as excinfo:
+            with pytest.raises(SystemExit):
                 cli(argv)
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "invalid choice: 'local-pool'" in err
-            assert "'fleet', 'inline'" in err
-
-    def test_workers_flag_sets_default(self):
-        from repro.perf import parallel
-
-        try:
-            assert main(["simulate", "gcc", "--refs", "2000", "--workers", "2"]) == 0
-            assert parallel.resolve_workers() == 2
-        finally:
-            parallel.set_default_workers(None)
-
-    def test_zero_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "gcc", "--refs", "2000", "--workers", "0"])
-        assert "at least 1" in capsys.readouterr().err
+            assert "at least 1" in capsys.readouterr().err
 
 
 class TestEagerEnvironmentValidation:

@@ -144,55 +144,6 @@ class TestMaxRefsFloor:
         assert env.max_refs() == env.BASE_MAX_REFS // 100
 
 
-class TestBackend:
-    def test_unset_means_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert env.env_backend() is None
-
-    def test_blank_means_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  ")
-        assert env.env_backend() is None
-
-    @pytest.mark.parametrize("raw", ["inline", "fleet"])
-    def test_every_backend_accepted(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BACKEND", raw)
-        assert env.env_backend() == raw
-
-    def test_retired_local_pool_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "local-pool")
-        with pytest.raises(
-            ValueError, match="REPRO_BACKEND must be one of fleet, inline,"
-        ):
-            env.env_backend()
-
-    def test_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  FLEET ")
-        assert env.env_backend() == "fleet"
-
-    def test_bad_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            env.env_backend()
-
-    def test_runtime_registered_backend_accepted(self, monkeypatch):
-        from repro.perf.backends import BACKENDS, SweepBackend, register_backend
-
-        class CustomBackend(SweepBackend):
-            name = "custom-env-test"
-
-        register_backend(CustomBackend)
-        try:
-            monkeypatch.setenv("REPRO_BACKEND", "custom-env-test")
-            assert env.env_backend() == "custom-env-test"
-        finally:
-            BACKENDS.pop("custom-env-test", None)
-
-    def test_validate_covers_it(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            env.validate()
-
-
 class TestFleetHosts:
     def test_unset_means_empty(self, monkeypatch):
         monkeypatch.delenv("REPRO_FLEET_HOSTS", raising=False)

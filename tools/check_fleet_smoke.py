@@ -1,14 +1,14 @@
-"""CI smoke gate for the fleet execution backend.
+"""CI smoke gate for the fleet (sweep cells on worker processes).
 
 Usage::
 
     python tools/check_fleet_smoke.py [--spec fig05] [--resume-dir DIR]
 
-Drives the experiments CLI the way the fleet backend is meant to be
+Drives the experiments CLI the way the fleet is meant to be
 used — and the way it is meant to fail:
 
-1. **sweep** — runs the spec with ``--backend fleet --workers 2``
-   (two local worker processes, forked on Linux) and ``--resume-dir``;
+1. **sweep** — runs the spec with ``--workers 2`` (two local worker
+   processes, forked on Linux) and ``--resume-dir``;
 2. **kill** — as soon as the journal shows the sweep is executing,
    SIGKILLs the oldest live worker (the sweep process's oldest direct
    child), mid-sweep;
@@ -217,7 +217,7 @@ def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
     env["PYTHONPATH"] = str(REPO / "src")
     command = [
         sys.executable, "-m", "repro.experiments", "--only", spec,
-        "--backend", "fleet", "--workers", "2",
+        "--workers", "2",
         "--resume-dir", str(resume_dir), "--progress",
     ]
     # The resume run is traced into its own directory: it replays every
