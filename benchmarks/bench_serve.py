@@ -1,6 +1,6 @@
 """Serving-tier latency benchmarks for the result-store daemon.
 
-Four legs, each gating the machine-independent ratio that carries its
+Three legs, each gating the machine-independent ratio that carries its
 economic claim (``tools/check_bench_regression.py`` compares them
 against the committed baselines):
 
@@ -11,10 +11,6 @@ against the committed baselines):
   holds many superseded lines per key loads much faster from compacted
   generation shards than by replaying the full append history.  Gated:
   ``compact_load_speedup``.
-* **negative cache** (``bench_serve_negcache.json``) — a spec whose
-  evaluator fails *after* the full simulation: the cold failure pays
-  for every reference, the repeat failure is answered from the
-  ``sweep-cell-error`` index.  Gated: ``negcache_speedup``.
 * **ETag/304** (``bench_serve_etag.json``) — a conditional
   ``GET /spec`` matching the server's ETag skips cell planning (key
   hashing for every cell) and body serialisation.  Gated:
@@ -26,13 +22,10 @@ their absolute values.
 """
 
 import time
-from dataclasses import dataclass
 
 from conftest import write_json_result
 
-from repro.experiments.spec import ExperimentSpec, register
-from repro.perf import engine as engine_mod
-from repro.serve import ResultServer, ServeClient, ServeError
+from repro.serve import ResultServer, ServeClient
 from repro.store import ResultStore
 
 SPEC = "fig04"
@@ -150,110 +143,6 @@ def test_store_compact_load(results_dir, tmp_path):
     )
     assert speedup > 2.0, (
         f"compacted load only {speedup:.1f}x faster than journal replay"
-    )
-
-
-# -- negative cache: repeat failures answered from the index -------------------
-
-
-@dataclass(frozen=True)
-class FailAfterSimulation:
-    """Evaluator that pays the full simulation, then fails the cell.
-
-    Models the expensive failure mode the negative cache exists for: a
-    cell that burns its whole trace budget before dying (an assertion
-    after measurement, a post-hoc validation error).  Frozen dataclass
-    so the cells stay picklable and journalable.
-    """
-
-    def __call__(self, model, trace, engine):
-        engine_mod.simulate(model, trace, engine=engine)
-        raise RuntimeError("post-simulation validation failed (bench)")
-
-
-@dataclass(frozen=True)
-class _BenchDirectFactory:
-    line_size: int = 4
-
-    def __call__(self, size):
-        from repro.caches.direct_mapped import DirectMappedCache
-        from repro.caches.geometry import CacheGeometry
-
-        return DirectMappedCache(CacheGeometry(int(size), self.line_size))
-
-
-@dataclass(frozen=True)
-class _BenchTraces:
-    kind: str = "instruction"
-
-    def for_parameter(self, parameter):
-        from repro.experiments.common import all_trace_keys
-
-        return all_trace_keys(self.kind)[:2]
-
-
-NEGCACHE_SPEC = register(
-    ExperimentSpec(
-        id="bench-serve-negcache",
-        title="bench: expensive failures for the negative cache",
-        parameter_name="cache size",
-        parameters=(1024, 2048, 4096, 8192),
-        factories=(("dm", _BenchDirectFactory()),),
-        traces=_BenchTraces(),
-        evaluator=FailAfterSimulation(),
-        hidden=True,
-    )
-)
-
-
-def test_serve_negative_cache(results_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_SCALE", "0.5")
-    store = ResultStore(tmp_path / "store")
-    with ResultServer(store, port=0, neg_ttl=3600.0) as server:
-        client = ServeClient(server.url)
-
-        start = time.perf_counter()
-        try:
-            client.run(NEGCACHE_SPEC.id)
-            raise AssertionError("negcache bench spec unexpectedly succeeded")
-        except ServeError:
-            pass
-        cold_seconds = time.perf_counter() - start
-        assert server.store.error_keys(), "no failures recorded"
-
-        repeat_seconds = float("inf")
-        for _ in range(WARM_ROUNDS):
-            start = time.perf_counter()
-            try:
-                client.run(NEGCACHE_SPEC.id)
-                raise AssertionError("cached failure expected")
-            except ServeError as exc:
-                assert "cached failure" in str(exc)
-            repeat_seconds = min(repeat_seconds, time.perf_counter() - start)
-
-    speedup = cold_seconds / repeat_seconds
-    print(
-        f"\ncold failure: {cold_seconds:.3f}s  cached failure(best of "
-        f"{WARM_ROUNDS}): {repeat_seconds:.3f}s  speedup: {speedup:.1f}x"
-    )
-    write_json_result(
-        results_dir,
-        "bench_serve_negcache",
-        config={
-            "spec": NEGCACHE_SPEC.id,
-            "cells": len(NEGCACHE_SPEC.parameters) * 2,
-            "trace_scale": 0.5,
-            "warm_rounds": WARM_ROUNDS,
-        },
-        metrics={
-            "cold_failure_seconds": round(cold_seconds, 4),
-            "cached_failure_seconds": round(repeat_seconds, 4),
-            "negcache_speedup": round(speedup, 2),
-        },
-        gate=["negcache_speedup"],
-    )
-    assert speedup > 3.0, (
-        f"cached failure only {speedup:.1f}x faster than re-simulating"
     )
 
 

@@ -243,8 +243,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     saved = stats.bytes_before - stats.bytes_after
     print(
         f"compacted {store_dir} to generation {stats.generation}: "
-        f"{stats.entries} cells + {stats.errors} cached errors in "
-        f"{stats.shard_files} shard(s), "
+        f"{stats.entries} cells in {stats.shard_files} shard(s), "
         f"{stats.bytes_before:,} -> {stats.bytes_after:,} bytes "
         f"({saved:+,} reclaimed)"
     )

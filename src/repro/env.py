@@ -25,10 +25,6 @@ them carried its own copy of the parsing and error wording.  The rules:
   port 0 asks the OS for an ephemeral port);
 * ``REPRO_SERVE_STORE`` — default store directory for ``repro serve``
   (unset means the CLI's ``--store`` flag is required);
-* ``REPRO_SERVE_NEG_TTL`` — seconds a cached cell *failure* keeps
-  answering repeat ``POST /run`` requests before the daemon retries the
-  simulation (non-negative float, default 300; ``0`` disables the
-  negative-result cache entirely);
 * ``REPRO_SERVE_URL`` — default base URL for ``repro query`` and the
   serve client (default ``http://<host>:<port>`` from the two knobs
   above).
@@ -149,33 +145,6 @@ def serve_store() -> Optional[str]:
     return raw
 
 
-#: Default TTL (seconds) for negative-cache entries served by the daemon.
-DEFAULT_SERVE_NEG_TTL = 300.0
-
-
-def serve_neg_ttl() -> float:
-    """The validated REPRO_SERVE_NEG_TTL setting (default 300; 0 disables).
-
-    Failures are transient more often than results are (a full ``/tmp``,
-    an OOM-killed worker), so unlike positive entries they must expire:
-    the TTL bounds how long a cached failure can mask a recovered cell.
-    """
-    raw = os.environ.get("REPRO_SERVE_NEG_TTL")
-    if raw is None:
-        return DEFAULT_SERVE_NEG_TTL
-    try:
-        ttl = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_NEG_TTL must be a number of seconds, got {raw!r}"
-        ) from None
-    if not ttl >= 0:  # also rejects NaN
-        raise ValueError(
-            "REPRO_SERVE_NEG_TTL must be >= 0 (0 disables the negative cache)"
-        )
-    return ttl
-
-
 def serve_url() -> str:
     """The client-side base URL (REPRO_SERVE_URL, or built from host/port)."""
     raw = os.environ.get("REPRO_SERVE_URL")
@@ -237,5 +206,4 @@ def validate() -> None:
     serve_host()
     serve_port()
     serve_store()
-    serve_neg_ttl()
     serve_url()

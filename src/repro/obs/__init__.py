@@ -6,9 +6,8 @@ counter/gauge/histogram registry (:mod:`.metrics`), the opt-in
 ``REPRO_PROFILE=1`` cProfile report (:mod:`.profiling`),
 ``run_manifest.json`` writers/readers (:mod:`.manifest`), the
 ``obs summarize`` renderer (:mod:`.summarize`), stderr logging
-gated by ``REPRO_LOG_LEVEL`` (:mod:`.logs`), cross-process span/metric
-propagation for the sweep backends (:mod:`.distributed`), and
-Prometheus text exposition (:mod:`.promtext`).
+gated by ``REPRO_LOG_LEVEL`` (:mod:`.logs`), and cross-process
+span/metric propagation for the sweep backends (:mod:`.distributed`).
 
 Import direction: ``repro.obs`` imports nothing from ``repro.perf`` or
 ``repro.experiments`` — every other layer may import obs, never the
@@ -43,11 +42,6 @@ from repro.obs.metrics import (
     install_registry,
     uninstall_registry,
 )
-from repro.obs.promtext import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-)
 from repro.obs.profiling import PROFILE_FILENAME, profile_report
 from repro.obs.summarize import summarize_directory, summarize_run
 from repro.obs.tracing import (
@@ -72,7 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "OBS_WIRE_VERSION",
     "PROFILE_FILENAME",
-    "PROMETHEUS_CONTENT_TYPE",
     "Span",
     "TRACE_FILENAME",
     "Tracer",
@@ -90,13 +83,11 @@ __all__ = [
     "install_tracer",
     "iter_jsonl",
     "merge_cell_payload",
-    "parse_prometheus",
     "profile_report",
     "propagation_context",
     "read_manifest",
     "read_spans",
     "record",
-    "render_prometheus",
     "span",
     "summarize_directory",
     "summarize_run",

@@ -42,7 +42,6 @@ from .kernels import (
 )
 from .backends import (
     SweepContext,
-    live_worker_ids,
     live_workers,
     worker_command,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "identity_for",
     "is_trace_recipe",
     "kernel_for",
-    "live_worker_ids",
     "live_workers",
     "outcome_observer",
     "parameter_from_json",

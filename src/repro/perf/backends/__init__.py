@@ -22,8 +22,6 @@ from .base import (  # noqa: F401
 from .fleet import (  # noqa: F401
     FleetBackend,
     FleetWorker,
-    live_worker_ids,
-    live_worker_status,
     live_workers,
     worker_command,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "SweepContext",
     "FleetBackend",
     "FleetWorker",
-    "live_worker_ids",
-    "live_worker_status",
     "live_workers",
     "merge_worker_obs",
     "outcome_observer",

@@ -202,29 +202,6 @@ def live_workers() -> int:
         return len(_LIVE_WORKERS)
 
 
-def live_worker_ids() -> List[str]:
-    with _LIVE_LOCK:
-        return sorted(worker.id for worker in _LIVE_WORKERS)
-
-
-def live_worker_status() -> List[dict]:
-    """Per-worker snapshot for the serve daemon's ``/statusz``."""
-    with _LIVE_LOCK:
-        workers = sorted(_LIVE_WORKERS, key=lambda worker: worker.id)
-        return [
-            {
-                "id": worker.id,
-                "endpoint": worker.endpoint,
-                "slot": worker.slot,
-                "pid": worker.process.pid,
-                "ready": worker.ready,
-                "in_flight": worker.in_flight,
-                "cells_done": worker.cells_done,
-            }
-            for worker in workers
-        ]
-
-
 def _track(worker: "FleetWorker", alive: bool) -> None:
     with _LIVE_LOCK:
         if alive:
@@ -253,7 +230,6 @@ class FleetWorker:
         self.dispatched_at = 0.0
         self.ready = False
         self.retired = False
-        self.cells_done = 0
         self.process = _start_worker(endpoint)
         self._events = events
         self._reader = threading.Thread(
@@ -416,7 +392,6 @@ class FleetBackend:
                     ))
                 else:
                     if metrics is not None:
-                        worker.cells_done += 1
                         ctx.record_success(outcome, metrics, seconds)
                     else:
                         # Captured worker-side: deterministic, not retried.

@@ -22,14 +22,9 @@ Protocol (all JSON; ``POST /run`` streams newline-delimited events):
   ``ETag``-tagged by the entry's own content hash (``304`` on repeats);
 * ``GET /healthz`` — liveness + store statistics and the live
   fleet-worker count;
-* ``GET /metrics`` — the process obs metrics registry
+* ``GET /metrics`` — the process obs metrics registry as JSON
   (``serve.*`` and ``fleet.*`` series included) plus the live
-  fleet-worker count.  Content-negotiated: JSON by
-  default, Prometheus text exposition under ``?format=prometheus`` or
-  ``Accept: text/plain`` (see :mod:`repro.obs.promtext`);
-* ``GET /statusz`` — live-run snapshot: the active ``/run`` requests
-  (spec, elapsed seconds), per-fleet-worker in-flight cells, and
-  store/negcache generation state;
+  fleet-worker count;
 * ``POST /run`` — body ``{"spec": id, "engine"?: name, "workers"?: n}``;
   the response is ``application/x-ndjson``: one ``plan`` event, a
   ``cell`` event per newly resolved cell, and a final ``done`` event
@@ -44,14 +39,9 @@ index is guarded for the daemon's handler threads.  Cell keys embed
 the trace budget, so a ``REPRO_TRACE_SCALE`` change is a different key
 space, never a stale answer.
 
-Failures are cached too: when a run dies on a cell, the failed cells
-are recorded as TTL-bounded ``sweep-cell-error`` entries in the store
-(the negative-result cache), and a repeat ``POST /run`` inside the
-``REPRO_SERVE_NEG_TTL`` window is answered with the cached error —
-zero simulations — instead of re-burning compute on a spec that is
-known to be broken.  After the TTL the simulation is retried, and any
-success evicts the cached failure immediately.  ``/metrics`` exposes
-the ``serve.negcache.{hits,misses,expired,stored}`` counters.
+A run that fails on a cell streams an ``error`` event naming it.  Only
+the cells that succeeded reach the store, so the next request
+simulates the failed ones again.
 """
 
 from __future__ import annotations
@@ -79,9 +69,8 @@ from ..experiments.spec import (
 from ..obs import build_manifest, get_logger, write_manifest
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from ..obs.promtext import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..perf import engine as engine_mod
-from ..perf.backends import live_worker_status, live_workers
+from ..perf.backends import live_workers
 from ..perf.cells import content_key
 from ..perf.parallel import (
     CellIdentity,
@@ -280,70 +269,6 @@ def _cell_payload(
 Emit = Callable[[dict], None]
 
 
-def check_negative_cache(
-    store: ResultStore,
-    plans: "List[GridPlan]",
-    neg_ttl: float,
-    total: int,
-    now: "Optional[float]" = None,
-) -> None:
-    """Raise the cached failure for any pending cell inside the TTL.
-
-    Every pending (uncached, journalable) cell key is checked against
-    the store's ``sweep-cell-error`` index.  A fresh entry — recorded
-    less than ``neg_ttl`` seconds ago — is served back as a
-    :class:`~repro.perf.parallel.SweepCellError` built from cached
-    envelopes, before a single trace is generated; a stale entry counts
-    as expired and the cell is simulated again.  ``neg_ttl <= 0``
-    disables the check entirely.
-    """
-    if neg_ttl <= 0:
-        return
-    now = time.time() if now is None else now
-    cached: "List[CellOutcome]" = []
-    misses = 0
-    expired = 0
-    for plan in plans:
-        for identity, key in zip(plan.identities, plan.keys):
-            if key is None or key in store:
-                continue
-            entry = store.error_entry(key)
-            if entry is None:
-                misses += 1
-                continue
-            age = now - float(entry["recorded_at"])
-            if age > neg_ttl:
-                expired += 1
-                continue
-            outcome = CellOutcome(identity=identity, cached=True)
-            outcome.error = (
-                f"cached failure ({age:.1f}s ago, ttl {neg_ttl:g}s): "
-                f"{entry['error']}"
-            )
-            cached.append(outcome)
-    obs_metrics.counter("serve.negcache.hits", len(cached))
-    obs_metrics.counter("serve.negcache.misses", misses)
-    obs_metrics.counter("serve.negcache.expired", expired)
-    if cached:
-        raise SweepCellError(cached, total)
-
-
-def record_run_failures(
-    store: ResultStore, exc: SweepCellError, neg_ttl: float
-) -> int:
-    """Record a run's failed cells into the negative cache; return count."""
-    if neg_ttl <= 0:
-        return 0
-    failures = [
-        (outcome.identity.key(), outcome.error or "sweep cell failed")
-        for outcome in exc.failures
-        if outcome.identity.journalable and not outcome.cached
-    ]
-    store.record_errors(failures)
-    obs_metrics.counter("serve.negcache.stored", len(failures))
-    return len(failures)
-
-
 def execute_run(
     store: ResultStore,
     spec: ExperimentSpec,
@@ -351,18 +276,15 @@ def execute_run(
     engine: "Optional[str]" = None,
     workers: "Optional[int]" = None,
     default_engine: str = DEFAULT_SERVE_ENGINE,
-    neg_ttl: float = 0.0,
 ) -> dict:
     """Serve one run request: plan, answer from store, compute the rest.
 
     Emits a ``plan`` event, one ``cell`` event per newly resolved cell
     (none on the all-cached path), and returns the ``done`` event
     payload (the caller emits it).  Raises
-    :class:`~repro.perf.parallel.SweepCellError` if any cell fails —
-    with ``neg_ttl > 0`` fresh failures are recorded into the store's
-    negative cache and repeat requests inside the TTL raise the cached
-    error without simulating — and :class:`ServeUnsupportedError` for
-    custom specs.
+    :class:`~repro.perf.parallel.SweepCellError` if any cell fails (the
+    cells that succeeded are already in the store) and
+    :class:`ServeUnsupportedError` for custom specs.
     """
     started_at = time.time()
     wall_started = time.perf_counter()
@@ -373,7 +295,7 @@ def execute_run(
     ) as run_span:
         done = _execute_run_inner(
             store, spec, emit, engine, workers, default_engine,
-            neg_ttl, started_at, wall_started, cpu_started,
+            started_at, wall_started, cpu_started,
         )
         if run_span is not None:
             manifest = done.get("manifest", {})
@@ -389,7 +311,6 @@ def _execute_run_inner(
     engine: "Optional[str]",
     workers: "Optional[int]",
     default_engine: str,
-    neg_ttl: float,
     started_at: float,
     wall_started: float,
     cpu_started: float,
@@ -415,8 +336,6 @@ def _execute_run_inner(
             "pending": pending,
         }
     )
-    if pending:
-        check_negative_cache(store, plans, neg_ttl, total)
 
     computed = 0
     grid_results: "Dict[str, object]" = {}
@@ -452,12 +371,7 @@ def _execute_run_inner(
                 )
             failures = [outcome for outcome in outcomes if not outcome.ok]
             if failures:
-                # The failed cells become negative-cache entries so the
-                # next request for this spec fails from the index, not
-                # from another full simulation pass.
-                exc = SweepCellError(failures, len(outcomes))
-                record_run_failures(store, exc, neg_ttl)
-                raise exc
+                raise SweepCellError(failures, len(outcomes))
             fresh = sum(1 for outcome in outcomes if not outcome.cached)
             computed += fresh
             obs_metrics.counter("serve.cells.computed", fresh)
@@ -612,37 +526,12 @@ class _Handler(BaseHTTPRequestHandler):
             return self._get_cell(rest[0])
         if route == "/healthz":
             return self._get_healthz()
-        if route == "/statusz":
-            return self._get_statusz()
         if route == "/metrics":
             return self._get_metrics()
         self._send_json(404, {"error": f"unknown route {self.path!r}"})
         return 404
 
-    def _wants_prometheus(self) -> bool:
-        """Content negotiation for ``/metrics``.
-
-        An explicit ``?format=`` query parameter wins (``prometheus`` →
-        text exposition, anything else → JSON); otherwise a client
-        whose ``Accept`` prefers ``text/plain`` gets the exposition
-        format, everyone else the JSON registry dump.
-        """
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        for pair in query.split("&"):
-            if pair.startswith("format="):
-                return pair[len("format="):] == "prometheus"
-        accept = self.headers.get("Accept", "")
-        return "text/plain" in accept
-
     def _get_metrics(self) -> int:
-        if self._wants_prometheus():
-            body = render_prometheus(obs_metrics.current_registry()).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return 200
         self._send_json(
             200,
             {
@@ -744,44 +633,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "fleet_workers": live_workers(),
                 "specs": len(all_specs(include_hidden=True)),
                 "generation": self.app.store.generation,
-                "neg_ttl": self.app.neg_ttl,
                 "store": self.app.store.stats().to_dict(),
-            },
-        )
-        return 200
-
-    def _get_statusz(self) -> int:
-        """Live-run snapshot: what the daemon is doing *right now*.
-
-        Where ``/healthz`` answers "is the process up", this answers
-        "what is it serving": the active ``POST /run`` requests with
-        elapsed seconds, each live fleet worker with its in-flight cell,
-        and the store/negcache state a stuck-run investigation needs.
-        """
-        registry = obs_metrics.current_registry()
-        negcache = {
-            "ttl": self.app.neg_ttl,
-            "hits": registry.total("serve.negcache.hits") or 0,
-            "misses": registry.total("serve.negcache.misses") or 0,
-            "expired": registry.total("serve.negcache.expired") or 0,
-            "stored": registry.total("serve.negcache.stored") or 0,
-        }
-        self._send_json(
-            200,
-            {
-                "ok": True,
-                "version": SERVE_VERSION,
-                "active_runs": self.app.active_runs(),
-                "fleet": {
-                    "live": live_workers(),
-                    "workers": live_worker_status(),
-                },
-                "store": {
-                    "generation": self.app.store.generation,
-                    "state_token": self.app.store.state_token(),
-                    "entries": len(self.app.store),
-                },
-                "negcache": negcache,
             },
         )
         return 200
@@ -798,6 +650,9 @@ class _Handler(BaseHTTPRequestHandler):
             return 404
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # read(-1) would block until the client closes the socket
+                raise ValueError(f"Content-Length must be >= 0, got {length}")
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
@@ -811,12 +666,16 @@ class _Handler(BaseHTTPRequestHandler):
             if engine is not None:
                 engine = engine_mod.resolve_engine(str(engine))
             workers = body.get("workers")
-            if workers is not None:
-                workers = int(workers)
-                if workers < 1:
-                    raise ValueError("workers must be at least 1")
-            else:
+            if workers is None:
                 workers = self.app.default_workers
+            elif (
+                isinstance(workers, bool)
+                or not isinstance(workers, int)
+                or workers < 1
+            ):
+                raise ValueError(
+                    f"'workers' must be an integer >= 1, got {workers!r}"
+                )
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
             return 400
@@ -839,7 +698,6 @@ class _Handler(BaseHTTPRequestHandler):
                 stream_broken[0] = True
 
         obs_metrics.counter("serve.runs", spec=spec.id)
-        token = self.app.register_run(spec.id)
         try:
             with self.app.run_lock(spec.id):
                 done = execute_run(
@@ -849,14 +707,11 @@ class _Handler(BaseHTTPRequestHandler):
                     engine=engine,
                     workers=workers,
                     default_engine=self.app.default_engine,
-                    neg_ttl=self.app.neg_ttl,
                 )
         except (ServeUnsupportedError, SweepCellError, ValueError) as exc:
             emit({"event": "error", "error": f"{type(exc).__name__}: {exc}"})
             obs_metrics.counter("serve.run_errors", spec=spec.id)
             return 200
-        finally:
-            self.app.unregister_run(token)
         emit(done)
         return 200
 
@@ -871,12 +726,10 @@ class ResultServer:
 
     ``host``/``port`` default to the ``REPRO_SERVE_HOST``/``PORT``
     knobs; pass ``port=0`` for an OS-assigned ephemeral port (tests).
-    ``neg_ttl`` (seconds) bounds the negative-result cache and defaults
-    to ``REPRO_SERVE_NEG_TTL``; ``0`` disables it.  ``default_workers``
-    is the worker count server-side runs use when the request body
-    names none (``None`` = ``REPRO_WORKERS`` or 1).  Use as a context
-    manager, or call :meth:`start` / :meth:`serve_forever` and
-    :meth:`close` explicitly.
+    ``default_workers`` is the worker count server-side runs use when
+    the request body names none (``None`` = ``REPRO_WORKERS`` or 1).
+    Use as a context manager, or call :meth:`start` /
+    :meth:`serve_forever` and :meth:`close` explicitly.
     """
 
     def __init__(
@@ -885,7 +738,6 @@ class ResultServer:
         host: "Optional[str]" = None,
         port: "Optional[int]" = None,
         default_engine: str = DEFAULT_SERVE_ENGINE,
-        neg_ttl: "Optional[float]" = None,
         default_workers: "Optional[int]" = None,
     ) -> None:
         if default_engine not in engine_mod.ENGINES:
@@ -898,9 +750,6 @@ class ResultServer:
         self.store = store
         self.default_engine = default_engine
         self.default_workers = default_workers
-        self.neg_ttl = env.serve_neg_ttl() if neg_ttl is None else float(neg_ttl)
-        if self.neg_ttl < 0:
-            raise ValueError("neg_ttl must be >= 0 (0 disables the negative cache)")
         self._httpd = _Server(
             (host if host is not None else env.serve_host(),
              port if port is not None else env.serve_port()),
@@ -910,8 +759,6 @@ class ResultServer:
         self._thread: "Optional[threading.Thread]" = None
         self._locks_guard = threading.Lock()
         self._run_locks: "Dict[str, threading.Lock]" = {}
-        self._active_guard = threading.Lock()
-        self._active_runs: "Dict[str, Dict[str, object]]" = {}
 
     def run_lock(self, spec_id: str) -> threading.Lock:
         """The per-spec lock serialising concurrent runs of one spec."""
@@ -920,35 +767,6 @@ class ResultServer:
             if lock is None:
                 lock = self._run_locks[spec_id] = threading.Lock()
             return lock
-
-    # -- live-run tracking (the /statusz surface) -----------------------------
-
-    def register_run(self, spec_id: str) -> str:
-        """Track one in-flight ``POST /run``; returns its token."""
-        token = uuid.uuid4().hex[:12]
-        with self._active_guard:
-            self._active_runs[token] = {
-                "spec": spec_id,
-                "started": time.monotonic(),
-            }
-        return token
-
-    def unregister_run(self, token: str) -> None:
-        with self._active_guard:
-            self._active_runs.pop(token, None)
-
-    def active_runs(self) -> "List[dict]":
-        """Snapshot of in-flight runs (spec id + elapsed seconds)."""
-        now = time.monotonic()
-        with self._active_guard:
-            return [
-                {
-                    "token": token,
-                    "spec": entry["spec"],
-                    "elapsed_seconds": round(now - entry["started"], 3),  # type: ignore[operator]
-                }
-                for token, entry in sorted(self._active_runs.items())
-            ]
 
     @property
     def host(self) -> str:

@@ -9,8 +9,7 @@ directory, so is a ``repro serve --store`` directory, and either one
 replays in the other.
 
 * **one append path** — ``sweep-cell`` lines (:meth:`ResultStore.record`,
-  :meth:`ResultStore.record_many`) and ``sweep-cell-error`` lines
-  (:meth:`ResultStore.record_errors`) are appended, flushed, to the
+  :meth:`ResultStore.record_many`) are appended, flushed, to the
   store's *primary* ``journal.jsonl``.  A batch is validated before any
   byte of it is written.  A primary that ends mid-line (the torn tail of
   a crash) gets a newline before the first record, so the fragment
@@ -21,20 +20,15 @@ replays in the other.
   Compaction shards load first, then the primary, then read-only extra
   journal files or directories in caller order.  A later line wins its
   key, within a file and across files;
-* **integrity** — a line is indexed only if it is a JSON object of a
-  known kind and version with a string key and usable metrics (or, for
-  an error line, an error text and a numeric ``recorded_at``); anything
-  else is counted in :class:`StoreStats` and never served.  A success
-  evicts a cached failure of the same key;
+* **integrity** — a line is indexed only if it is a ``sweep-cell``
+  JSON object of a known version with a string key and usable metrics;
+  anything else (an unknown kind included) is counted in
+  :class:`StoreStats` and never served;
 * **compaction** — :meth:`ResultStore.compact` rewrites the index into
   generation-stamped shard files (``journal-<gen>-<shard>.jsonl``,
   sharded by key prefix) behind an atomic ``store_manifest.json`` swap,
   then truncates the primary, so a store over a long append history
-  reloads without replaying every superseded line;
-* **negative-result cache** — cached failures carry a ``recorded_at``
-  stamp; the serve layer bounds them with a TTL
-  (``REPRO_SERVE_NEG_TTL``) so a hot failing spec stops burning
-  simulation time on every request.
+  reloads without replaying every superseded line.
 
 A store passes as the ``journal=`` argument of
 :func:`repro.perf.parallel.run_labeled_cells`: cached cells replay from
@@ -60,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 __all__ = [
     "CompactionStats",
     "DEFAULT_SHARDS",
-    "ERROR_KIND",
     "JOURNAL_FILENAME",
     "JOURNAL_VERSION",
     "ResultStore",
@@ -75,9 +68,6 @@ JOURNAL_FILENAME = "journal.jsonl"
 
 #: Journal-line kind for a completed cell.
 CELL_KIND = "sweep-cell"
-
-#: Journal-line kind for a cached *failure* (the negative-result cache).
-ERROR_KIND = "sweep-cell-error"
 
 #: Atomically swapped manifest naming the live compaction shards.
 STORE_MANIFEST_FILENAME = "store_manifest.json"
@@ -95,16 +85,14 @@ _SHARD_NAME_RE = re.compile(r"journal-(\d+)-(\d+)\.jsonl\Z")
 class StoreStats:
     """Load/refresh accounting: what the index accepted and why not.
 
-    ``entries`` is the live index size; ``errors`` the live
-    negative-cache size; ``duplicates`` counts keys that were
-    overwritten by a later source or line (last-wins); ``skipped``
+    ``entries`` is the live index size; ``duplicates`` counts keys that
+    were overwritten by a later source or line (last-wins); ``skipped``
     counts lines rejected by the integrity checks (unknown kind, future
     version, missing key, unusable metrics).  ``sources`` maps each
     journal file to the byte offset consumed so far.
     """
 
     entries: int = 0
-    errors: int = 0
     duplicates: int = 0
     skipped: int = 0
     sources: Dict[str, int] = field(default_factory=dict)
@@ -112,7 +100,6 @@ class StoreStats:
     def to_dict(self) -> dict:
         return {
             "entries": self.entries,
-            "errors": self.errors,
             "duplicates": self.duplicates,
             "skipped": self.skipped,
             "sources": dict(sorted(self.sources.items())),
@@ -126,12 +113,11 @@ class CompactionStats:
     ``bytes_before`` counts the primary journal plus the superseded
     shard files; ``bytes_after`` the freshly written shards — the
     difference is the dead weight (superseded lines, torn tails,
-    expired errors) the next full load no longer replays.
+    skipped lines) the next full load no longer replays.
     """
 
     generation: int
     entries: int
-    errors: int
     shard_files: int
     bytes_before: int
     bytes_after: int
@@ -140,7 +126,6 @@ class CompactionStats:
         return {
             "generation": self.generation,
             "entries": self.entries,
-            "errors": self.errors,
             "shard_files": self.shard_files,
             "bytes_before": self.bytes_before,
             "bytes_after": self.bytes_after,
@@ -306,7 +291,6 @@ class ResultStore:
         self.path = self.primary_dir / JOURNAL_FILENAME
         self._lock = threading.RLock()
         self._entries: Dict[str, dict] = {}
-        self._errors: Dict[str, dict] = {}
         self._stats = StoreStats()
         self._generation, shard_names = _read_store_manifest(self.primary_dir)
         self._revision = 0
@@ -363,35 +347,19 @@ class ResultStore:
         except ValueError:
             self._stats.skipped += 1
             return
-        if not isinstance(entry, dict) or entry.get("version", 0) > JOURNAL_VERSION:
-            self._stats.skipped += 1
-            return
-        key = entry.get("key")
-        kind = entry.get("kind")
-        if kind == ERROR_KIND:
-            recorded_at = entry.get("recorded_at")
-            if (
-                not isinstance(key, str)
-                or not isinstance(entry.get("error"), str)
-                or isinstance(recorded_at, bool)
-                or not isinstance(recorded_at, (int, float))
-            ):
-                self._stats.skipped += 1
-                return
-            self._errors[key] = entry
-        elif (
-            kind == CELL_KIND
-            and isinstance(key, str)
-            and _entry_metrics(entry) is not None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("version", 0) > JOURNAL_VERSION
+            or entry.get("kind") != CELL_KIND
+            or not isinstance(entry.get("key"), str)
+            or _entry_metrics(entry) is None
         ):
-            if key in self._entries:
-                self._stats.duplicates += 1
-            self._entries[key] = entry
-            # A success supersedes any cached failure for the same cell.
-            self._errors.pop(key, None)
-        else:
             self._stats.skipped += 1
             return
+        key = entry["key"]
+        if key in self._entries:
+            self._stats.duplicates += 1
+        self._entries[key] = entry
         self._revision += 1
 
     def refresh(self) -> int:
@@ -432,7 +400,6 @@ class ResultStore:
                         self._ingest_line(raw.decode("utf-8", errors="replace"))
                 self._stats.sources[str(path)] = offset
             self._stats.entries = len(self._entries)
-            self._stats.errors = len(self._errors)
             return len(self._entries) - before
 
     def __len__(self) -> int:
@@ -466,27 +433,10 @@ class ResultStore:
         with self._lock:
             return StoreStats(
                 entries=self._stats.entries,
-                errors=self._stats.errors,
                 duplicates=self._stats.duplicates,
                 skipped=self._stats.skipped,
                 sources=dict(self._stats.sources),
             )
-
-    def error_entry(self, key: str) -> Optional[dict]:
-        """The cached ``sweep-cell-error`` entry for ``key``, or ``None``.
-
-        The store keeps failures indefinitely; freshness is the
-        caller's policy (the serve layer applies ``REPRO_SERVE_NEG_TTL``
-        against the entry's ``recorded_at`` stamp).  A success recorded
-        for the same key evicts the failure.
-        """
-        with self._lock:
-            entry = self._errors.get(key)
-            return dict(entry) if entry is not None else None
-
-    def error_keys(self) -> List[str]:
-        with self._lock:
-            return list(self._errors)
 
     # -- writing ---------------------------------------------------------------
 
@@ -539,33 +489,6 @@ class ResultStore:
         if built:
             self._append(built)
 
-    def record_errors(
-        self,
-        failures: "Sequence[Tuple[str, str]]",
-        at: "Optional[float]" = None,
-    ) -> None:
-        """Append ``(key, error text)`` failures to the primary journal.
-
-        Each failure becomes one ``sweep-cell-error`` line stamped with
-        ``recorded_at`` (default: now), replacing any previous failure
-        under the same key — the TTL window restarts on every recorded
-        attempt.  Cell replay reads only successes, so a cached failure
-        never short-circuits a resumed sweep.
-        """
-        if not failures:
-            return
-        stamp = time.time() if at is None else float(at)
-        self._append([
-            {
-                "kind": ERROR_KIND,
-                "version": JOURNAL_VERSION,
-                "key": str(key),
-                "error": str(error),
-                "recorded_at": stamp,
-            }
-            for key, error in failures
-        ])
-
     # -- compaction ------------------------------------------------------------
 
     def compact(self, shards: int = DEFAULT_SHARDS) -> CompactionStats:
@@ -573,19 +496,20 @@ class ResultStore:
 
         The append-only history (primary journal + previous shards)
         accumulates one line per *recorded* cell; the live index needs
-        one line per *distinct* cell.  Compaction writes the index —
-        success entries and cached failures — into
+        one line per *distinct* cell.  Compaction writes the index into
         ``journal-<gen>-<shard>.jsonl`` files sharded by key prefix,
         atomically swaps ``store_manifest.json`` to name them, truncates
-        the primary journal, and deletes superseded shard files.  A
-        fresh :class:`ResultStore` then loads the shards in manifest
-        order and replays no superseded line.
+        the primary journal, and deletes superseded shard files and the
+        temp files of any write that died before its rename.  A fresh
+        :class:`ResultStore` then loads the shards in manifest order and
+        replays no superseded line.
 
         Crash safety: the manifest swap is the commit point.  Dying
         before it leaves the old manifest + untouched journal (orphan
-        new-generation shards are swept by the next compact); dying
-        between the swap and the truncation leaves journal lines that
-        duplicate shard content — reloaded last-wins, identical values.
+        new-generation shards and temp files are swept by the next
+        compact); dying between the swap and the truncation leaves
+        journal lines that duplicate shard content — reloaded
+        last-wins, identical values.
 
         Entries merged from ``extra_sources`` are included, so a
         compacted store serves its full index even if the extras later
@@ -606,9 +530,8 @@ class ResultStore:
                     pass
 
             buckets: Dict[int, List[dict]] = {}
-            for index in (self._entries, self._errors):
-                for key, entry in index.items():
-                    buckets.setdefault(_shard_index(key, shards), []).append(entry)
+            for key, entry in self._entries.items():
+                buckets.setdefault(_shard_index(key, shards), []).append(entry)
 
             new_names: List[str] = []
             new_paths: List[Path] = []
@@ -633,7 +556,6 @@ class ResultStore:
                 "shards": new_names,
                 "shard_count": shards,
                 "entries": len(self._entries),
-                "errors": len(self._errors),
                 "compacted_at": time.time(),
             }
             _write_atomic(
@@ -642,18 +564,22 @@ class ResultStore:
             )
 
             # Post-commit cleanup: empty the journal (its lines live in
-            # the shards now) and drop every shard file the manifest no
-            # longer names, including orphans from a crashed compact.
+            # the shards now), drop every shard file the manifest no
+            # longer names, including orphans from a crashed compact,
+            # and the temp files of writes that died before renaming.
             self.path.open("w", encoding="utf-8").close()
             self._newline_due = False
             live = set(new_names)
-            for stale in self.primary_dir.glob("journal-*.jsonl"):
-                if stale.name not in live and _SHARD_NAME_RE.match(stale.name):
-                    self._stats.sources.pop(str(stale), None)
-                    try:
-                        stale.unlink()
-                    except OSError:  # pragma: no cover - best-effort
-                        pass
+            stale_shards = [
+                path for path in self.primary_dir.glob("journal-*.jsonl")
+                if path.name not in live and _SHARD_NAME_RE.match(path.name)
+            ]
+            for stale in [*stale_shards, *self.primary_dir.glob(".*.tmp")]:
+                self._stats.sources.pop(str(stale), None)
+                try:
+                    stale.unlink()
+                except OSError:  # pragma: no cover - best-effort
+                    pass
 
             extras = [
                 path for path in self._sources
@@ -671,7 +597,6 @@ class ResultStore:
             return CompactionStats(
                 generation=generation,
                 entries=len(self._entries),
-                errors=len(self._errors),
                 shard_files=len(new_paths),
                 bytes_before=bytes_before,
                 bytes_after=bytes_after,

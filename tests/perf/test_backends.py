@@ -38,11 +38,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import metrics as obs_metrics
-from repro.perf.backends import (
-    live_worker_status,
-    live_workers,
-    worker_command,
-)
+from repro.perf.backends import fleet as fleet_backend
+from repro.perf.backends import live_workers, worker_command
 from repro.perf.parallel import (
     TraceKey,
     identity_for,
@@ -503,9 +500,11 @@ class TestForkedLocalWorkers:
 
         def observe(_ctx, _outcome):
             if not probed:
-                probed.extend(
-                    probe(status["pid"]) for status in live_worker_status()
-                )
+                with fleet_backend._LIVE_LOCK:
+                    pids = sorted(
+                        worker.process.pid for worker in fleet_backend._LIVE_WORKERS
+                    )
+                probed.extend(probe(pid) for pid in pids)
 
         with outcome_observer(observe):
             outcomes = run_labeled_cells(

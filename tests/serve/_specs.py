@@ -54,7 +54,7 @@ def constant_answer():
 
 @dataclass(frozen=True)
 class PoisonedFactory:
-    """A factory whose cells always fail — negative-cache test fodder."""
+    """A factory whose cells always fail: a run with failing cells."""
 
     def __call__(self, size):
         raise RuntimeError("poisoned cell")

@@ -1,10 +1,16 @@
 """Tests for repro.store — the content-addressed result store."""
 
 import json
+import os
+import shutil
+import signal
+import sys
 import threading
+import time
 
 import pytest
 
+from repro import store as store_module
 from repro.perf.parallel import run_labeled_cells
 from repro.store import (
     DEFAULT_SHARDS,
@@ -201,47 +207,52 @@ class TestOffsetDrift:
         assert store.stats().skipped == 0
 
 
-class TestNegativeCache:
-    def test_record_then_lookup_and_reload(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.record_errors([("bad1", "boom"), ("bad2", "crash")], at=123.0)
-        entry = store.error_entry("bad1")
-        assert entry["error"] == "boom"
-        assert entry["recorded_at"] == 123.0
-        assert sorted(store.error_keys()) == ["bad1", "bad2"]
-        assert store.stats().errors == 2
-        # failures are durable: a fresh store over the same dir sees them
-        reloaded = ResultStore(tmp_path / "store")
-        assert reloaded.error_entry("bad2")["error"] == "crash"
+def _index(store):
+    return {key: store.metrics(key) for key in store.keys()}
 
-    def test_error_entries_do_not_pollute_the_result_index(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.record_errors([("bad", "boom")])
-        assert len(store) == 0
-        assert store.get("bad") is None
-        assert store.metrics("bad") is None
-        # nor a reopened store's: replay reads only successes
-        store.record("good", {}, 0.1, 0.0)
-        reopened = ResultStore(tmp_path / "store")
-        assert reopened.keys() == ["good"]
-        assert reopened.metrics("bad") is None
 
-    def test_success_evicts_the_cached_failure(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.record_errors([("k1", "boom")])
-        store.record("k1", {"label": "dm"}, 0.5, 0.01)
-        assert store.error_entry("k1") is None
-        assert store.metrics("k1") == {"miss_rate": 0.5}
-        # and the eviction survives a reload (journal replay order)
-        assert ResultStore(tmp_path / "store").error_entry("k1") is None
+def _legacy_error_line(key):
+    """A failure line as older versions wrote it; today an unknown kind."""
+    entry = {
+        "kind": "sweep-cell-error",
+        "version": JOURNAL_VERSION,
+        "key": key,
+        "error": "RuntimeError: boom",
+        "recorded_at": 123.0,
+    }
+    return json.dumps(entry, sort_keys=True) + "\n"
 
-    def test_later_failure_restarts_the_ttl_window(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.record_errors([("k1", "first")], at=10.0)
-        store.record_errors([("k1", "second")], at=20.0)
-        entry = store.error_entry("k1")
-        assert entry["error"] == "second"
-        assert entry["recorded_at"] == 20.0
+
+class TestLegacyErrorLines:
+    def test_skipped_in_primary_and_shard_then_dropped_by_compact(self, tmp_path):
+        directory = tmp_path / "store"
+        store = ResultStore(directory)
+        store.record("00000001aa", {"label": "dm"}, 0.25, 0.0)
+        store.record("80000002bb", {"label": "dm"}, 0.5, 0.0)
+        store.compact(shards=1)
+        store.record("40000003cc", {"label": "dm"}, 0.75, 0.0)
+        (shard,) = directory.glob("journal-*.jsonl")
+        with shard.open("a", encoding="utf-8") as handle:
+            handle.write(_legacy_error_line("00000001aa"))  # has a success
+        with (directory / JOURNAL_FILENAME).open("a", encoding="utf-8") as handle:
+            handle.write(_legacy_error_line("c0000004dd"))  # has none
+        expected = {
+            "00000001aa": {"miss_rate": 0.25},
+            "80000002bb": {"miss_rate": 0.5},
+            "40000003cc": {"miss_rate": 0.75},
+        }
+
+        reopened = ResultStore(directory)
+        assert _index(reopened) == expected
+        assert reopened.get("c0000004dd") is None
+        assert reopened.stats().skipped == 2
+
+        reopened.compact(shards=2)
+        compacted = ResultStore(directory)
+        assert _index(compacted) == expected
+        assert compacted.stats().skipped == 0
+        text = "".join(path.read_text() for path in directory.glob("journal*.jsonl"))
+        assert "sweep-cell-error" not in text
 
 
 class TestCompaction:
@@ -252,13 +263,11 @@ class TestCompaction:
     def test_round_trip_is_byte_identical(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         self._populate(store)
-        store.record_errors([("deadbeef00", "boom")], at=99.0)
         before = {key: store.metrics(key) for key in store.keys()}
 
         stats = store.compact(shards=4)
         assert stats.generation == 1
         assert stats.entries == 20
-        assert stats.errors == 1
         assert stats.shard_files <= 4
         assert stats.bytes_after > 0
 
@@ -274,7 +283,6 @@ class TestCompaction:
         assert {key: store.metrics(key) for key in store.keys()} == before
         reloaded = ResultStore(tmp_path / "store")
         assert {key: reloaded.metrics(key) for key in reloaded.keys()} == before
-        assert reloaded.error_entry("deadbeef00")["recorded_at"] == 99.0
         assert reloaded.generation == 1
         assert reloaded.stats().duplicates == 0
 
@@ -367,6 +375,91 @@ class TestCompaction:
         assert "00000001" in reloaded
 
 
+#: Exit status of a compacting child killed on purpose.
+_CRASHED = 17
+
+
+def _compact_killed_at(directory, k):
+    """Fork a child that compacts ``directory`` and ``os._exit``s at the
+    ``k``-th line it executes inside ``compact`` or ``_write_atomic``.
+
+    Returns whether the child died there (False: the compact finished
+    in fewer lines).
+    """
+    traced = {ResultStore.compact.__code__, store_module._write_atomic.__code__}
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        try:
+            store = ResultStore(directory)
+            lines = 0
+
+            def on_line(frame, event, arg):
+                nonlocal lines
+                if event == "line":
+                    lines += 1
+                    if lines == k:
+                        os._exit(_CRASHED)
+                return on_line
+
+            sys.settrace(
+                lambda frame, event, arg: on_line if frame.f_code in traced else None
+            )
+            store.compact(shards=4)
+            os._exit(0)
+        finally:
+            os._exit(1)  # never return into the test runner
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"compacting child still running after 30 s (k={k})")
+        time.sleep(0.001)
+    code = os.waitstatus_to_exitcode(status)
+    assert code in (0, _CRASHED), f"compacting child exited {code}"
+    return code == _CRASHED
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestCompactionCrash:
+    def test_a_compaction_killed_at_any_line_loses_nothing(self, tmp_path):
+        """Kill a compaction at every line it runs: the store reopens
+        key-by-key equal to the store before it, and the next compact
+        leaves only the manifest, the shards it names and the journal."""
+        template = tmp_path / "template"
+        store = ResultStore(template)
+        for round_ in range(3):  # superseded lines in shards and journal
+            store.record_many(
+                [(f"{i:08x}aa", {"label": "dm"}, round_ + i / 100, 0.0)
+                 for i in range(0, 12, round_ + 1)]
+            )
+            if round_ == 0:
+                store.compact(shards=2)
+        before = _index(store)
+        assert len(before) == 12
+
+        crashes = 0
+        while True:
+            directory = tmp_path / f"crash-{crashes + 1}"
+            shutil.copytree(template, directory)
+            if not _compact_killed_at(directory, crashes + 1):
+                break
+            crashes += 1
+            assert _index(ResultStore(directory)) == before
+
+            ResultStore(directory).compact(shards=4)
+            manifest = json.loads((directory / STORE_MANIFEST_FILENAME).read_text())
+            assert sorted(os.listdir(directory)) == sorted(
+                [STORE_MANIFEST_FILENAME, JOURNAL_FILENAME, *manifest["shards"]]
+            ), f"crash at line {crashes}"
+            assert _index(ResultStore(directory)) == before
+            shutil.rmtree(directory)
+        assert crashes > 50  # the trace did reach the compaction's lines
+
+
 class TestStateToken:
     def test_changes_on_every_mutation(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -374,7 +467,7 @@ class TestStateToken:
         store.record("00000001", {}, 0.5, 0.0)
         t1 = store.state_token()
         assert t1 != t0
-        store.record_errors([("bad", "boom")])
+        store.record("00000001", {}, 0.75, 0.0)
         t2 = store.state_token()
         assert t2 != t1
         store.compact()

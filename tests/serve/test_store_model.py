@@ -2,11 +2,11 @@
 
 After every step the live store's index must equal that of a freshly
 opened store over the same directory, and both must equal a dict
-model: the last record of a key wins, and a success evicts a cached
-failure.  The steps cover every writer (``record``, ``record_many`` —
-including batches that must be refused without writing a byte —
-``record_errors``), ``compact``, ``refresh``, reopening, and a crash
-that tears an append mid-line.
+model: the last record of a key wins.  The steps cover every writer
+(``record``, ``record_many`` — including batches that must be refused
+without writing a byte), a ``sweep-cell-error`` line left by an older
+version (skipped, never served), ``compact``, ``refresh``, reopening,
+and a crash that tears an append mid-line.
 """
 
 import json
@@ -47,7 +47,6 @@ class StoreMachine(RuleBasedStateMachine):
         self.directory = Path(tempfile.mkdtemp(prefix="store-model-"))
         self.store = ResultStore(self.directory)
         self.results = {}
-        self.errors = {}
         # A complete line a crash left without its newline: invisible
         # until the next append terminates it, lost to a compaction.
         self.unterminated = None
@@ -69,7 +68,6 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _succeeded(self, key, metrics):
         self.results[key] = _replayed(metrics)
-        self.errors.pop(key, None)
 
     @rule(key=KEYS, metrics=METRICS)
     def record(self, key, metrics):
@@ -100,15 +98,35 @@ class StoreMachine(RuleBasedStateMachine):
             self.store.record_many([(k, {"label": "dm"}, m, 0.0) for k, m in batch])
         assert self._journal_bytes() == before
 
-    @rule(
-        failures=st.lists(st.tuples(KEYS, ERRORS), min_size=1, max_size=3),
-        at=st.floats(min_value=0.0, max_value=2e9),
-    )
-    def record_errors(self, failures, at):
-        self.store.record_errors(failures, at=at)
-        self._appended()
-        for key, error in failures:
-            self.errors[key] = error
+    @rule(key=KEYS, error=ERRORS, at=st.floats(min_value=0.0, max_value=2e9))
+    def legacy_error_line(self, key, error, at):
+        """Append a failure line as older versions wrote it.
+
+        Today it is an unknown kind: counted as skipped, never served,
+        and a success of the same key survives it.
+        """
+        existing = self._journal_bytes()
+        prefix = "\n" if existing and not existing.endswith(b"\n") else ""
+        line = json.dumps(
+            {
+                "kind": "sweep-cell-error",
+                "version": JOURNAL_VERSION,
+                "key": key,
+                "error": error,
+                "recorded_at": at,
+            },
+            sort_keys=True,
+        )
+        # The newline in front ends what the primary ended with: a torn
+        # fragment (skipped too) or a complete unterminated record.
+        torn = bool(prefix) and self.unterminated is None
+        skipped = self.store.stats().skipped
+        with self.journal.open("a", encoding="utf-8") as handle:
+            handle.write(prefix + line + "\n")
+        if prefix:
+            self._appended()
+        self.store.refresh()
+        assert self.store.stats().skipped == skipped + 1 + torn
 
     @rule(shards=st.integers(1, 4))
     def compact(self, shards):
@@ -158,9 +176,6 @@ class StoreMachine(RuleBasedStateMachine):
         fresh = ResultStore(self.directory)
         for store in (self.store, fresh):
             assert {key: store.metrics(key) for key in store.keys()} == self.results
-            assert {
-                key: store.error_entry(key)["error"] for key in store.error_keys()
-            } == self.errors
 
 
 TestStoreModel = StoreMachine.TestCase

@@ -234,33 +234,3 @@ class TestServeKnobs:
         monkeypatch.setenv("REPRO_SERVE_URL", "gopher://x")
         with pytest.raises(ValueError, match="REPRO_SERVE_URL"):
             env.validate()
-
-
-class TestServeNegTtl:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_NEG_TTL", raising=False)
-        assert env.serve_neg_ttl() == env.DEFAULT_SERVE_NEG_TTL
-
-    def test_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NEG_TTL", "12.5")
-        assert env.serve_neg_ttl() == 12.5
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NEG_TTL", "0")
-        assert env.serve_neg_ttl() == 0.0
-
-    def test_bad_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NEG_TTL", "soon")
-        with pytest.raises(ValueError, match="REPRO_SERVE_NEG_TTL"):
-            env.serve_neg_ttl()
-
-    @pytest.mark.parametrize("raw", ["-1", "-0.5", "nan"])
-    def test_negative_and_nan_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SERVE_NEG_TTL", raw)
-        with pytest.raises(ValueError, match=">= 0"):
-            env.serve_neg_ttl()
-
-    def test_validate_covers_it(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NEG_TTL", "whenever")
-        with pytest.raises(ValueError, match="REPRO_SERVE_NEG_TTL"):
-            env.validate()

@@ -24,7 +24,7 @@ two-step landing.
 ``bench_serve_etag``) turns an absent artefact into a hard failure —
 without it, a bench leg that silently stops producing its artefact
 would retire its own gate.  CI requires every serving-tier ratio
-(warm/cold, compaction load, negative cache, ETag 304) this way.
+(warm/cold, compaction load, ETag 304) this way.
 """
 
 import argparse

@@ -33,11 +33,11 @@ back — shows up as a counter delta, not just as cell events:
    still answer entirely from the index (zero cell events, zero added
    to both counters, byte-identical output) and ``/healthz`` must
    report the new generation;
-8. **metrics scrape** — ``GET /metrics?format=prometheus`` must answer
-   with the Prometheus content type and a body in which every line
-   parses, the ``serve_request_seconds`` bucket counts are cumulative
-   (monotone within each series), and the ``fsm_*`` mechanism counters
-   published by the cold run are present and positive.
+8. **request histogram and mechanism counters** — in the JSON
+   ``GET /metrics``, every ``serve.request.seconds`` series must start
+   its bounds at 100µs and hold ``count > 0`` observations, its
+   per-bucket counts summing to ``count``; and the cold run must have
+   left at least one ``fsm.*`` counter above zero.
 
 Exits non-zero with a named complaint on the first violation, so a CI
 failure reads as "warm run recomputed 3 cells", not as a stack trace.
@@ -55,10 +55,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import all_specs  # noqa: E402  (path bootstrap)
 from repro.obs.manifest import read_manifest  # noqa: E402
-from repro.obs.promtext import (  # noqa: E402
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-)
 from repro.serve import ResultServer, ServeClient  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 
@@ -242,49 +238,29 @@ def check(spec: str, store_dir: Path) -> int:
                 f"returned {compaction.generation}"
             )
 
-        # Prometheus scrape: every line must parse, request-latency
-        # buckets must be cumulative, and the cold run must have left
-        # fsm_* mechanism counters behind.
-        with urllib.request.urlopen(
-            f"{server.url}/metrics?format=prometheus"
-        ) as response:
-            content_type = response.headers.get("Content-Type")
-            exposition = response.read().decode("utf-8")
-        if content_type != PROMETHEUS_CONTENT_TYPE:
-            failures.append(
-                f"/metrics?format=prometheus answered with content type "
-                f"{content_type!r}, expected {PROMETHEUS_CONTENT_TYPE!r}"
-            )
-        try:
-            samples = parse_prometheus(exposition)
-        except ValueError as exc:
-            failures.append(f"prometheus exposition failed to parse: {exc}")
-            samples = []
-        if samples:
-            buckets = {}
-            for sample in samples:
-                if sample.name != "serve_request_seconds_bucket":
-                    continue
-                series = tuple(sorted(
-                    (k, v) for k, v in sample.labels.items() if k != "le"
-                ))
-                buckets.setdefault(series, []).append(sample.value)
-            if not buckets:
-                failures.append("no serve_request_seconds_bucket samples "
-                                "in the scrape")
-            for series, values in buckets.items():
-                if values != sorted(values):
-                    failures.append(
-                        f"serve_request_seconds buckets not cumulative "
-                        f"for {dict(series)}"
-                    )
-            fsm = [s for s in samples if s.name.startswith("fsm_")]
-            if not fsm:
+        # The request-latency histogram keeps sub-millisecond resolution
+        # and accounts for every request; the cold run's fsm.* counters
+        # reached the daemon's registry.
+        rows = client.metrics()
+        requests = [row for row in rows if row["name"] == "serve.request.seconds"]
+        if not requests:
+            failures.append("no serve.request.seconds series in /metrics")
+        for row in requests:
+            if row["bounds"][:1] != [0.0001]:
                 failures.append(
-                    "no fsm_* counters in the scrape after a cold run"
+                    f"serve.request.seconds {row['labels']} bounds start at "
+                    f"{row['bounds'][:1]}, expected [0.0001]"
                 )
-            elif not any(s.value > 0 for s in fsm):
-                failures.append("fsm_* counters all zero after a cold run")
+            if not sum(row["buckets"]) == row["count"] > 0:
+                failures.append(
+                    f"serve.request.seconds {row['labels']} buckets sum to "
+                    f"{sum(row['buckets'])} for count {row['count']}"
+                )
+        if not any(
+            row["name"].startswith("fsm.") and row.get("value", 0) > 0
+            for row in rows
+        ):
+            failures.append("no fsm.* counter above zero after a cold run")
 
     if failures:
         for failure in failures:
@@ -296,8 +272,8 @@ def check(spec: str, store_dir: Path) -> int:
         f"byte-identical), derived {derived or 'none'} with zero simulations, "
         f"304 on conditional GET, "
         f"warm again after compaction to generation "
-        f"{compaction.generation}, and scraped {len(samples)} prometheus "
-        f"samples at {server.url}"
+        f"{compaction.generation}, and read {len(requests)} request "
+        f"histogram(s) from /metrics at {server.url}"
     )
     return 0
 
