@@ -179,5 +179,5 @@ def _require_kind(data: dict, kind: str) -> None:
     if data.get("kind") != kind:
         raise ValueError(f"expected a {kind!r} document, got {data.get('kind')!r}")
     version = data.get("version", 0)
-    if version > FORMAT_VERSION:
-        raise ValueError(f"document version {version} is newer than supported")
+    if type(version) is not int or version > FORMAT_VERSION:  # bool is not int
+        raise ValueError(f"document version {version!r} is malformed or newer")

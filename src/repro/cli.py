@@ -22,14 +22,17 @@ Ten subcommands make the library usable without writing Python:
   over NDJSON on stdin/stdout until EOF or a shutdown op (launched by
   the fleet, locally or as ``ssh host python3 -m repro.cli worker``).
 
+Every subcommand that simulates runs the fast engine; none takes an
+engine flag.
+
 Examples::
 
     python -m repro.cli trace gcc --kind instruction --refs 100000 --out gcc.din
     python -m repro.cli simulate gcc.din --size 32768 --line 4 --policy exclusion
     python -m repro.cli simulate gcc --policy optimal --size 8192
     python -m repro.cli classify gcc.din --size 32768 --line 4
-    python -m repro.cli experiments --only fig04 --engine fast --workers 4
-    python -m repro.cli experiments --only fig05 --engine fast --trace-dir /tmp/obs
+    python -m repro.cli experiments --only fig04 --workers 4
+    python -m repro.cli experiments --only fig05 --trace-dir /tmp/obs
     python -m repro.cli obs summarize /tmp/obs
     python -m repro.cli serve --store /tmp/results --port 8377
     python -m repro.cli store compact --store /tmp/results
@@ -58,7 +61,7 @@ from .core.hitlast import HashedHitLastStore, IdealHitLastStore
 from .core.long_lines import make_long_line_exclusion_cache
 from .env import validate as validate_env
 from .obs import configure_logging, summarize_directory
-from .perf.engine import ENGINES, simulate as engine_simulate
+from .perf.engine import simulate as engine_simulate
 from .trace.io import load_din, save_din
 from .trace.trace import Trace
 from .workloads.registry import benchmark_names, trace_by_kind
@@ -140,7 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     geometry = CacheGeometry(args.size, args.line)
     trace = _load_trace(args.trace, args.kind, args.refs)
     simulator = _build_simulator(args.policy, geometry, args)
-    stats = engine_simulate(simulator, trace, engine=args.engine)
+    stats = engine_simulate(simulator, trace)
     print(f"trace      : {trace.name or args.trace} ({len(trace):,} refs)")
     print(f"cache      : {geometry} [{args.policy}]")
     print(f"accesses   : {stats.accesses:,}")
@@ -202,8 +205,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer = obs.install_tracer(obs.Tracer(args.trace_dir))
         print(f"tracing requests to {tracer.path}", file=sys.stderr)
     server = ResultServer(
-        store, host=args.host, port=args.port, default_engine=args.engine,
-        default_workers=args.workers,
+        store, host=args.host, port=args.port, default_workers=args.workers,
     )
     print(
         f"serving {store_dir} ({len(store)} cells, {ingested} ingested, "
@@ -286,10 +288,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
-        done = client.run(
-            args.spec, engine=args.engine, workers=args.workers,
-            on_event=on_event,
-        )
+        done = client.run(args.spec, workers=args.workers, on_event=on_event)
         manifest = done["manifest"]
         print(
             f"[done] run {done['run_id']}: {manifest['cells_computed']} computed, "
@@ -341,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cold hit-last polarity 0 instead of 1")
     sim_parser.add_argument("--victim-entries", type=int, default=4)
     sim_parser.add_argument("--stream-depth", type=int, default=4)
-    sim_parser.add_argument("--engine", choices=list(ENGINES), default=None,
-                            help="'fast' uses the set-partitioned numpy "
-                            "kernels where available (identical results); "
-                            "default: the process default ('reference')")
     sim_parser.set_defaults(func=_cmd_simulate)
 
     classify_parser = sub.add_parser("classify", help="3C miss classification")
@@ -415,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port, 0 for ephemeral (default: REPRO_SERVE_PORT or 8377)",
     )
     serve_parser.add_argument(
-        "--engine", choices=list(ENGINES), default="fast",
-        help="engine for cells the store does not hold yet (default fast)",
-    )
-    serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker count for server-side sweeps when the POST /run "
         "body names none (default: REPRO_WORKERS or 1)",
@@ -474,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run an experiment server-side (cached cells are free)"
     )
     run_parser.add_argument("spec", help="experiment spec id; see 'query specs'")
-    run_parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="engine for newly computed cells (default: the daemon's)",
-    )
     run_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="server-side worker count for this run (default: the daemon's)",

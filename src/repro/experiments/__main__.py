@@ -8,12 +8,12 @@ Usage::
     python -m repro.experiments --filter l2     # every L2 experiment
     python -m repro.experiments --svg figures/  # also save SVG charts
     REPRO_TRACE_SCALE=5 python -m repro.experiments --only fig04
-    python -m repro.experiments --only fig04 --engine fast --workers 4
     python -m repro.experiments --only fig04 --workers 4 \\
         --resume-dir runs/fig04 --progress
 
-All the work happens in :mod:`repro.experiments.frontend`, which
-``python -m repro.cli experiments`` shares.
+Every run uses the fast engine.  All the work happens in
+:mod:`repro.experiments.frontend`, which ``python -m repro.cli
+experiments`` shares.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 Both entry points — ``python -m repro.experiments`` and
 ``python -m repro.cli experiments`` — are thin wrappers around this
-module: one argument set (``--only/--filter/--list/--svg/--engine/
---workers/--resume-dir/--progress/--trace-dir``), one selection rule,
-and one execution path through
-:func:`repro.experiments.spec.run_spec`, so journaling, parallelism,
-engine choice, and observability behave identically no matter which
-door an experiment is launched through.
+module: one argument set (``--only/--filter/--list/--svg/--workers/
+--resume-dir/--progress/--trace-dir``), one selection rule, and one
+execution path through :func:`repro.experiments.spec.run_spec`, so
+journaling, parallelism and observability behave identically no
+matter which door an experiment is launched through.  Every run uses
+the default engine, ``fast``; there is no engine flag.
 
 Output discipline: **stdout carries only the artefact** — the banner
 and the rendered report (what you'd pipe into a file) — while run
@@ -93,14 +93,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--svg",
         metavar="DIR",
         help="also render each sweep-style experiment as DIR/<id>.svg",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=list(perf.ENGINES),
-        default=None,
-        help="simulation engine: 'fast' uses the set-partitioned numpy "
-        "kernels where available (identical results), 'reference' the "
-        "per-reference simulators (default)",
     )
     parser.add_argument(
         "--workers",
@@ -267,7 +259,7 @@ def _run_observed(
             manifest = obs.build_manifest(
                 spec_id=spec.id,
                 spec_fingerprint=fingerprint_digest(spec),
-                engine=args.engine or perf.default_engine(),
+                engine=perf.resolve_engine(None),
                 workers=perf.resolve_workers(args.workers),
                 wall_seconds=wall,
                 cpu_seconds=cpu,
@@ -283,7 +275,6 @@ def _run_spec_args(
 ) -> object:
     return run_spec(
         spec,
-        engine=args.engine,
         workers=args.workers,
         journal=journal,
         progress=args.progress,

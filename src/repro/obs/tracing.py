@@ -111,8 +111,9 @@ class Span:
         """Rebuild a span from one JSONL entry, or None if unusable."""
         if entry.get("kind") != SPAN_KIND:
             return None
-        if entry.get("version", 0) > TRACE_VERSION:
-            return None
+        version = entry.get("version", 0)
+        if type(version) is not int or version > TRACE_VERSION:
+            return None  # a string, null or boolean version too
         name = entry.get("name")
         span_id = entry.get("id")
         parent = entry.get("parent")

@@ -24,7 +24,6 @@
 from .engine import (
     ENGINES,
     KernelExecutionError,
-    default_engine,
     has_kernel,
     kernel_for,
     registered_kernel_types,
@@ -74,7 +73,6 @@ __all__ = [
     "as_trace",
     "canonical_parameter",
     "clear_trace_cache",
-    "default_engine",
     "env_workers",
     "evaluate_cell",
     "has_kernel",

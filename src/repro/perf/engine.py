@@ -1,9 +1,8 @@
 """Simulation-engine dispatch: fast kernels with reference fallback.
 
 :func:`simulate` is the one entry point the sweep/experiment layers go
-through.  With ``engine="reference"`` it simply calls the model's own
-``simulate`` (the per-reference Python loop).  With ``engine="fast"`` it
-consults the kernel registry: configurations with a set-partitioned
+through.  Under ``engine="fast"``, the default everywhere, it consults
+the kernel registry: configurations with a set-partitioned
 kernel (:mod:`repro.perf.kernels`) — direct-mapped, dynamic exclusion
 with the ideal store, the Belady-optimal family, LRU set-associative,
 and two-level hierarchies of every hit-last strategy with one sticky
@@ -12,8 +11,10 @@ victim caches, FIFO/random replacement, write-policy wrappers,
 non-ideal hit-last stores on a lone cache, multi-level sticky bits,
 hierarchies whose L2 lines are longer than L1's — falls back to the
 reference path, so callers never need to know which configurations are
-accelerated.  Every call names the engine that actually ran: the
-``simulate`` span's ``path`` attribute and the
+accelerated.  ``engine="reference"``, the per-reference loops that the
+kernels are tested against, is reached only through ``engine=``
+parameters, never a command-line flag.  Every call names the engine
+that actually ran: the ``simulate`` span's ``path`` attribute and the
 ``engine.dispatch{model=,engine_used=}`` counter.
 
 Either way :func:`simulate` returns what the model's own ``simulate``
@@ -190,11 +191,12 @@ def has_kernel(simulator: Simulator) -> bool:
 
 # -- engine selection ---------------------------------------------------------
 
-_DEFAULT_ENGINE = "reference"
+#: What every caller naming no engine gets: CLIs, daemon and library.
+_DEFAULT_ENGINE = "fast"
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name, substituting :func:`default_engine` for None."""
+    """Validate an engine name, substituting the default (``fast``) for None."""
     if engine is None:
         return _DEFAULT_ENGINE
     if engine not in ENGINES:
@@ -202,20 +204,14 @@ def resolve_engine(engine: Optional[str]) -> str:
     return engine
 
 
-def default_engine() -> str:
-    """The engine a caller that names none gets (``reference``)."""
-    return _DEFAULT_ENGINE
-
-
 def simulate(
     simulator: Simulator, trace: Trace, engine: Optional[str] = None
 ) -> SimulationStats:
     """Run ``trace`` through ``simulator`` under the chosen engine.
 
-    ``engine=None`` uses :func:`default_engine` (``reference``); the
-    experiments CLI's ``--engine`` is passed down explicitly.  Returns what
-    ``simulator.simulate`` returns (:class:`CacheStats`, or a
-    :class:`TwoLevelResult` for a hierarchy).
+    ``engine=None`` is ``fast``.  Returns what ``simulator.simulate``
+    returns (:class:`CacheStats`, or a :class:`TwoLevelResult` for a
+    hierarchy).
     """
     engine = resolve_engine(engine)
     model = type(simulator).__name__

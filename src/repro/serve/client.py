@@ -129,13 +129,10 @@ class ServeClient:
     def run_events(
         self,
         spec_id: str,
-        engine: "Optional[str]" = None,
         workers: "Optional[int]" = None,
     ) -> "Iterator[dict]":
         """Stream a run's NDJSON events as dicts (plan, cell*, done|error)."""
         body: dict = {"spec": spec_id}
-        if engine is not None:
-            body["engine"] = engine
         if workers is not None:
             body["workers"] = workers
         with self._open("/run", body) as response:
@@ -147,7 +144,6 @@ class ServeClient:
     def run(
         self,
         spec_id: str,
-        engine: "Optional[str]" = None,
         workers: "Optional[int]" = None,
         on_event: "Optional[Callable[[dict], None]]" = None,
     ) -> dict:
@@ -158,7 +154,7 @@ class ServeClient:
         error or ends without a ``done`` event.
         """
         done: "Optional[dict]" = None
-        for event in self.run_events(spec_id, engine=engine, workers=workers):
+        for event in self.run_events(spec_id, workers=workers):
             if on_event is not None:
                 on_event(event)
             kind = event.get("event")

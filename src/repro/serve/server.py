@@ -25,8 +25,9 @@ Protocol (all JSON; ``POST /run`` streams newline-delimited events):
 * ``GET /metrics`` — the process obs metrics registry as JSON
   (``serve.*`` and ``fleet.*`` series included) plus the live
   fleet-worker count;
-* ``POST /run`` — body ``{"spec": id, "engine"?: name, "workers"?: n}``;
-  the response is ``application/x-ndjson``: one ``plan`` event, a
+* ``POST /run`` — body ``{"spec": id, "workers"?: n}``; other fields
+  are ignored, and every run uses the daemon's engine.  The response
+  is ``application/x-ndjson``: one ``plan`` event, a
   ``cell`` event per newly resolved cell, and a final ``done`` event
   carrying every cell's metrics, the collected result, the rendered
   report, and a provenance run manifest (also written under
@@ -83,12 +84,6 @@ from ..perf.parallel import (
 from ..store import ResultStore
 
 SERVE_VERSION = 1
-
-#: Engine used when the request names none.  The
-#: fast tier is the serving default on purpose: its results are pinned
-#: equal to the reference simulators, and a store filled under one
-#: engine name answers every later request under the same name.
-DEFAULT_SERVE_ENGINE = "fast"
 
 #: Bucket bounds for ``serve.request.seconds``.  The default registry
 #: buckets start at 1ms, but a warm ETag/304 answer takes tens of
@@ -153,16 +148,6 @@ def expand_grid_specs(
     for base in spec.base:
         expand_grid_specs(get_spec(base), _seen)
     return list(_seen.values())
-
-
-def resolve_serve_engine(requested: "Optional[str]", default: str) -> str:
-    """Request > server default; always a valid engine name."""
-    name = requested or default
-    if name not in engine_mod.ENGINES:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {sorted(engine_mod.ENGINES)}"
-        )
-    return name
 
 
 def plan_grid(
@@ -275,7 +260,6 @@ def execute_run(
     emit: Emit,
     engine: "Optional[str]" = None,
     workers: "Optional[int]" = None,
-    default_engine: str = DEFAULT_SERVE_ENGINE,
 ) -> dict:
     """Serve one run request: plan, answer from store, compute the rest.
 
@@ -290,11 +274,10 @@ def execute_run(
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
 
-    with obs_tracing.span(
-        "execute_run", spec=spec.id, engine=engine or default_engine
-    ) as run_span:
+    engine = engine_mod.resolve_engine(engine)
+    with obs_tracing.span("execute_run", spec=spec.id, engine=engine) as run_span:
         done = _execute_run_inner(
-            store, spec, emit, engine, workers, default_engine,
+            store, spec, emit, engine, workers,
             started_at, wall_started, cpu_started,
         )
         if run_span is not None:
@@ -308,14 +291,12 @@ def _execute_run_inner(
     store: ResultStore,
     spec: ExperimentSpec,
     emit: Emit,
-    engine: "Optional[str]",
+    engine: str,
     workers: "Optional[int]",
-    default_engine: str,
     started_at: float,
     wall_started: float,
     cpu_started: float,
 ) -> dict:
-    engine = resolve_serve_engine(engine, default_engine)
     plans = [plan_grid(grid, engine) for grid in expand_grid_specs(spec)]
     store.refresh()
     total = sum(len(plan.cells) for plan in plans)
@@ -330,7 +311,7 @@ def _execute_run_inner(
             "spec": spec.id,
             "fingerprint": fingerprint_digest(spec),
             "grids": [plan.spec.id for plan in plans],
-            "engine": plans[0].engine if plans else default_engine,
+            "engine": engine,
             "cells": total,
             "cached": total - pending,
             "pending": pending,
@@ -390,7 +371,7 @@ def _execute_run_inner(
     manifest = build_manifest(
         spec_id=spec.id,
         spec_fingerprint=fingerprint_digest(spec),
-        engine=plans[0].engine if plans else default_engine,
+        engine=engine,
         workers=workers,
         wall_seconds=time.perf_counter() - wall_started,
         cpu_seconds=time.process_time() - cpu_started,
@@ -583,8 +564,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ServeUnsupportedError:
             payload["servable"] = False
         else:
-            engine = resolve_serve_engine(None, self.app.default_engine)
-            plans = [plan_grid(grid, engine) for grid in grids]
+            plans = [plan_grid(grid, self.app.default_engine) for grid in grids]
             total = sum(len(plan.cells) for plan in plans)
             cached = sum(
                 1
@@ -595,7 +575,7 @@ class _Handler(BaseHTTPRequestHandler):
             payload.update(
                 servable=True,
                 grids=[plan.spec.id for plan in plans],
-                engine=plans[0].engine if plans else self.app.default_engine,
+                engine=self.app.default_engine,
                 cells=total,
                 cached=cached,
             )
@@ -662,9 +642,6 @@ class _Handler(BaseHTTPRequestHandler):
                 spec = get_spec(str(body["spec"]))
             except KeyError as exc:
                 raise ValueError(str(exc.args[0])) from None
-            engine = body.get("engine")
-            if engine is not None:
-                engine = engine_mod.resolve_engine(str(engine))
             workers = body.get("workers")
             if workers is None:
                 workers = self.app.default_workers
@@ -704,9 +681,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self.app.store,
                     spec,
                     emit,
-                    engine=engine,
+                    engine=self.app.default_engine,
                     workers=workers,
-                    default_engine=self.app.default_engine,
                 )
         except (ServeUnsupportedError, SweepCellError, ValueError) as exc:
             emit({"event": "error", "error": f"{type(exc).__name__}: {exc}"})
@@ -726,6 +702,7 @@ class ResultServer:
 
     ``host``/``port`` default to the ``REPRO_SERVE_HOST``/``PORT``
     knobs; pass ``port=0`` for an OS-assigned ephemeral port (tests).
+    ``default_engine`` is the engine every run uses (``None``: ``fast``).
     ``default_workers`` is the worker count server-side runs use when
     the request body names none (``None`` = ``REPRO_WORKERS`` or 1).
     Use as a context manager, or call :meth:`start` /
@@ -737,18 +714,13 @@ class ResultServer:
         store: ResultStore,
         host: "Optional[str]" = None,
         port: "Optional[int]" = None,
-        default_engine: str = DEFAULT_SERVE_ENGINE,
+        default_engine: "Optional[str]" = None,
         default_workers: "Optional[int]" = None,
     ) -> None:
-        if default_engine not in engine_mod.ENGINES:
-            raise ValueError(
-                f"unknown engine {default_engine!r}; expected one of "
-                f"{sorted(engine_mod.ENGINES)}"
-            )
         if default_workers is not None and default_workers < 1:
             raise ValueError("default_workers must be at least 1")
         self.store = store
-        self.default_engine = default_engine
+        self.default_engine = engine_mod.resolve_engine(default_engine)
         self.default_workers = default_workers
         self._httpd = _Server(
             (host if host is not None else env.serve_host(),

@@ -347,9 +347,11 @@ class ResultStore:
         except ValueError:
             self._stats.skipped += 1
             return
+        # A non-integer version (string, null, boolean) reads as too new.
+        version = entry.get("version", 0) if isinstance(entry, dict) else None
         if (
-            not isinstance(entry, dict)
-            or entry.get("version", 0) > JOURNAL_VERSION
+            type(version) is not int
+            or version > JOURNAL_VERSION
             or entry.get("kind") != CELL_KIND
             or not isinstance(entry.get("key"), str)
             or _entry_metrics(entry) is None

@@ -87,6 +87,13 @@ class TestValidation:
         document = dumps(sample_stats()).replace('"version": 1', '"version": 99')
         with pytest.raises(ValueError, match="newer"):
             loads(document)
+        # A version that is not an integer is unsupported too.
+        for version in ('"1"', "null", "true", "1.0"):
+            document = dumps(sample_stats()).replace(
+                '"version": 1', f'"version": {version}'
+            )
+            with pytest.raises(ValueError, match="version"):
+                loads(document)
 
     def test_inconsistent_stats_rejected(self):
         document = dumps(sample_stats()).replace('"hits": 6', '"hits": 9')

@@ -301,8 +301,7 @@ def test_cli_trace_dir_writes_observability_artifacts(tmp_path, capsys, monkeypa
 
     clear_result_cache()  # force a real run so the span tree is populated
     monkeypatch.setenv("REPRO_PROFILE", "1")
-    assert main(["--only", "fig04", "--engine", "fast",
-                 "--trace-dir", str(tmp_path)]) == 0
+    assert main(["--only", "fig04", "--trace-dir", str(tmp_path)]) == 0
 
     run_dir = tmp_path / "fig04"
     manifest = obs.read_manifest(run_dir)

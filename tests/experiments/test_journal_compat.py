@@ -49,7 +49,9 @@ def test_pr3_journal_replays_every_fig04_cell(tmp_path, sweep_metrics):
     assert fixture_entries > 0
 
     before = (resume / JOURNAL_FILENAME).read_text()
-    run_spec("fig04", journal=store)
+    # A reference-engine run wrote the fixture, and the engine is part of
+    # every cell's key.
+    run_spec("fig04", engine="reference", journal=store)
 
     cells = sweep_metrics.total("sweep.cells.total")
     cached = sweep_metrics.total("sweep.cells.cached")

@@ -4,9 +4,11 @@
 result as first captured from the per-module ``run()`` functions that
 predate the declarative spec layer (REPRO_TRACE_SCALE=0.05); after an
 intended figure change ``tools/generate_parity_goldens.py`` recaptures
-them through ``run_spec``.  Each test here re-runs the experiment
-through ``run_spec`` and compares field for field: same dict keys in
-the same order, same list lengths, floats to 1e-9 relative
+them through ``run_spec(id, engine="reference")``, the per-reference
+loops.  Each test here re-runs the experiment through ``run_spec``
+under the default engine (``fast``), so it also holds the kernels to
+that oracle on every spec, and compares field for field: same dict
+keys in the same order, same list lengths, floats to 1e-9 relative
 (``statistics.mean`` became ``sum/len``).
 
 Any behaviour change to a figure — intended or not — fails here until

@@ -1,6 +1,13 @@
 """Tests for repro.obs.manifest — the per-run provenance record."""
 
 import json
+import os
+import shutil
+import signal
+import sys
+import time
+
+import pytest
 
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
@@ -115,3 +122,83 @@ class TestConcurrentWriters:
         for i in range(3):
             write_manifest(tmp_path, _manifest(extra={"round": i}))
         assert read_manifest(tmp_path)["round"] == 2
+
+
+_CRASHED = 17
+
+
+def _write_killed_at(directory, manifest, k):
+    """Fork a child that writes ``manifest`` into ``directory`` and
+    ``os._exit``s at the ``k``-th line it executes inside
+    ``write_manifest``.
+
+    Returns whether the child died there (False: the write finished in
+    fewer lines).
+    """
+    traced = write_manifest.__code__
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        try:
+            lines = 0
+
+            def on_line(frame, event, arg):
+                nonlocal lines
+                if event == "line":
+                    lines += 1
+                    if lines == k:
+                        os._exit(_CRASHED)
+                return on_line
+
+            sys.settrace(
+                lambda frame, event, arg: on_line if frame.f_code is traced else None
+            )
+            write_manifest(directory, manifest)
+            os._exit(0)
+        finally:
+            os._exit(1)  # never return into the test runner
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"manifest-writing child still running after 30 s (k={k})")
+        time.sleep(0.001)
+    code = os.waitstatus_to_exitcode(status)
+    assert code in (0, _CRASHED), f"manifest-writing child exited {code}"
+    return code == _CRASHED
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestManifestCrash:
+    """Kill ``write_manifest`` at every line it runs: the manifest on
+    disk is always absent, the complete old one, or the complete new
+    one.  A killed writer may leave its own temp file behind; nothing
+    sweeps it, because another live writer's temp file looks the same."""
+
+    def _crash_everywhere(self, tmp_path, old):
+        template = tmp_path / "template"
+        template.mkdir()
+        if old is not None:
+            write_manifest(template, old)
+        new = _manifest(extra={"writer": "new"})
+        allowed = [new] + ([old] if old is not None else [None])
+        crashes = 0
+        while True:
+            directory = tmp_path / f"crash-{crashes + 1}"
+            shutil.copytree(template, directory)
+            if not _write_killed_at(directory, new, crashes + 1):
+                break
+            crashes += 1
+            assert read_manifest(directory) in allowed, f"crash at line {crashes}"
+            shutil.rmtree(directory)
+        assert read_manifest(directory) == new
+        assert crashes > 5  # the trace did reach the writer's lines
+
+    def test_into_an_empty_directory(self, tmp_path):
+        self._crash_everywhere(tmp_path, old=None)
+
+    def test_over_an_existing_manifest(self, tmp_path):
+        self._crash_everywhere(tmp_path, old=_manifest(extra={"writer": "old"}))

@@ -55,6 +55,11 @@ class TestSpanSerialisation:
              "parent": "root", "start": 0.0, "duration": 0.0},  # bad parent
             {"kind": "span", "version": 1, "name": "x", "id": 1,
              "start": "soon", "duration": 0.0},  # bad start
+            *(
+                {"kind": "span", "version": version, "name": "x", "id": 1,
+                 "start": 0.0, "duration": 0.0}  # version not an integer
+                for version in ("1", None, True, 1.0)
+            ),
         ],
     )
     def test_unusable_entries_rejected(self, entry):

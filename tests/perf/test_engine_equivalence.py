@@ -423,7 +423,11 @@ class TestEngineSelection:
         stats = engine.simulate(cache, trace, engine="reference")
         assert stats is cache.stats
         assert cache.stats.accesses == 3
-        # Naming no engine is the reference engine.
-        assert engine.resolve_engine(None) == engine.default_engine() == "reference"
+        # Naming no engine is the fast engine: a kernel model returns
+        # standalone stats and leaves the model untouched.
+        assert engine.resolve_engine(None) == "fast"
         unnamed = DirectMappedCache(CacheGeometry(64, 4))
-        assert engine.simulate(unnamed, trace) is unnamed.stats
+        fast = engine.simulate(unnamed, trace)
+        assert fast is not unnamed.stats
+        assert unnamed.stats.accesses == 0
+        assert fast == stats

@@ -21,7 +21,7 @@ from repro.serve import (
     expand_grid_specs,
     plan_grid,
 )
-from repro.serve.server import execute_run, resolve_serve_engine
+from repro.serve.server import execute_run
 from repro.store import ResultStore
 
 from . import _specs
@@ -59,13 +59,6 @@ class TestPlanning:
         store = ResultStore(tmp_path / "store")
         run_labeled_cells(plan.cells, engine="fast", journal=store, progress=False)
         assert all(key in store for key in plan.keys)
-
-    def test_engine_resolution(self):
-        assert resolve_serve_engine(None, "fast") == "fast"
-        assert resolve_serve_engine("reference", "fast") == "reference"
-        for engine in ("warp", "batch"):
-            with pytest.raises(ValueError, match="unknown engine"):
-                resolve_serve_engine(engine, "fast")
 
 
 class TestReadRoutes:
@@ -305,12 +298,6 @@ class TestRun:
             client.run("nope")
         assert excinfo.value.status == 400
 
-    def test_unknown_engine_400(self, client):
-        for engine in ("warp", "batch"):
-            with pytest.raises(ServeError, match="unknown engine") as excinfo:
-                client.run("serve-test-grid", engine=engine)
-            assert excinfo.value.status == 400
-
     @pytest.mark.parametrize("workers", [[1], {}, True, 2.5, "2", 0, -1])
     def test_malformed_workers_400(self, client, workers):
         with pytest.raises(ServeError, match="'workers'") as excinfo:
@@ -443,3 +430,25 @@ class TestServedRunsSimulateOnlyPendingCells:
         )
         assert sweeps == 1
         assert dispatches == events[0]["cells"] == events[0]["pending"]
+
+    def test_flagless_resume_store_serves_without_simulating(self, tmp_path, capsys):
+        """The experiments CLI and the daemon share one default engine, so a
+        ``--resume-dir`` store filled with no engine named is the store a
+        run naming no engine reads."""
+        from repro.experiments.frontend import main as experiments_main
+
+        store_dir = tmp_path / "store"
+        clear_result_cache()
+        assert experiments_main(["--only", "fig04", "--resume-dir", str(store_dir)]) == 0
+        capsys.readouterr()
+        filled = len(ResultStore(store_dir))
+        assert filled > 0
+
+        clear_result_cache()
+        store = ResultStore(store_dir)
+        events = []
+        done = execute_run(store, get_spec("fig04"), events.append, workers=1)
+        assert events[0]["cells"] == filled
+        assert events[0]["pending"] == 0
+        assert done["manifest"]["cells_computed"] == 0
+        assert len(ResultStore(store_dir)) == filled

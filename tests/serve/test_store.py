@@ -106,13 +106,19 @@ class TestIntegrity:
                 _entry("wrong-kind", kind="telemetry"),
                 {"kind": "sweep-cell", "version": 1, "key": 42, "miss_rate": 0.1},
                 {"kind": "sweep-cell", "version": 1, "key": "no-metrics"},
+                # A version that is not an integer reads as unsupported.
+                _entry("string-version", version="1"),
+                _entry("null-version", version=None),
+                _entry("bool-version", version=True),
+                _entry("float-version", version=1.0),
+                [1, 2, 3],
             ],
         )
         with path.open("a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
         store = ResultStore(tmp_path / "store", [path])
         assert store.keys() == ["good"]
-        assert store.stats().skipped == 5
+        assert store.stats().skipped == 10
 
     def test_torn_tail_is_not_consumed_until_complete(self, tmp_path):
         path = _write_journal(tmp_path / "a", [_entry("k1")])

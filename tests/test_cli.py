@@ -116,34 +116,26 @@ class TestConflictsCommand:
 
 
 class TestSimulateEngineFlags:
-    def test_engine_fast_runs(self, capsys):
-        assert main(["simulate", "gcc", "--refs", "2000", "--engine", "fast"]) == 0
-        assert "misses" in capsys.readouterr().out
-
     def test_fast_matches_reference(self, capsys):
-        assert main(["simulate", "gcc", "--refs", "2000", "--engine", "fast"]) == 0
-        fast = capsys.readouterr().out
-        assert main(["simulate", "gcc", "--refs", "2000", "--engine", "reference"]) == 0
-        reference = capsys.readouterr().out
-        assert fast == reference
+        """``simulate`` prints what the model's own per-reference loop counts."""
+        from repro.caches.geometry import CacheGeometry
+        from repro.cli import _build_simulator, _load_trace, build_parser
 
-    def test_unknown_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "gcc", "--refs", "2000", "--engine", "warp"])
-
-    def test_batch_engine_rejected_by_both_clis(self, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
-        for cli, argv in (
-            (experiments_main, ["--only", "fig04", "--engine", "batch"]),
-            (main, ["simulate", "gcc", "--refs", "2000", "--engine", "batch"]),
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                cli(argv)
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            assert "invalid choice: 'batch'" in err
-            assert "'fast', 'reference'" in err
+        for policy in ("direct", "exclusion", "optimal", "lru"):
+            argv = ["simulate", "gcc", "--refs", "5000", "--size", "1024",
+                    "--policy", policy]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            args = build_parser().parse_args(argv)
+            geometry = CacheGeometry(args.size, args.line)
+            model = _build_simulator(policy, geometry, args)
+            stats = model.simulate(_load_trace(args.trace, args.kind, args.refs))
+            assert stats.accesses == 5000
+            assert f"hits       : {stats.hits:,}  ({stats.hit_rate:.3%})" in out
+            assert f"misses     : {stats.misses:,}  ({stats.miss_rate:.3%})" in out
+            assert ("bypasses" in out) == bool(stats.bypasses), policy
+            if stats.bypasses:
+                assert f"bypasses   : {stats.bypasses:,}" in out
 
     def test_zero_workers_rejected(self, capsys):
         from repro.experiments.__main__ import main as experiments_main

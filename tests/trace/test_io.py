@@ -2,7 +2,9 @@
 
 import io
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.trace.io import dumps_din, load_din, loads_din, save_din
 from repro.trace.reference import Reference, RefKind
@@ -162,3 +164,47 @@ class TestGzip:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="mangled.din.gz"):
             load_din(path)
+
+
+#: Everything a din line is made of, plus what the grammar must refuse:
+#: ``0x`` prefixes, signs, ``_`` separators, NUL and a non-ASCII digit.
+_DIN_ALPHABET = "0123456789abcdefABCDEFx+-_# \t\r\n\x00\u0663"
+
+_din_like_text = st.one_of(
+    st.text(alphabet=_DIN_ALPHABET, max_size=200),
+    st.lists(  # line-shaped, so that some inputs parse
+        st.tuples(
+            st.text(alphabet="0123", min_size=1, max_size=2)
+            | st.text(alphabet=_DIN_ALPHABET, max_size=3),
+            st.sampled_from([" ", "\t", "  "]),
+            st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=17)
+            | st.text(alphabet=_DIN_ALPHABET, max_size=20),
+        ).map("".join),
+        max_size=8,
+    ).map("\n".join),
+)
+
+
+class TestFuzz:
+    @given(text=_din_like_text)
+    @settings(max_examples=300, deadline=None)
+    def test_text_parses_or_raises_value_error(self, text):
+        try:
+            trace = loads_din(text)
+        except ValueError:
+            return
+        assert loads_din(dumps_din(trace)) == trace
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+                st.sampled_from(list(RefKind)),
+            ),
+            max_size=100,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dumps_loads_round_trip(self, pairs):
+        trace = Trace([addr for addr, _ in pairs], [kind for _, kind in pairs])
+        assert list(loads_din(dumps_din(trace)).pairs()) == pairs

@@ -5,8 +5,11 @@ Run from the repository root at the parity scale::
     REPRO_TRACE_SCALE=0.05 PYTHONPATH=src:tests python tools/generate_parity_goldens.py
 
 Writes one ``tests/experiments/golden/<id>.json`` per experiment: the
-serialized ``run_spec(id)`` result, in presentation order.  Run it only
-after an intended figure change.  The journal fixture beside the
+serialized ``run_spec(id, engine="reference")`` result, in presentation
+order.  The goldens come from the per-reference loops on purpose: the
+parity test runs under the default (fast) engine, so it holds the
+kernels to the reference oracle.  Run it only after an intended figure
+change.  The journal fixture beside the
 goldens (``pr3_journal_fig04.jsonl``) is a journal written by the
 pre-spec sweep runner; it is never regenerated, because
 ``test_journal_compat.py`` exists to replay exactly those bytes.
@@ -44,7 +47,7 @@ def main() -> int:
             "version": 1,
             "experiment": key,
             "trace_scale": float(PARITY_SCALE),
-            "result": to_jsonable(run_spec(key)),
+            "result": to_jsonable(run_spec(key, engine="reference")),
         }
         path = GOLDEN_DIR / f"{key}.json"
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
