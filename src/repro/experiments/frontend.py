@@ -17,10 +17,10 @@ through the ``REPRO_LOG_LEVEL``-gated logger, so
 report.
 
 With ``--trace-dir DIR``, each experiment run writes ``DIR/<id>/``:
-``trace.jsonl`` (the span tree), ``metrics.json`` (the run's counters,
-gauges and histograms), ``run_manifest.json`` (spec fingerprint,
-engine, workers, env, git SHA, wall/CPU time), and — when
-``REPRO_PROFILE=1`` — ``profile.txt`` (the hot functions of one
+``trace.jsonl`` (the span tree, where phase and cell durations live),
+``metrics.json`` (the run's counters and gauges), ``run_manifest.json``
+(spec fingerprint, engine, workers, env, git SHA, wall/CPU time), and
+— when ``REPRO_PROFILE=1`` — ``profile.txt`` (the hot functions of one
 cProfile around the run).  ``repro.cli obs summarize DIR`` renders
 them.
 """

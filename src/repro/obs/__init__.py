@@ -1,13 +1,14 @@
 """repro.obs — dependency-free tracing, metrics, profiling, and logging.
 
 The observability layer for the reproduction: nested monotonic-clock
-spans persisted as torn-tail-tolerant JSONL (:mod:`.tracing`), a typed
-counter/gauge/histogram registry (:mod:`.metrics`), the opt-in
-``REPRO_PROFILE=1`` cProfile report (:mod:`.profiling`),
-``run_manifest.json`` writers/readers (:mod:`.manifest`), the
-``obs summarize`` renderer (:mod:`.summarize`), stderr logging
-gated by ``REPRO_LOG_LEVEL`` (:mod:`.logs`), and cross-process
-span/metric propagation for the sweep backends (:mod:`.distributed`).
+spans persisted as torn-tail-tolerant JSONL (:mod:`.tracing`), which
+hold the durations; a typed counter/gauge registry (:mod:`.metrics`) for
+counts; the opt-in ``REPRO_PROFILE=1`` cProfile report
+(:mod:`.profiling`), ``run_manifest.json`` writers/readers
+(:mod:`.manifest`), the ``obs summarize`` renderer (:mod:`.summarize`),
+stderr logging gated by ``REPRO_LOG_LEVEL`` (:mod:`.logs`), and
+cross-process span/metric propagation for the sweep backends
+(:mod:`.distributed`).
 
 Import direction: ``repro.obs`` imports nothing from ``repro.perf`` or
 ``repro.experiments`` — every other layer may import obs, never the
@@ -38,7 +39,6 @@ from repro.obs.metrics import (
     counter,
     current_registry,
     gauge,
-    histogram,
     install_registry,
     uninstall_registry,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "gauge",
     "get_logger",
     "git_sha",
-    "histogram",
     "install_registry",
     "install_tracer",
     "iter_jsonl",

@@ -20,10 +20,11 @@ it home instead:
   metric deltas;
 * back home, :func:`merge_cell_payload` re-identifies the shipped spans
   in the parent tracer's id space, re-bases their clocks onto the
-  parent's ``cell`` span, stamps ``worker=``/``pid=`` attribution, and
-  folds the metric deltas into the parent registry via
-  :meth:`~repro.obs.metrics.MetricsRegistry.merge` with a per-worker
-  label.
+  parent's ``cell`` span (the worker's outermost span, which brackets
+  the measured seconds, starts with it), stamps ``worker=``/``pid=``
+  attribution, and folds the metric deltas into the parent registry
+  via :meth:`~repro.obs.metrics.MetricsRegistry.merge` with a
+  per-worker label.
 
 Everything is bounded: a capture keeps at most :data:`MAX_SHIPPED_SPANS`
 spans (excess is counted, and surfaces in the parent as the
@@ -76,9 +77,10 @@ class WorkerCapture:
     Installs a fresh in-memory tracer and registry on entry and restores
     the previous ones on exit, so the instrumentation already living in
     library code (``simulate`` spans, ``fsm.*`` counters) transparently
-    lands in the capture.  Enter the capture *before* decoding the cell
-    payload so the capture epoch brackets everything the parent's
-    ``cell`` span times.
+    lands in the capture.  The caller opens one outermost span around
+    exactly the region its reply's ``seconds`` times (the fleet
+    worker's ``cell_exec``); :meth:`payload` ships starts relative to
+    it.
     """
 
     def __init__(
@@ -114,12 +116,18 @@ class WorkerCapture:
         self.tracer.close()
 
     def payload(self) -> Dict[str, object]:
-        """JSON-safe bundle to attach to the cell reply."""
+        """JSON-safe bundle to attach to the cell reply; span starts
+        are offsets from the earliest one, the outermost span's."""
+        spans = self.tracer.spans
+        origin = min((span.start for span in spans), default=0.0)
         return {
             "version": OBS_WIRE_VERSION,
             "trace_id": self.tracer.trace_id,
             "pid": os.getpid(),
-            "spans": [span.to_dict() for span in self.tracer.spans],
+            "spans": [
+                dict(span.to_dict(), start=round(span.start - origin, 6))
+                for span in spans
+            ],
             "dropped": self.tracer.dropped,
             "metrics": self.registry.export(),
         }
@@ -135,13 +143,14 @@ def merge_cell_payload(
     """Fold one worker capture payload into the parent's tracer/registry.
 
     ``cell_span`` is the parent-side (back-dated) ``cell`` span the
-    shipped spans belong under: worker span starts are offsets on the
-    worker capture's own epoch, which coincides with cell dispatch, so
-    re-basing them as ``cell_span.start + offset`` reconstructs the real
-    timeline.  Span ids are reallocated in the parent tracer's id space
-    (worker tracers number independently from 1); shipped parent links
-    that point outside the payload resolve to the cell span.  Returns
-    the number of spans adopted.
+    shipped spans belong under: worker span starts are offsets from the
+    start of the worker's outermost span, which opens where the cell's
+    measured seconds begin, so re-basing them as ``cell_span.start +
+    offset`` reconstructs the real timeline.  Span ids are reallocated
+    in the parent tracer's id space (worker tracers number
+    independently from 1); shipped parent links that point outside the
+    payload resolve to the cell span.  Returns the number of spans
+    adopted.
     """
     if not isinstance(payload, dict):
         return 0

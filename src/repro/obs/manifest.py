@@ -4,8 +4,9 @@ Every experiment run executed with ``--trace-dir`` leaves behind a
 ``run_manifest.json`` answering "what exactly produced these files?":
 the spec identity and content fingerprint, the resolved engine and
 worker count, the ``REPRO_*`` environment, the interpreter/platform,
-the repository commit, and the measured wall/CPU time.  Results that
-cannot name their configuration are not reproducible results.
+the commit of the checkout the code was imported from, and the
+measured wall/CPU time.  Results that cannot name their configuration
+are not reproducible results.
 
 The manifest is one JSON object per run directory — small, stable keys,
 written atomically at the end of the run (unlike the trace, which
@@ -15,6 +16,7 @@ streams).  :func:`read_manifest` is the loading counterpart used by the
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -44,6 +46,14 @@ def git_sha(cwd: "str | Path | None" = None) -> Optional[str]:
         return None
     sha = result.stdout.strip()
     return sha or None
+
+
+@functools.lru_cache(maxsize=None)
+def _code_sha() -> Optional[str]:
+    """The commit of the checkout the ``repro`` package was imported
+    from, read once per process (None outside a checkout), so a run
+    started in any directory records the code that ran."""
+    return git_sha(Path(__file__).resolve().parents[1])
 
 
 def environment_snapshot() -> Dict[str, object]:
@@ -82,7 +92,7 @@ def build_manifest(
         "started_at": round(started_at, 3),
         "wall_seconds": round(wall_seconds, 6),
         "cpu_seconds": round(cpu_seconds, 6),
-        "git_sha": git_sha(),
+        "git_sha": _code_sha(),
         "env": environment_snapshot(),
     }
     if extra:

@@ -183,11 +183,7 @@ def _render_metrics(directory: Path, top: int = 12) -> List[str]:
             f"{key}={value}" for key, value in sorted(labels.items())
         )
         series = f"{name}{{{label_text}}}" if label_text else str(name)
-        if entry.get("type") == "histogram":
-            value = f"count={entry.get('count')} sum={entry.get('sum')}s"
-        else:
-            value = f"{entry.get('value')}"
-        lines.append(f"    {series:<52}  {value}")
+        lines.append(f"    {series:<52}  {entry.get('value')}")
     if len(entries) > top:
         lines.append(f"    ... and {len(entries) - top} more series")
     return lines

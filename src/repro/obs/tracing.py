@@ -2,9 +2,10 @@
 
 A figure run is a tree of timed phases — ``experiment`` → ``run_spec``
 → ``sweep`` → ``cell`` → ``trace_gen``/``simulate`` — and "where did
-this 20-minute fig13 run spend its time?" is a
-question about that tree, not about the terminal miss rates.  This
-module provides the tree:
+this 20-minute fig13 run spend its time?" is a question about that
+tree, not about the terminal miss rates.  Spans are where durations
+live; metrics (:mod:`repro.obs.metrics`) are counts.  This module
+provides the tree:
 
 * :class:`Span` is one completed timed phase: a name, a start offset
   and duration on the tracer's monotonic clock, a parent link, and a
@@ -45,10 +46,10 @@ TRACE_VERSION = 1
 #: File name used inside a trace directory.
 TRACE_FILENAME = "trace.jsonl"
 
-#: In-process spans kept per tracer; past this the aggregate view stays
-#: exact (counts and totals) but individual spans are dropped, so a
-#: pathological million-cell run cannot exhaust memory.  The JSONL file,
-#: when enabled, always receives every span.
+#: In-process spans kept per tracer; past this individual spans are
+#: dropped (and counted in ``Tracer.dropped``), so a pathological
+#: million-cell run cannot exhaust memory.  The JSONL file, when
+#: enabled, always receives every span.
 DEFAULT_SPAN_KEEP = 100_000
 
 
@@ -170,7 +171,6 @@ class Tracer:
         self._keep = keep
         self.spans: List[Span] = []
         self.dropped = 0
-        self._totals: Dict[str, List[float]] = {}  # name -> [count, seconds]
 
     # -- internals ----------------------------------------------------------
 
@@ -192,9 +192,6 @@ class Tracer:
                 self.spans.append(span)
             else:
                 self.dropped += 1
-            totals = self._totals.setdefault(span.name, [0, 0.0])
-            totals[0] += 1
-            totals[1] += span.duration
             if self.path is not None:
                 if self._handle is None:
                     self._handle = self.path.open("a", encoding="utf-8")
@@ -276,16 +273,7 @@ class Tracer:
         self._finish(span)
         return span
 
-    # -- views / lifecycle ---------------------------------------------------
-
-    def aggregate(self) -> "Dict[str, Dict[str, float]]":
-        """Per-name totals: ``{name: {count, seconds}}`` (always exact,
-        even when individual spans were dropped past the keep limit)."""
-        with self._lock:
-            return {
-                name: {"count": totals[0], "seconds": totals[1]}
-                for name, totals in sorted(self._totals.items())
-            }
+    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         if self._handle is not None:

@@ -73,8 +73,8 @@ class SweepContext:
         metrics: Dict[str, float],
         seconds: float,
     ) -> None:
-        """Fold one computed cell into its envelope, the journal, the
-        counters and the ``cell.seconds`` histogram.
+        """Fold one computed cell into its envelope, the journal and the
+        counters.
 
         A non-finite metric is a broken measurement, not a result: it
         fails the cell instead, so it is neither journaled nor averaged
@@ -90,7 +90,6 @@ class SweepContext:
         outcome.metrics = dict(metrics)
         outcome.miss_rate = metrics.get("miss_rate")
         self.completed += 1
-        obs_metrics.histogram("cell.seconds", seconds, engine=self.engine)
         if outcome.worker:
             cells = self.worker_cells.get(outcome.worker, 0)
             self.worker_cells[outcome.worker] = cells + 1

@@ -33,7 +33,9 @@ reserved for the protocol; anything the simulation says goes to stderr.
 When the request carries an ``obs`` trace-propagation context the cell
 runs under a :class:`repro.obs.distributed.WorkerCapture`, and the
 result event (success *and* failure) gains an ``obs`` key with the
-captured spans and metric deltas for the parent to merge.
+captured spans and metric deltas for the parent to merge.  The reply's
+``seconds`` is timed inside the ``cell_exec`` span, the origin of the
+shipped span starts.
 """
 
 from __future__ import annotations
@@ -62,25 +64,23 @@ def _run_cell(request: dict) -> dict:
     obs_ctx = request.get("obs")
     capture = WorkerCapture(obs_ctx) if isinstance(obs_ctx, dict) else None
     if capture is not None:
-        # Enter before payload decode so the capture epoch brackets
-        # everything the parent's back-dated cell span times.
         capture.__enter__()
     result: dict = {"event": "result", "id": request.get("id"), "ok": True}
-    started = time.perf_counter()
-    try:
-        # cell_exec brackets the exact region ``seconds`` times (decode
-        # included), so the shipped trace accounts for the parent's
-        # whole back-dated cell span even when GC or the scheduler
-        # pauses the worker between sub-phase spans.
-        with obs_tracing.span("cell_exec"):
+    # Timing ``seconds`` inside cell_exec (decode included) makes the
+    # parent's back-dated cell span and the shipped cell_exec one
+    # measurement: a pause before the span opens lands in neither, and
+    # a GC or scheduler pause between sub-phases lands in both.
+    with obs_tracing.span("cell_exec"):
+        started = time.perf_counter()
+        try:
             raw = base64.b64decode(request["payload"].encode("ascii"))
             factory, parameter, trace, evaluator = pickle.loads(raw)
             result["metrics"] = evaluate_cell(
                 factory, parameter, trace, request.get("engine"), evaluator
             )
-    except Exception as exc:
-        result.update(ok=False, error=f"{type(exc).__name__}: {exc}")
-    result["seconds"] = time.perf_counter() - started
+        except Exception as exc:
+            result.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+        result["seconds"] = time.perf_counter() - started
     if capture is not None:
         capture.__exit__(None, None, None)
         result["obs"] = capture.payload()

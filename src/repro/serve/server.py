@@ -31,7 +31,7 @@ Protocol (all JSON; ``POST /run`` streams newline-delimited events):
   ``cell`` event per newly resolved cell, and a final ``done`` event
   carrying every cell's metrics, the collected result, the rendered
   report, and a provenance run manifest (also written under
-  ``<store>/runs/<run_id>/``).
+  ``<store>/runs/<run_id>/`` when the run computed a cell).
 
 Consistency model: runs of the same spec id serialise on a per-spec
 lock (concurrent identical requests do the work once and serve the
@@ -85,16 +85,6 @@ from ..store import ResultStore
 
 SERVE_VERSION = 1
 
-#: Bucket bounds for ``serve.request.seconds``.  The default registry
-#: buckets start at 1ms, but a warm ETag/304 answer takes tens of
-#: microseconds — every request would land in the first bucket and the
-#: histogram would say nothing about the serving tier.  Sub-millisecond
-#: resolution below, sweep-scale tail above.
-SERVE_REQUEST_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 60.0,
-)
-
 _log = get_logger("serve")
 
 
@@ -107,21 +97,16 @@ class ServeUnsupportedError(ValueError):
 
 @dataclass
 class GridPlan:
-    """One grid spec's cells with their content identities precomputed."""
+    """One grid spec's cells with their content identities and store
+    keys computed once."""
 
     spec: ExperimentSpec
     engine: str
     cells: "List[LabeledCell]"
     traces_by_parameter: dict
     identities: "List[CellIdentity]"
-
-    @property
-    def keys(self) -> "List[Optional[str]]":
-        """Per-cell store keys (None for unjournalable cells)."""
-        return [
-            identity.key() if identity.journalable else None
-            for identity in self.identities
-        ]
+    #: Per-cell store keys (None for unjournalable cells).
+    keys: "List[Optional[str]]"
 
 
 def expand_grid_specs(
@@ -175,6 +160,10 @@ def plan_grid(
         cells=cells,
         traces_by_parameter=traces_by_parameter,
         identities=identities,
+        keys=[
+            identity.key() if identity.journalable else None
+            for identity in identities
+        ],
     )
 
 
@@ -385,7 +374,13 @@ def _execute_run_inner(
             "store_entries": len(store),
         },
     )
-    manifest_path = write_manifest(store.primary_dir / "runs" / run_id, manifest)
+    # A run answered wholly from the store leaves no file: the ``done``
+    # event carries its manifest, and a daemon serving repeats would
+    # otherwise grow one directory per request.
+    manifest_path = (
+        write_manifest(store.primary_dir / "runs" / run_id, manifest)
+        if computed else None
+    )
     _log.info(
         "run %s: %d cells (%d computed) in %.3fs [manifest %s]",
         spec.id, total, computed, manifest["wall_seconds"], manifest_path,
@@ -466,7 +461,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _observed(self, handler: "Callable[[List[str]], int]") -> None:
         route, rest = self._route()
-        started = time.perf_counter()
         status = 500
         try:
             with obs_tracing.span(
@@ -482,14 +476,9 @@ class _Handler(BaseHTTPRequestHandler):
             except OSError:
                 pass
         finally:
-            seconds = time.perf_counter() - started
             obs_metrics.counter(
                 "serve.requests", route=route, method=self.command,
                 status=str(status),
-            )
-            obs_metrics.histogram(
-                "serve.request.seconds", seconds,
-                bounds=SERVE_REQUEST_BUCKETS, route=route,
             )
 
     # -- GET routes ------------------------------------------------------------

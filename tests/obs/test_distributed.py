@@ -158,41 +158,16 @@ class TestRegistryMerge:
         assert parent.total("cells") == 4
         assert parent.value("cells") is None  # unlabeled series never created
 
-    def test_histograms_merge_matching_bounds(self):
-        parent = MetricsRegistry()
-        parent.histogram("cell.seconds", 0.5, bounds=(1.0, 2.0))
-        child = MetricsRegistry()
-        child.histogram("cell.seconds", 1.5, bounds=(1.0, 2.0))
-        child.histogram("cell.seconds", 5.0, bounds=(1.0, 2.0))
-        parent.merge(child.export())
-        series = parent.get("cell.seconds")
-        assert series.count == 3
-        assert series.buckets == [1, 1, 1]
-        assert series.min == 0.5
-        assert series.max == 5.0
-
-    def test_histograms_rebucket_on_mismatched_bounds(self):
-        parent = MetricsRegistry()
-        parent.histogram("t", 0.5, bounds=(1.0, 10.0))
-        child = MetricsRegistry()
-        child.histogram("t", 3.0, bounds=(5.0,))
-        child.histogram("t", 100.0, bounds=(5.0,))
-        parent.merge(child.export())
-        series = parent.get("t")
-        assert series.count == 3
-        assert series.sum == pytest.approx(103.5)
-        # The 3.0 observation lands at its old upper bound (5.0 <= 10.0);
-        # the 100.0 observation was in the child's +inf bucket and stays +inf.
-        assert series.buckets == [1, 1, 1]
-
     def test_malformed_entries_counted_not_fatal(self):
         parent = MetricsRegistry()
         merged = parent.merge([
             "not-a-dict",
             {"name": "x"},  # no type
             {"name": "y", "type": "mystery", "value": 1},
+            {"name": "t", "type": "histogram", "count": 1, "sum": 0.5},
             {"name": "ok", "type": "counter", "value": 2},
         ])
         assert merged == 1
         assert parent.value("ok") == 2
-        assert parent.value("obs.metrics.merge_skipped") == 3
+        assert parent.get("t") is None
+        assert parent.value("obs.metrics.merge_skipped") == 4

@@ -76,8 +76,7 @@ class TestInstrumentationNeutrality:
             obs.uninstall_registry()
             obs.uninstall_tracer()
             tracer.close()
-        totals = tracer.aggregate()
-        assert totals["simulate"]["count"] == 1
+        assert [span.name for span in tracer.spans].count("simulate") == 1
         counts = _fsm_counts(registry, gcc_trace, engine)
         assert all(value is not None for value in counts.values())
 

@@ -4,11 +4,15 @@ import json
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.obs import manifest as manifest_mod
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
     MANIFEST_VERSION,
@@ -72,6 +76,26 @@ class TestGitSha:
 
     def test_outside_a_checkout(self, tmp_path):
         assert git_sha(cwd=tmp_path) is None
+
+    def test_manifest_names_the_code_checkout_read_once(
+        self, tmp_path, monkeypatch
+    ):
+        head = git_sha(cwd=Path(repro.__file__).resolve().parent)
+        if head is None:
+            pytest.skip("the repro package is not in a git checkout")
+        started = []
+        real_run = subprocess.run
+
+        def counted_run(*args, **kwargs):
+            started.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest_mod.subprocess, "run", counted_run)
+        monkeypatch.chdir(tmp_path)
+        first = _manifest()
+        second = _manifest()
+        assert first["git_sha"] == second["git_sha"] == head
+        assert len(started) <= 1
 
 
 class TestWriteRead:

@@ -9,7 +9,6 @@ from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     OVERFLOW_SERIES,
 )
@@ -43,29 +42,6 @@ class TestGauge:
         assert gauge.value == 2.0
 
 
-class TestHistogram:
-    def test_streaming_summary(self):
-        histogram = Histogram(bounds=(1.0, 10.0))
-        for value in (0.5, 2.0, 50.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.sum == pytest.approx(52.5)
-        assert histogram.min == 0.5
-        assert histogram.max == 50.0
-        assert histogram.mean == pytest.approx(17.5)
-        assert histogram.buckets == [1, 1, 1]  # <=1, <=10, +inf
-
-    def test_empty_histogram_mean_is_zero(self):
-        assert Histogram().mean == 0.0
-
-    def test_to_dict_is_json_safe(self):
-        histogram = Histogram(bounds=(1.0,))
-        histogram.observe(0.5)
-        entry = json.loads(json.dumps(histogram.to_dict()))
-        assert entry["count"] == 1
-        assert entry["buckets"] == [1, 0]
-
-
 class TestRegistry:
     def test_labels_key_distinct_series(self):
         registry = MetricsRegistry()
@@ -91,30 +67,24 @@ class TestRegistry:
         with pytest.raises(TypeError, match="already registered"):
             registry.gauge("x", 1.0)
 
-    def test_value_on_histogram_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("cell.seconds", 0.1)
-        with pytest.raises(TypeError, match="use get"):
-            registry.value("cell.seconds")
-        assert registry.get("cell.seconds").count == 1
-
     def test_export_is_sorted_and_json_safe(self):
         registry = MetricsRegistry()
         registry.gauge("sweep.workers", 4, engine="fast")
         registry.counter("sweep.runs", engine="fast")
-        registry.histogram("cell.seconds", 0.1, engine="fast")
+        registry.counter("sweep.cells.completed", 3, engine="fast")
         exported = json.loads(json.dumps(registry.export()))
         assert [entry["name"] for entry in exported] == [
-            "cell.seconds",
+            "sweep.cells.completed",
             "sweep.runs",
             "sweep.workers",
         ]
         assert all(entry["labels"] == {"engine": "fast"} for entry in exported)
         assert [entry["type"] for entry in exported] == [
-            "histogram",
+            "counter",
             "counter",
             "gauge",
         ]
+        assert [entry["value"] for entry in exported] == [3.0, 1.0, 4.0]
 
     def test_overflow_folds_into_one_counter(self):
         registry = MetricsRegistry(max_series=2)
@@ -122,27 +92,12 @@ class TestRegistry:
         registry.counter("b")
         registry.counter("c")  # past the bound
         registry.gauge("d", 9.0)  # past the bound
-        registry.histogram("e", 0.5)  # past the bound
+        registry.counter("e", 5.0)  # past the bound: counts one event
         assert registry.overflowed == 3
         assert registry.value(OVERFLOW_SERIES) == 3
         # Existing series keep working at the bound.
         registry.counter("a")
         assert registry.value("a") == 2
-
-    def test_custom_histogram_bounds_apply_at_creation(self):
-        registry = MetricsRegistry()
-        registry.histogram("serve.request.seconds", 0.0002,
-                           bounds=(0.0001, 0.001), route="/spec")
-        series = registry.get("serve.request.seconds", route="/spec")
-        assert series.bounds == (0.0001, 0.001)
-        assert series.buckets == [0, 1, 0]
-
-    def test_existing_series_keeps_its_bounds(self):
-        registry = MetricsRegistry()
-        registry.histogram("t", 0.5, bounds=(1.0,))
-        registry.histogram("t", 0.5, bounds=(9.0, 99.0))  # ignored
-        assert registry.get("t").bounds == (1.0,)
-        assert registry.get("t").count == 2
 
     def test_total_sums_label_supersets(self):
         registry = MetricsRegistry()
@@ -179,11 +134,11 @@ class TestRegistry:
 class TestModuleLevelHelpers:
     def test_helpers_write_to_installed_registry(self, registry):
         metrics.counter("sweep.runs", engine="fast")
+        metrics.counter("sweep.runs", 2, engine="fast")
         metrics.gauge("sweep.workers", 2, engine="fast")
-        metrics.histogram("cell.seconds", 0.25, engine="fast")
-        assert registry.value("sweep.runs", engine="fast") == 1
+        assert registry.value("sweep.runs", engine="fast") == 3
         assert registry.value("sweep.workers", engine="fast") == 2
-        assert registry.get("cell.seconds", engine="fast").count == 1
+        assert isinstance(registry.get("sweep.runs", engine="fast"), Counter)
 
     def test_uninstall_restores_the_default(self):
         scoped = metrics.install_registry(MetricsRegistry())

@@ -74,7 +74,7 @@ class TestSummarizeRun:
     def test_traceless_run_renders_metrics_snapshot(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("fsm.sticky_saves", 7, benchmark="gcc")
-        registry.histogram("cell.seconds", 0.25)
+        registry.counter("sweep.cells.completed", 12)
         (tmp_path / METRICS_FILENAME).write_text(
             json.dumps(registry.export()), encoding="utf-8"
         )
@@ -83,7 +83,8 @@ class TestSummarizeRun:
         assert "metrics (2 series)" in text
         assert "fsm.sticky_saves{benchmark=gcc}" in text
         assert "7" in text
-        assert "count=1" in text
+        assert "sweep.cells.completed" in text
+        assert "12.0" in text
 
     def test_top_limits_the_cell_list(self, tmp_path):
         _make_run(tmp_path)

@@ -106,15 +106,15 @@ class TestTracer:
         span = tracer.record("cell", -3.0)
         assert span.duration == 0.0
 
-    def test_aggregate_stays_exact_past_the_keep_limit(self):
-        tracer = Tracer(keep=2)
-        for _ in range(5):
-            tracer.record("cell", 0.5)
+    def test_past_the_keep_limit_the_file_still_gets_every_span(self, tmp_path):
+        with Tracer(tmp_path, keep=2) as tracer:
+            for index in range(5):
+                tracer.record("cell", 0.5, index=index)
         assert len(tracer.spans) == 2
         assert tracer.dropped == 3
-        totals = tracer.aggregate()["cell"]
-        assert totals["count"] == 5
-        assert totals["seconds"] == pytest.approx(2.5)
+        persisted = read_spans(tmp_path / tracing.TRACE_FILENAME)
+        assert [span.attrs["index"] for span in persisted] == [0, 1, 2, 3, 4]
+        assert all(span.duration == 0.5 for span in persisted)
 
     def test_no_directory_means_no_file(self, tmp_path):
         tracer = Tracer()
@@ -183,10 +183,10 @@ class TestModuleLevelHelpers:
         with tracing.span("experiment", spec="fig04") as span:
             assert span is not None
             tracing.record("cell", 0.25, pooled=True)
-        totals = installed.aggregate()
-        assert set(totals) == {"experiment", "cell"}
-        assert totals["cell"] == {"count": 1, "seconds": 0.25}
-        assert totals["experiment"]["count"] == 1
+        by_name = {span.name: span for span in installed.spans}
+        assert [span.name for span in installed.spans] == ["cell", "experiment"]
+        assert by_name["cell"].duration == 0.25
+        assert by_name["cell"].parent_id == by_name["experiment"].span_id
 
     def test_uninstall_returns_the_tracer(self):
         tracer = tracing.install_tracer(Tracer())

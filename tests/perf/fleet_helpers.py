@@ -55,9 +55,16 @@ class KillOnceFactory:
     sentinel: str
 
     def __call__(self, size: object) -> DirectMappedCache:
-        if int(size) == self.poison and os.path.exists(self.sentinel):  # type: ignore[call-overload]
-            os.remove(self.sentinel)
-            os.kill(os.getpid(), signal.SIGKILL)
+        if int(size) == self.poison:  # type: ignore[call-overload]
+            # Removing the sentinel claims the kill: two workers can run
+            # poisoned cells (one per trace) at the same moment, and only
+            # the one whose remove succeeds may die.
+            try:
+                os.remove(self.sentinel)
+            except FileNotFoundError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
         return DirectMappedCache(CacheGeometry(int(size), 4))  # type: ignore[call-overload]
 
 

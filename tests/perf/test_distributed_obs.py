@@ -112,6 +112,47 @@ class TestFleetDistributedObs:
         ]
 
 
+class TestOneCellClock:
+    def test_a_pause_before_cell_exec_lands_in_neither_clock(self, monkeypatch):
+        """The parent's cell span, back-dated from the reply's seconds,
+        and the shipped cell_exec are one measurement: a pause before
+        cell_exec opens neither stretches the one nor shifts the other."""
+        import base64
+        import pickle
+        import time
+        from contextlib import contextmanager
+        from types import SimpleNamespace
+
+        from repro.obs.distributed import merge_cell_payload
+        from repro.perf import worker
+
+        @contextmanager
+        def late_span(name, **attrs):
+            if name == "cell_exec":
+                time.sleep(0.02)
+            with obs_tracing.span(name, **attrs) as record:
+                yield record
+
+        monkeypatch.setattr(worker, "obs_tracing", SimpleNamespace(span=late_span))
+        factory = StandardFactory("dynamic-exclusion", 4)
+        trace = TraceKey("espresso", max_refs=5_000)
+        payload = base64.b64encode(
+            pickle.dumps((factory, 64, trace, None))
+        ).decode("ascii")
+        tracer = obs.Tracer()
+        result = worker._run_cell({"op": "cell", "id": 1, "engine": "fast",
+                                   "payload": payload,
+                                   "obs": {"version": 1, "trace_id": "t"}})
+        assert result["ok"]
+        cell = tracer.record("cell", result["seconds"])
+        merge_cell_payload(result["obs"], cell, worker="local#0", tracer=tracer,
+                           registry=obs_metrics.MetricsRegistry())
+        (cell_exec,) = [span for span in tracer.spans if span.name == "cell_exec"]
+        assert cell_exec.parent_id == cell.span_id
+        assert cell_exec.start == pytest.approx(cell.start, abs=1e-6)
+        assert cell_exec.duration >= 0.99 * cell.duration
+
+
 class TestTracingOffIsFree:
     def test_worker_protocol_omits_obs_key(self):
         import base64

@@ -120,7 +120,6 @@ class TestSweepObservability:
         assert registry.value("sweep.cells.total", engine="reference") == 2
         assert registry.value("sweep.cells.completed", engine="reference") == 2
         assert registry.value("sweep.cells.failed", engine="reference") == 0
-        assert registry.get("cell.seconds", engine="reference").count == 2
-        totals = tracer.aggregate()
-        assert totals["sweep"]["count"] == 1
-        assert totals["cell"]["count"] == 2
+        names = [span.name for span in tracer.spans]
+        assert names.count("sweep") == 1
+        assert names.count("cell") == 2

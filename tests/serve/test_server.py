@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -118,17 +119,31 @@ class TestOpsEndpoints:
         payload = json.loads(body)
         assert {"metrics", "fleet_workers"} <= set(payload)
 
-    def test_request_histogram_has_submillisecond_buckets(self, client):
-        client.healthz()
-        series = [
-            row for row in client.metrics()
-            if row["name"] == "serve.request.seconds"
-        ]
-        assert series
-        for row in series:
-            assert row["bounds"][0] == 0.0001  # sub-millisecond resolution
-            # JSON buckets are per bucket, not cumulative.
-            assert sum(row["buckets"]) == row["count"] > 0
+    def test_request_counters_account_for_every_request(self, client):
+        registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
+        try:
+            client.healthz()
+            client.healthz()
+            client.spec("serve-test-grid")
+            with pytest.raises(ServeError):
+                client.spec("nope")
+            # A handler thread counts its request after answering it.
+            deadline = time.monotonic() + 5.0
+            while (registry.total("serve.requests") or 0) < 4:
+                assert time.monotonic() < deadline, registry.export()
+                time.sleep(0.01)
+        finally:
+            obs_metrics.uninstall_registry()
+        counts = {
+            (row["labels"]["route"], row["labels"]["status"]): row["value"]
+            for row in registry.export()
+            if row["name"] == "serve.requests"
+        }
+        assert counts == {
+            ("/healthz", "200"): 2,
+            ("/spec", "200"): 1,
+            ("/spec", "404"): 1,
+        }
 
     def test_healthz_counts_the_store_entries_a_run_wrote(self, client):
         client.run("serve-test-grid")
@@ -381,6 +396,41 @@ class TestRun:
         computed = sorted(r["manifest"]["cells_computed"] for r in results)
         assert computed == [0, 4]
         assert results[0]["result"] == results[1]["result"]
+
+
+class TestWarmRunCost:
+    """A run answered wholly from the store costs index lookups only."""
+
+    def test_warm_run_hashes_each_cell_key_once(self, tmp_path, monkeypatch):
+        from repro.perf.cells import CellIdentity
+
+        store = ResultStore(tmp_path / "store")
+        spec = get_spec("serve-test-grid")
+        execute_run(store, spec, lambda event: None, workers=1)
+        calls = []
+        real_key = CellIdentity.key
+
+        def counted_key(identity):
+            calls.append(identity)
+            return real_key(identity)
+
+        monkeypatch.setattr(CellIdentity, "key", counted_key)
+        events = []
+        execute_run(store, spec, events.append, workers=1)
+        assert events[0]["pending"] == 0
+        assert len(calls) == events[0]["cells"] == 4
+
+    def test_warm_repeat_writes_no_manifest(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        spec = get_spec("serve-test-grid")
+        runs = store.primary_dir / "runs"
+        cold = execute_run(store, spec, lambda event: None, workers=1)
+        assert read_manifest(runs / cold["run_id"]) == cold["manifest"]
+        listing = sorted(runs.iterdir())
+        warm = execute_run(store, spec, lambda event: None, workers=1)
+        assert warm["manifest"]["cells_computed"] == 0
+        assert warm["manifest"]["run_id"] == warm["run_id"]
+        assert sorted(runs.iterdir()) == listing
 
 
 class TestServedRunsSimulateOnlyPendingCells:
