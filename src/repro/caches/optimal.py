@@ -16,7 +16,7 @@ use is sooner than that.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -167,10 +167,18 @@ class OptimalLastLineCache(OfflineCache):
         super().__init__(geometry, name=name or "optimal-last-line")
 
     def simulate(self, trace: Trace) -> CacheStats:
+        return self.simulate_with(trace, OptimalCache(self.geometry).simulate)
+
+    def simulate_with(
+        self, trace: Trace, belady: "Callable[[Trace], CacheStats]"
+    ) -> CacheStats:
+        """Run ``belady``, a Belady-with-bypass simulator for this
+        geometry, on the trace's line events and count the collapsed
+        references as buffer hits.  The fast engine passes its kernel."""
         from ..trace.transforms import collapse_sequential_lines
 
         collapsed = collapse_sequential_lines(trace, self.geometry.line_size)
-        inner = OptimalCache(self.geometry).simulate(collapsed)
+        inner = belady(collapsed)
         buffer_hits = len(trace) - len(collapsed)
         stats = CacheStats(
             accesses=len(trace),

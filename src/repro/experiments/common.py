@@ -40,6 +40,10 @@ L2_RATIO_SWEEP = [1, 2, 4, 8, 16, 32, 64]
 REFERENCE_SIZE = 32 * 1024
 REFERENCE_LINE = 4
 
+#: The labels of the paper's three standard curves.  Belady with bypass
+#: is a lower bound on the other two, which every grid checks.
+STANDARD_CURVES = ("direct-mapped", "dynamic-exclusion", "optimal")
+
 
 def all_trace_keys(kind: str = "instruction") -> List[TraceKey]:
     """One :class:`~repro.perf.parallel.TraceKey` per SPEC benchmark.
@@ -107,7 +111,7 @@ class StandardFactory:
     treatment automatically.
     """
 
-    curve: str  # "direct-mapped" | "dynamic-exclusion" | "optimal"
+    curve: str  # one of STANDARD_CURVES
     line_size: int
 
     def __call__(self, size: object):
@@ -127,10 +131,7 @@ class StandardFactory:
 
 def standard_factories(line_size: int) -> "Dict[str, Callable[[object], object]]":
     """The three curves of Figures 4/11/12/14/15, parameterised by size."""
-    return {
-        curve: StandardFactory(curve, line_size)
-        for curve in ["direct-mapped", "dynamic-exclusion", "optimal"]
-    }
+    return {curve: StandardFactory(curve, line_size) for curve in STANDARD_CURVES}
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,4 @@ class LineSizeFactory:
 
 def line_size_factories(size: int) -> "Dict[str, Callable[[object], object]]":
     """The three curves of Figure 11, parameterised by line size."""
-    return {
-        curve: LineSizeFactory(curve, size)
-        for curve in ["direct-mapped", "dynamic-exclusion", "optimal"]
-    }
+    return {curve: LineSizeFactory(curve, size) for curve in STANDARD_CURVES}

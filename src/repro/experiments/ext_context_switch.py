@@ -31,7 +31,8 @@ from ..caches.stats import percent_reduction
 from ..perf.trace_cache import TraceKey, as_trace
 from ..trace.trace import Trace
 from ..trace.transforms import timeshare
-from .common import REFERENCE_LINE, REFERENCE_SIZE, direct_mapped, dynamic_exclusion, optimal
+from .common import REFERENCE_LINE, REFERENCE_SIZE, STANDARD_CURVES
+from .common import direct_mapped, dynamic_exclusion, optimal
 from .spec import ExperimentSpec, GridResult, register
 
 TITLE = "Extension: dynamic exclusion under timesharing (S=32KB, b=4B)"
@@ -41,8 +42,6 @@ TITLE = "Extension: dynamic exclusion under timesharing (S=32KB, b=4B)"
 PAIRS: "Tuple[Tuple[str, str], ...]" = (("gcc", "spice"), ("li", "doduc"), ("gcc", "tomcatv"))
 
 QUANTA = (100, 1_000, 10_000, 100_000)
-
-_POLICIES = ["direct-mapped", "dynamic-exclusion", "optimal"]
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def _render(rows: dict) -> str:
     chart = ascii_chart(
         {
             label: [100 * rows[q][label] for q in QUANTA]
-            for label in _POLICIES
+            for label in STANDARD_CURVES
         },
         x_labels=[f"{q:,}" for q in QUANTA],
         title="shared-cache miss rate (%) vs quantum",
@@ -159,7 +158,9 @@ SPEC = register(
         title=TITLE,
         parameter_name="quantum",
         parameters=QUANTA,
-        factories=tuple((curve, SharedCacheFactory(curve)) for curve in _POLICIES),
+        factories=tuple(
+            (curve, SharedCacheFactory(curve)) for curve in STANDARD_CURVES
+        ),
         traces=TimesharePairs(),
         collect=_collect,
         render=_render,

@@ -13,12 +13,10 @@ from typing import Dict, List
 
 from ..analysis.report import format_table
 from ..caches.stats import percent_reduction
-from .common import REFERENCE_LINE, REFERENCE_SIZE, standard_factories
+from .common import REFERENCE_LINE, REFERENCE_SIZE, STANDARD_CURVES, standard_factories
 from .spec import BenchmarkSuite, ExperimentSpec, GridResult, register
 
 TITLE = "Figure 3: instruction cache performance per benchmark (S=32KB, b=4B)"
-
-_POLICIES = ["direct-mapped", "dynamic-exclusion", "optimal"]
 
 
 def _collect(grid: GridResult) -> "Dict[str, Dict[str, float]]":
@@ -45,7 +43,7 @@ def _render(results: "Dict[str, Dict[str, float]]") -> str:
         )
     mean = {
         policy: sum(r[policy] for r in results.values()) / len(results)
-        for policy in _POLICIES
+        for policy in STANDARD_CURVES
     }
     rows.append(
         [

@@ -30,6 +30,7 @@ under :func:`run_spec` unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import types
@@ -42,6 +43,7 @@ from ..obs import tracing as obs_tracing
 from ..perf import parallel
 from ..perf.parallel import CellEvaluator, CellOutcome, SweepCellError, TraceLike
 from ..store import ResultStore
+from .common import STANDARD_CURVES, all_trace_keys
 
 
 # -- trace axes ----------------------------------------------------------------
@@ -59,8 +61,6 @@ class BenchmarkSuite:
     kind: str = "instruction"
 
     def for_parameter(self, parameter: object) -> Sequence[TraceLike]:
-        from .common import all_trace_keys
-
         return all_trace_keys(self.kind)
 
 
@@ -383,7 +383,9 @@ def grid_from_outcomes(
     traces_by_parameter: "Dict[object, Sequence[TraceLike]]",
 ) -> GridResult:
     """Shape executed cell envelopes (in :func:`grid_cells` order) into a
-    :class:`GridResult`; any failed envelope raises
+    :class:`GridResult`; any failed envelope, or any ``optimal`` cell
+    that misses more often than a ``direct-mapped`` or
+    ``dynamic-exclusion`` cell on the same trace, raises
     :class:`~repro.perf.parallel.SweepCellError` naming its cells."""
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures:
@@ -395,6 +397,7 @@ def grid_from_outcomes(
         labels=labels,
         outcomes=outcomes,
     )
+    cells: Dict[Tuple[str, object], List[CellOutcome]] = {}
     position = 0
     for parameter in spec.parameters:
         traces = traces_by_parameter[parameter]
@@ -404,8 +407,40 @@ def grid_from_outcomes(
         for label in labels:
             per_trace = outcomes[position : position + len(traces)]
             position += len(traces)
+            cells[(label, parameter)] = per_trace
             grid._cells[(label, parameter)] = [o.metrics or {} for o in per_trace]
+    violations = _lower_bound_violations(spec.parameters, cells)
+    if violations:
+        raise SweepCellError(violations, len(outcomes))
     return grid
+
+
+def _lower_bound_violations(
+    parameters: Sequence[object], cells: "Dict[Tuple[str, object], List[CellOutcome]]"
+) -> List[CellOutcome]:
+    """The ``optimal`` cells that miss more often than another standard
+    curve on the same trace, each with an error naming the curve it beat
+    and both rates.
+
+    Belady with bypass is a lower bound on every replacement policy that
+    may bypass, over the same sets, and the cells of one trace share its
+    access count, so the comparison is exact.
+    """
+    *bounded, optimal = STANDARD_CURVES
+    violations = []
+    for parameter in parameters:
+        rows = [(label, cells.get((label, parameter), [])) for label in bounded]
+        for index, cell in enumerate(cells.get((optimal, parameter), [])):
+            rate = cell.metrics.get("miss_rate", 0.0)
+            beaten = [
+                f"{label} {row[index].metrics['miss_rate']!r}"
+                for label, row in rows
+                if row and rate > row[index].metrics.get("miss_rate", rate)
+            ]
+            if beaten:
+                error = f"optimal miss rate {rate!r} exceeds " + " and ".join(beaten)
+                violations.append(dataclasses.replace(cell, error=error))
+    return violations
 
 
 def collect_result(spec: ExperimentSpec, grid: GridResult) -> object:

@@ -7,7 +7,8 @@ shows:
 * the manifest header — spec, engine, workers, wall/CPU time, commit;
 * the span tree, merged by name at each nesting level (five thousand
   ``cell`` spans render as one line: count, total seconds, share of the
-  root span's time);
+  root span's time), except that ``simulate`` spans merge per model and
+  engine path, as ``simulate[<model>/<path>]``;
 * the top-N slowest individual ``cell`` spans with their identifying
   attributes, which is where "why was fig13 slow?" usually terminates;
 * a per-worker cell-count table when any ``cell`` span carries a
@@ -50,6 +51,12 @@ class _Node:
         self.children: "Dict[str, _Node]" = {}
 
 
+def _node_name(span: Span) -> str:
+    if span.name == "simulate":
+        return f"simulate[{span.attrs.get('model')}/{span.attrs.get('path')}]"
+    return span.name
+
+
 def _merge_tree(spans: List[Span]) -> _Node:
     """Fold the span forest into a tree merged by name at each level."""
     root = _Node("")
@@ -62,7 +69,7 @@ def _merge_tree(spans: List[Span]) -> _Node:
         for _ in range(64):
             if current is None:
                 break
-            names.append(current.name)
+            names.append(_node_name(current))
             current = by_id.get(current.parent_id) if current.parent_id else None
         return tuple(reversed(names))
 
@@ -76,15 +83,11 @@ def _merge_tree(spans: List[Span]) -> _Node:
 
 
 def _render_tree(root: _Node, total: float) -> List[str]:
-    lines: List[str] = []
+    rows: List[Tuple[str, _Node]] = []
 
     def walk(node: _Node, depth: int) -> None:
         if node.name:
-            share = 100.0 * node.seconds / total if total > 0 else 0.0
-            lines.append(
-                f"  {'  ' * depth}{node.name:<{max(4, 28 - 2 * depth)}}"
-                f"  {node.seconds:>9.3f}s  x{node.count:<6d} {share:5.1f}%"
-            )
+            rows.append((f"{'  ' * depth}{node.name}", node))
         ranked = sorted(
             node.children.values(), key=lambda child: child.seconds, reverse=True
         )
@@ -92,7 +95,12 @@ def _render_tree(root: _Node, total: float) -> List[str]:
             walk(child, depth + (1 if node.name else 0))
 
     walk(root, 0)
-    return lines
+    width = max([28] + [len(label) for label, _ in rows])
+    return [
+        f"  {label:<{width}}  {node.seconds:>9.3f}s  x{node.count:<6d} "
+        f"{100.0 * node.seconds / total if total > 0 else 0.0:5.1f}%"
+        for label, node in rows
+    ]
 
 
 def _span_label(span: Span) -> str:

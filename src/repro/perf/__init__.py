@@ -1,11 +1,12 @@
 """Fast simulation: set-partitioned kernels, engine dispatch, parallel sweeps.
 
 * :mod:`repro.perf.kernels` — numpy set-partitioned kernels for the
-  direct-mapped, dynamic-exclusion, Belady-optimal (any associativity,
-  plus the last-line variant), and LRU set-associative caches, and for
-  the two-level hierarchy of every hit-last strategy;
+  direct-mapped, dynamic-exclusion, Belady-optimal (any associativity)
+  and LRU set-associative caches, and for the two-level hierarchy of
+  every hit-last strategy;
 * :mod:`repro.perf.engine` — ``simulate(model, trace, engine=...)``
-  dispatch with a kernel registry and automatic reference fallback;
+  dispatch with a kernel registry and automatic reference fallback
+  (the last-line optimal model reaches the Belady kernel here);
 * :mod:`repro.perf.parallel` — a fault-tolerant sweep runner:
   per-cell result envelopes with full identity, bounded re-dispatch on
   worker crashes, per-cell timeouts, ``sweep.*`` metrics, and resume
@@ -36,7 +37,6 @@ from .kernels import (
     simulate_direct_mapped,
     simulate_dynamic_exclusion,
     simulate_lru,
-    simulate_optimal_last_line,
     simulate_two_level,
 )
 from .backends import (
@@ -92,7 +92,6 @@ __all__ = [
     "simulate_direct_mapped",
     "simulate_dynamic_exclusion",
     "simulate_lru",
-    "simulate_optimal_last_line",
     "simulate_two_level",
     "worker_command",
     "worker_main",

@@ -28,6 +28,7 @@ reference engine, which accumulates into the model exactly as before.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Union
 
 from ..caches.base import Cache, OfflineCache
@@ -93,8 +94,6 @@ def _is_cold(cache: Cache) -> bool:
 
 @register_kernel(DirectMappedCache)
 def _direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if type(cache) is not DirectMappedCache:
-        return None
     if not cache.allocate_on_miss or not _is_cold(cache):
         return None
     geometry = cache.geometry
@@ -103,8 +102,6 @@ def _direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
 
 @register_kernel(DynamicExclusionCache)
 def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if type(cache) is not DynamicExclusionCache:
-        return None
     if cache.sticky_levels != 1:
         return None
     store = cache.store
@@ -119,36 +116,23 @@ def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
     )
 
 
+# OptimalDirectMappedCache only constrains the geometry; exact-type
+# matching needs it registered as well.
+@register_kernel(OptimalDirectMappedCache)
 @register_kernel(OptimalCache)
 def _optimal_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if type(cache) is not OptimalCache:
-        return None
-    geometry = cache.geometry
-    return lambda trace: kernels.simulate_belady(trace, geometry)
-
-
-@register_kernel(OptimalDirectMappedCache)
-def _optimal_direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    # Same simulation as OptimalCache (the subclass only constrains the
-    # geometry), but registered separately to keep exact-type matching.
-    if type(cache) is not OptimalDirectMappedCache:
-        return None
     geometry = cache.geometry
     return lambda trace: kernels.simulate_belady(trace, geometry)
 
 
 @register_kernel(OptimalLastLineCache)
 def _optimal_last_line_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if type(cache) is not OptimalLastLineCache:
-        return None
-    geometry = cache.geometry
-    return lambda trace: kernels.simulate_optimal_last_line(trace, geometry)
+    belady = functools.partial(kernels.simulate_belady, geometry=cache.geometry)
+    return lambda trace: cache.simulate_with(trace, belady)
 
 
 @register_kernel(SetAssociativeCache)
 def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if type(cache) is not SetAssociativeCache:
-        return None
     if cache.policy_name != "lru" or not _is_cold(cache):
         return None
     geometry = cache.geometry
@@ -159,7 +143,7 @@ def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
 def _two_level_kernel(model: Simulator) -> Optional[KernelRunner]:
     # Equal line sizes keep each L2 set inside one L1 set, which is what
     # lets the kernel run the L1 set groups independently.
-    if type(model) is not TwoLevelCache or model.sticky_levels != 1:
+    if model.sticky_levels != 1:
         return None
     l1, l2 = model.l1_geometry, model.l2_geometry
     if l1.line_size != l2.line_size or not model.is_cold():

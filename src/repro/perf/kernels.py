@@ -2,50 +2,28 @@
 
 A direct-mapped cache (with or without dynamic exclusion) decomposes
 exactly: each set's behaviour depends only on the subsequence of
-references that map to it, and sets never interact.  Both kernels here
-exploit that by sorting the trace's line addresses by set index once
-(a stable argsort over a narrow integer dtype, so each set's
-subsequence keeps its program order) and then working on the compact
-per-set groups:
+references that map to it, and sets never interact.  Every kernel here
+goes through one seam:
 
-* :func:`simulate_direct_mapped` is fully vectorized — with
-  always-allocate replacement the resident line is simply the
-  previously referenced line of the set, so a hit is "same line as the
-  predecessor within the set group", one vectorized compare;
-* :func:`simulate_dynamic_exclusion` runs the paper's FSM (ideal
-  hit-last store, one sticky bit) over *runs* of identical consecutive
-  line addresses within each set group.  A run of ``k`` identical
-  references collapses to O(1) FSM work, so the Python loop executes
-  once per run, not once per reference — on looping instruction traces
-  most sets see long runs of a single line, and the hit-last dict is
-  touched only on replacement decisions, never per reference;
-* :func:`simulate_belady` runs Belady-with-bypass (the paper's
-  "optimal" comparison point) over the same run-compressed groups: the
-  next-use arrays are built fully vectorised
-  (:func:`repro.caches.optimal.next_use_array`, a stable argsort
-  instead of the reference's per-reference Python dict scan) and
-  permuted into set order, so the greedy keep-sooner rule reduces to
-  integer comparisons per run.  Associativities above 1 carry one
-  line → next-use dict per set with the identical victim tie-breaking
-  (first-inserted wins ``max``) as the reference simulator;
-* :func:`simulate_lru` is the set-associative LRU kernel: each set
-  keeps an insertion-ordered dict as the recency stack (LRU first), so
-  a hit is a delete/reinsert and a victim is ``next(iter(...))``, both
-  O(1), and runs again collapse to one decision;
-* :func:`simulate_optimal_last_line` composes the Belady kernel with
-  :func:`~repro.trace.transforms.collapse_sequential_lines`, mirroring
-  :class:`~repro.caches.optimal.OptimalLastLineCache`;
-* :func:`simulate_two_level` runs the two-level hierarchy of every
-  hit-last strategy over the L1 set groups: with equal line sizes each
-  L2 set, hashed-table slot and L2-backed bit belongs to one L1 set, so
-  the groups never interact, and a run costs at most two L1-miss steps.
+1. :func:`_set_partition` sorts the trace's line addresses by set index
+   (a stable argsort over a narrow integer dtype, so each set's
+   subsequence keeps its program order) and marks where each set group
+   starts;
+2. :func:`_runs` compresses each group into runs of identical
+   consecutive line addresses, as ``(words, lengths, new_set)`` arrays;
+3. the kernel's own decision loop runs once per run, not once per
+   reference, carrying only the state of the current set;
+4. :func:`_stats` builds the :class:`~repro.caches.stats.CacheStats`
+   from the loop's counts and checks it.
 
-All kernels return a :class:`~repro.caches.stats.CacheStats` that is
-field-for-field identical to the reference simulators'
-(``tests/perf/test_engine_equivalence.py`` proves it differentially);
-they never allocate per-reference objects, and every result passes
-:meth:`~repro.caches.stats.CacheStats.check` before it is returned so a
-kernel bug fails loudly instead of skewing a figure.
+:func:`simulate_direct_mapped` alone stops after step 1: with
+always-allocate replacement a hit is "same line as the predecessor
+within the set group", one vectorized compare.  Every kernel's result
+is field-for-field identical to its reference simulator's
+(``tests/perf/test_engine_equivalence.py`` proves it differentially),
+and every result passes :meth:`~repro.caches.stats.CacheStats.check`
+before it is returned, so a kernel bug fails loudly instead of skewing
+a figure.
 """
 
 from __future__ import annotations
@@ -65,11 +43,10 @@ def _require_direct_mapped(geometry: CacheGeometry) -> None:
 
 
 def _set_partition(trace: Trace, geometry: CacheGeometry):
-    """``(grouped_lines, new_set, order)``: line addresses reordered
-    set-by-set (program order preserved within a set), the boolean mask
-    marking the first position of each set group, and the permutation
-    that produced the grouping (so per-position metadata such as
-    next-use arrays can be carried into set order).
+    """``(grouped_lines, new_set)``: line addresses reordered set-by-set
+    (program order preserved within a set) and the boolean mask marking
+    the first position of each set group.  Both are empty for an empty
+    trace.
 
     The set indices are narrowed to the smallest integer dtype before
     the stable argsort — numpy's radix sort is per-byte, so sorting
@@ -83,20 +60,40 @@ def _set_partition(trace: Trace, geometry: CacheGeometry):
     elif geometry.num_sets <= 1 << 32:
         sets = sets.astype(np.uint32)
     order = np.argsort(sets, kind="stable")
-    grouped_lines = lines[order]
     grouped_sets = sets[order]
     new_set = np.empty(len(lines), dtype=bool)
-    new_set[0] = True
+    new_set[:1] = True
     np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=new_set[1:])
-    return grouped_lines, new_set, order
+    return lines[order], new_set
 
 
-def _run_starts(grouped_lines: np.ndarray, new_set: np.ndarray) -> np.ndarray:
-    """Indices (in grouped order) where a run of identical consecutive
-    line addresses within one set group begins."""
+def _runs(trace: Trace, geometry: CacheGeometry):
+    """``(words, lengths, new_set)``, one entry per run of identical
+    consecutive line addresses within a set group, in set order: the
+    run's line address, its reference count, and whether it starts a
+    set group."""
+    grouped_lines, new_set = _set_partition(trace, geometry)
     boundary = new_set.copy()
     boundary[1:] |= grouped_lines[1:] != grouped_lines[:-1]
-    return np.flatnonzero(boundary)
+    starts = np.flatnonzero(boundary)
+    lengths = np.diff(starts, append=len(grouped_lines))
+    return grouped_lines[starts], lengths, new_set[starts]
+
+
+def _stats(
+    n: int, hits: int, cold: int, evictions: int, bypasses: int = 0
+) -> CacheStats:
+    """A kernel's checked :class:`CacheStats` over ``n`` references."""
+    stats = CacheStats(
+        accesses=n,
+        hits=hits,
+        misses=n - hits,
+        bypasses=bypasses,
+        evictions=evictions,
+        cold_misses=cold,
+    )
+    stats.check()
+    return stats
 
 
 def simulate_direct_mapped(trace: Trace, geometry: CacheGeometry) -> CacheStats:
@@ -109,22 +106,11 @@ def simulate_direct_mapped(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     """
     _require_direct_mapped(geometry)
     n = len(trace)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        stats.check()
-        return stats
-    grouped_lines, new_set, _ = _set_partition(trace, geometry)
-    same_line = np.empty(n, dtype=bool)
-    same_line[0] = False
-    np.equal(grouped_lines[1:], grouped_lines[:-1], out=same_line[1:])
-    hits = int(np.count_nonzero(same_line & ~new_set))
+    grouped_lines, new_set = _set_partition(trace, geometry)
+    same_line = grouped_lines[1:] == grouped_lines[:-1]
+    hits = int(np.count_nonzero(same_line & ~new_set[1:]))
     cold = int(np.count_nonzero(new_set))
-    stats.hits = hits
-    stats.misses = n - hits
-    stats.cold_misses = cold
-    stats.evictions = stats.misses - cold
-    stats.check()
-    return stats
+    return _stats(n, hits, cold, n - hits - cold)
 
 
 def simulate_dynamic_exclusion(
@@ -140,16 +126,7 @@ def simulate_dynamic_exclusion(
     cache and an empty store.
     """
     _require_direct_mapped(geometry)
-    n = len(trace)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        stats.check()
-        return stats
-    grouped_lines, new_set, _ = _set_partition(trace, geometry)
-    starts = _run_starts(grouped_lines, new_set)
-    run_words = grouped_lines[starts].tolist()
-    run_lengths = np.diff(starts, append=n).tolist()
-    run_new_set = new_set[starts].tolist()
+    run_words, run_lengths, run_new_set = (a.tolist() for a in _runs(trace, geometry))
 
     bits: "dict[int, bool]" = {}
     bits_get = bits.get
@@ -222,18 +199,12 @@ def simulate_dynamic_exclusion(
                 resident = word
                 sticky = 1
                 hit_last = True
-    stats.hits = hits
-    stats.misses = n - hits
-    stats.cold_misses = cold
-    stats.evictions = evictions
-    stats.bypasses = bypasses
     ExclusionEvents(
         sticky_saves=bypasses,
         hit_last_loads=hit_last_loads,
         exclusion_flips=flips,
     ).publish(trace.name, engine="fast")
-    stats.check()
-    return stats
+    return _stats(len(trace), hits, cold, evictions, bypasses)
 
 
 def simulate_belady(trace: Trace, geometry: CacheGeometry) -> CacheStats:
@@ -264,23 +235,15 @@ def simulate_belady(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     victim ties, which Python's insertion-ordered ``max`` resolves the
     same way in both simulators — is identical.
     """
-    n = len(trace)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        stats.check()
-        return stats
-    grouped_lines, new_set, _ = _set_partition(trace, geometry)
-    starts = _run_starts(grouped_lines, new_set)
-    num_runs = len(starts)
-    run_word_array = grouped_lines[starts]
+    words, lengths, new_set = _runs(trace, geometry)
     # Next run referencing the same word; a word belongs to exactly one
     # set, so this is automatically per-set.
-    run_next = next_use_array(run_word_array).tolist()
-    run_words = run_word_array.tolist()
-    run_new_set = new_set[starts].tolist()
+    run_next = next_use_array(words).tolist()
+    run_words = words.tolist()
+    run_new_set = new_set.tolist()
     # Runs longer than one reference re-reference their word immediately
     # and therefore always install (see above).
-    run_immediate = (np.diff(starts, append=n) > 1).tolist()
+    run_immediate = (lengths > 1).tolist()
 
     # Every run contributes length-1 hits except a fully-hitting run,
     # which contributes one more, and a bypassed run (always length 1),
@@ -333,13 +296,8 @@ def simulate_belady(trace: Trace, geometry: CacheGeometry) -> CacheStats:
                     content[word] = nxt
                 else:
                     bypasses += 1
-    stats.hits = n - num_runs + hit_runs
-    stats.misses = num_runs - hit_runs
-    stats.cold_misses = cold
-    stats.evictions = evictions
-    stats.bypasses = bypasses
-    stats.check()
-    return stats
+    n = len(trace)
+    return _stats(n, n - len(run_words) + hit_runs, cold, evictions, bypasses)
 
 
 def simulate_lru(trace: Trace, geometry: CacheGeometry) -> CacheStats:
@@ -353,16 +311,7 @@ def simulate_lru(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     every run installs its line on the first reference and the rest of
     the run hits.
     """
-    n = len(trace)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        stats.check()
-        return stats
-    grouped_lines, new_set, _ = _set_partition(trace, geometry)
-    starts = _run_starts(grouped_lines, new_set)
-    run_words = grouped_lines[starts].tolist()
-    run_lengths = np.diff(starts, append=n).tolist()
-    run_new_set = new_set[starts].tolist()
+    run_words, run_lengths, run_new_set = (a.tolist() for a in _runs(trace, geometry))
 
     ways = geometry.associativity
     hits = cold = evictions = 0
@@ -382,39 +331,7 @@ def simulate_lru(trace: Trace, geometry: CacheGeometry) -> CacheStats:
                 evictions += 1
             recency[word] = None
             hits += length - 1
-    stats.hits = hits
-    stats.misses = n - hits
-    stats.cold_misses = cold
-    stats.evictions = evictions
-    stats.check()
-    return stats
-
-
-def simulate_optimal_last_line(trace: Trace, geometry: CacheGeometry) -> CacheStats:
-    """Belady-with-bypass over collapsed line-reference events.
-
-    Models :class:`~repro.caches.optimal.OptimalLastLineCache`: runs
-    of consecutive references to one line are collapsed to a single
-    event (the last-line buffer serves the rest, counted as
-    ``buffer_hits``) and the Belady kernel runs on the collapsed
-    stream.
-    """
-    from ..trace.transforms import collapse_sequential_lines
-
-    collapsed = collapse_sequential_lines(trace, geometry.line_size)
-    inner = simulate_belady(collapsed, geometry)
-    buffer_hits = len(trace) - len(collapsed)
-    stats = CacheStats(
-        accesses=len(trace),
-        hits=inner.hits + buffer_hits,
-        misses=inner.misses,
-        bypasses=inner.bypasses,
-        evictions=inner.evictions,
-        buffer_hits=buffer_hits,
-        cold_misses=inner.cold_misses,
-    )
-    stats.check()
-    return stats
+    return _stats(len(trace), hits, cold, evictions)
 
 
 def simulate_two_level(
@@ -452,107 +369,90 @@ def simulate_two_level(
         raise ValueError("the two-level kernel requires equal L1 and L2 line sizes")
     _require_direct_mapped(l1_geometry)
     _require_direct_mapped(l2_geometry)
-    n = len(trace)
-    l1 = CacheStats(accesses=n)
-    l2 = CacheStats()
-    if n:
-        grouped_lines, new_set, _ = _set_partition(trace, l1_geometry)
-        starts = _run_starts(grouped_lines, new_set)
-        run_words = grouped_lines[starts].tolist()
-        run_lengths = np.diff(starts, append=n).tolist()
-        run_new_set = new_set[starts].tolist()
+    run_words, run_lengths, run_new_set = (
+        a.tolist() for a in _runs(trace, l1_geometry)
+    )
 
-        exclusion = strategy.uses_exclusion
-        exclusive = strategy.exclusive_l2
-        l2_backed = strategy in (Strategy.ASSUME_HIT, Strategy.ASSUME_MISS)
-        # Assume-hit drops write-backs of words whose L2 line is absent.
-        guarded = strategy is Strategy.ASSUME_HIT
-        default = strategy is not Strategy.ASSUME_MISS
-        bit_mask = -1  # per-word bits; the hashed table keeps the low bits
-        if strategy is Strategy.HASHED:
-            bit_mask = l1_geometry.num_lines * hashed_bits_per_line - 1
-        l2_mask = l2_geometry.num_sets - 1
-        bits: "dict[int, bool]" = {}
-        bits_get = bits.get
-        tags: "dict[int, int]" = {}  # L2 set index -> resident line
-        tags_get = tags.get
-        hits = cold = evictions = bypasses = 0
-        l2_hits = l2_cold = l2_evictions = l2_bypasses = 0
-        resident = -1
-        sticky = hit_last = False
-        for word, left, starts_set in zip(run_words, run_lengths, run_new_set):
-            if starts_set:
-                resident = -1
-                sticky = hit_last = False
-            if word == resident:
-                hits += left
+    exclusion = strategy.uses_exclusion
+    exclusive = strategy.exclusive_l2
+    l2_backed = strategy in (Strategy.ASSUME_HIT, Strategy.ASSUME_MISS)
+    # Assume-hit drops write-backs of words whose L2 line is absent.
+    guarded = strategy is Strategy.ASSUME_HIT
+    default = strategy is not Strategy.ASSUME_MISS
+    bit_mask = -1  # per-word bits; the hashed table keeps the low bits
+    if strategy is Strategy.HASHED:
+        bit_mask = l1_geometry.num_lines * hashed_bits_per_line - 1
+    l2_mask = l2_geometry.num_sets - 1
+    bits: "dict[int, bool]" = {}
+    bits_get = bits.get
+    tags: "dict[int, int]" = {}  # L2 set index -> resident line
+    tags_get = tags.get
+    hits = cold = evictions = bypasses = 0
+    l2_hits = l2_cold = l2_evictions = l2_bypasses = 0
+    resident = -1
+    sticky = hit_last = False
+    for word, left, starts_set in zip(run_words, run_lengths, run_new_set):
+        if starts_set:
+            resident = -1
+            sticky = hit_last = False
+        if word == resident:
+            hits += left
+            sticky = hit_last = True
+            continue
+        while left:
+            left -= 1
+            bypassed = False
+            victim = -1
+            if resident < 0:
+                cold += 1
+                resident = word
                 sticky = hit_last = True
-                continue
-            while left:
-                left -= 1
-                bypassed = False
-                victim = -1
-                if resident < 0:
-                    cold += 1
-                    resident = word
-                    sticky = hit_last = True
-                elif exclusion and sticky and not (
-                    bits_get(word & bit_mask, default)
-                    if not l2_backed or tags_get(word & l2_mask) == word
-                    else default
+            elif exclusion and sticky and not (
+                bits_get(word & bit_mask, default)
+                if not l2_backed or tags_get(word & l2_mask) == word
+                else default
+            ):
+                sticky = False
+                bypasses += 1
+                bypassed = True
+            else:
+                if exclusion and (
+                    not guarded or tags_get(resident & l2_mask) == resident
                 ):
-                    sticky = False
-                    bypasses += 1
-                    bypassed = True
+                    bits[resident & bit_mask] = hit_last
+                evictions += 1
+                victim = resident
+                resident = word
+                # A hit-last load over a sticky resident starts at 0.
+                hit_last = not sticky
+                sticky = True
+            index = word & l2_mask
+            held = tags_get(index)
+            if held == word:
+                l2_hits += 1
+            elif exclusive:
+                l2_bypasses += 1
+            else:
+                tags[index] = word
+                if held is None:
+                    l2_cold += 1
                 else:
-                    if exclusion and (
-                        not guarded or tags_get(resident & l2_mask) == resident
-                    ):
-                        bits[resident & bit_mask] = hit_last
-                    evictions += 1
-                    victim = resident
-                    resident = word
-                    # A hit-last load over a sticky resident starts at 0.
-                    hit_last = not sticky
-                    sticky = True
-                index = word & l2_mask
-                held = tags_get(index)
-                if held == word:
-                    l2_hits += 1
-                elif exclusive:
-                    l2_bypasses += 1
-                else:
-                    tags[index] = word
-                    if held is None:
-                        l2_cold += 1
-                    else:
-                        l2_evictions += 1
-                        if l2_backed:
-                            bits.pop(held, None)
-                if exclusive:
-                    moved = word if bypassed else victim
-                    if moved >= 0:
-                        index = moved & l2_mask
-                        held = tags_get(index)
-                        tags[index] = moved
-                        if l2_backed and held is not None and held != moved:
-                            bits.pop(held, None)
-                if not bypassed:
-                    if left:
-                        hits += left
-                        hit_last = True
-                    break
-        l1.hits = hits
-        l1.misses = n - hits
-        l1.cold_misses = cold
-        l1.evictions = evictions
-        l1.bypasses = bypasses
-        l2.accesses = l1.misses
-        l2.hits = l2_hits
-        l2.misses = l2.accesses - l2_hits
-        l2.cold_misses = l2_cold
-        l2.evictions = l2_evictions
-        l2.bypasses = l2_bypasses
-    l1.check()
-    l2.check()
+                    l2_evictions += 1
+                    if l2_backed:
+                        bits.pop(held, None)
+            if exclusive:
+                moved = word if bypassed else victim
+                if moved >= 0:
+                    index = moved & l2_mask
+                    held = tags_get(index)
+                    tags[index] = moved
+                    if l2_backed and held is not None and held != moved:
+                        bits.pop(held, None)
+            if not bypassed:
+                if left:
+                    hits += left
+                    hit_last = True
+                break
+    l1 = _stats(len(trace), hits, cold, evictions, bypasses)
+    l2 = _stats(l1.misses, l2_hits, l2_cold, l2_evictions, l2_bypasses)
     return TwoLevelResult(strategy=strategy, l1=l1, l2=l2)

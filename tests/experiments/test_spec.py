@@ -35,6 +35,17 @@ class BoomFactory:
         raise RuntimeError("boom")
 
 
+@dataclass(frozen=True)
+class NoAllocateFactory:
+    """Misses on every reference: far above any real optimal curve."""
+
+    def __call__(self, size):
+        from repro.caches.direct_mapped import DirectMappedCache
+        from repro.caches.geometry import CacheGeometry
+
+        return DirectMappedCache(CacheGeometry(int(size), 4), allocate_on_miss=False)
+
+
 def _grid_spec(spec_id="test-grid", **overrides):
     fields = dict(
         id=spec_id,
@@ -177,6 +188,22 @@ class TestRunSpec:
         spec = _grid_spec("test-boom", factories=(("boom", BoomFactory()),))
         with pytest.raises(SweepCellError):
             run_spec(spec)
+
+    def test_optimal_above_direct_mapped_raises(self):
+        spec = _grid_spec(
+            "test-lower-bound",
+            parameters=(1024,),
+            factories=(
+                ("direct-mapped", TinyFactory()),
+                ("optimal", NoAllocateFactory()),
+            ),
+        )
+        with pytest.raises(SweepCellError) as info:
+            run_spec(spec)
+        failures = info.value.failures
+        assert failures and {f.identity.label for f in failures} == {"optimal"}
+        assert "optimal | 1024 | " in str(info.value)
+        assert "optimal miss rate 1.0 exceeds direct-mapped 0." in str(info.value)
 
     def test_engine_hint_matches_reference(self):
         reference = run_spec(_grid_spec(), engine="reference")

@@ -46,6 +46,23 @@ class TestSummarizeRun:
         assert "top 2 slowest cells" in text
         assert "cell(engine=fast, label=dm@1024)" in text
 
+    def test_simulate_spans_split_by_model_and_path(self, tmp_path):
+        runs = [("LastLineBufferCache", "reference")] * 2 + [
+            ("DirectMappedCache", "kernel")
+        ]
+        with Tracer(tmp_path) as tracer:
+            with tracer.span("cell", label="llb"):
+                for model, path in runs:
+                    with tracer.span("simulate", model=model, path=path):
+                        pass
+        lines = summarize_run(tmp_path).splitlines()
+        for node, count in [
+            ("simulate[LastLineBufferCache/reference]", "x2"),
+            ("simulate[DirectMappedCache/kernel]", "x1"),
+        ]:
+            (line,) = [line for line in lines if node in line]
+            assert count in line
+
     def test_without_manifest(self, tmp_path):
         _make_run(tmp_path, with_manifest=False)
         text = summarize_run(tmp_path)

@@ -10,10 +10,15 @@ Two invariants, enforced over randomly generated traces and geometries:
 * ``has_kernel`` is False — i.e. the fallback is taken — for warm
   models and for unsupported store/policy configurations.
 
+An empty trace, which the random traces reach only by chance, also
+gets its own check: equal results and equal ``fsm.*`` series on both
+engines for every registered type.
+
 Two-level hierarchies get their own property over all five hit-last
 strategies at tiny geometries, where L1 and L2 conflicts are dense.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +33,8 @@ from repro.caches.set_associative import SetAssociativeCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
 from repro.hierarchy.two_level import Strategy, TwoLevelCache
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.perf import engine
 from repro.trace.trace import Trace
 
@@ -79,6 +86,27 @@ def test_fast_engine_equals_reference_for_every_kernel_type(trace, index):
         fast = engine.simulate(factory(geometry), trace, engine="fast")
         reference = engine.simulate(factory(geometry), trace, engine="reference")
         assert fast == reference
+
+
+def _run_empty(model, engine_name):
+    """Simulate a cold model on an empty trace; the result and the
+    names of the ``fsm.*`` series it published."""
+    registry = obs_metrics.install_registry(MetricsRegistry())
+    try:
+        result = engine.simulate(model, Trace.empty(), engine=engine_name)
+    finally:
+        obs_metrics.uninstall_registry()
+    names = {e["name"] for e in registry.export() if e["name"].startswith("fsm.")}
+    return result, names
+
+
+@pytest.mark.parametrize("model_type", list(FACTORIES), ids=lambda t: t.__name__)
+def test_empty_trace_is_equal_on_both_engines(model_type):
+    factory = FACTORIES[model_type]
+    assert engine.has_kernel(factory(GEOMETRIES[0]))
+    fast = _run_empty(factory(GEOMETRIES[0]), "fast")
+    reference = _run_empty(factory(GEOMETRIES[0]), "reference")
+    assert fast == reference
 
 
 @settings(max_examples=20, deadline=None)
