@@ -14,8 +14,10 @@ there rather than record a number that means something else.  A drop
 beyond ``tools/check_bench_regression.py``'s tolerance means the fleet
 got slower relative to inline on the same host.  Each timed
 round clears the parent's trace memo so both runs pay trace
-generation (fleet workers start from the cleared memo: forked ones
-inherit it, exec'd ones start empty).
+generation: the inline run builds each trace when its first cell
+needs it, and the fleet's parent builds the round's traces before it
+forks the workers, which inherit them (exec'd workers would build
+their own).
 """
 
 import os

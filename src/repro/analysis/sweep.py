@@ -10,8 +10,8 @@ are identical), and ``workers`` fans the independent (parameter,
 policy, trace) cells out to fleet workers.  Traces may be given as
 :class:`~repro.trace.trace.Trace` objects or as cheap
 :class:`~repro.perf.parallel.TraceKey` recipes; parallel runs want keys
-so workers regenerate traces locally instead of unpickling megabyte
-arrays.
+so workers get traces from the memo they inherit, or build them
+locally, instead of unpickling megabyte arrays.
 """
 
 from __future__ import annotations

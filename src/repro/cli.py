@@ -301,12 +301,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
 
 
+def _budget(text: str) -> int:
+    """A ``--refs`` value: a non-negative reference count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"reference budget must be non-negative, got {value}"
+        )
+    return value
+
+
 def _add_trace_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("trace", help="din file path or benchmark name")
     parser.add_argument("--kind", default="instruction",
                         choices=["instruction", "data", "mixed"],
                         help="reference kind for benchmark traces")
-    parser.add_argument("--refs", type=int, default=200_000,
+    parser.add_argument("--refs", type=_budget, default=200_000,
                         help="reference budget for benchmark traces")
 
 
@@ -321,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("benchmark", choices=benchmark_names())
     trace_parser.add_argument("--kind", default="instruction",
                               choices=["instruction", "data", "mixed"])
-    trace_parser.add_argument("--refs", type=int, default=200_000)
+    trace_parser.add_argument("--refs", type=_budget, default=200_000)
     trace_parser.add_argument("--out", help="output path (default: stdout)")
     trace_parser.set_defaults(func=_cmd_trace)
 

@@ -48,8 +48,8 @@ QUANTA = (100, 1_000, 10_000, 100_000)
 class TimeshareKey:
     """Recipe for a timeshared trace: two benchmarks, one quantum.
 
-    Pickles as four scalars; workers rebuild (and memoise) the
-    interleaved stream locally, like :class:`~repro.perf.parallel.TraceKey`.
+    Pickles as four scalars; the interleaved stream is built (and
+    memoised) where it is needed, like :class:`~repro.perf.parallel.TraceKey`.
     """
 
     left: str

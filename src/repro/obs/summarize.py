@@ -18,7 +18,10 @@ shows:
 
 A directory with no ``trace.jsonl`` of its own but run subdirectories
 (the ``--trace-dir`` layout: one subdirectory per spec) is summarised
-recursively, one section per run.  A run directory whose trace is
+recursively, one section per run.  A closing run-wide line counts the
+``trace_gen`` spans of every run, worker-shipped ones included,
+against the distinct ``(trace, kind, refs)`` they built, and warns
+when a trace was built more than once.  A run directory whose trace is
 missing or empty but which carries a manifest (a run that crashed
 before its first span, or ran with tracing off) degrades to a
 manifest-plus-metrics summary with an explicit "no trace captured"
@@ -257,4 +260,26 @@ def summarize_directory(directory: Union[str, Path], top: int = 10) -> str:
             f"no {TRACE_FILENAME}, {MANIFEST_FILENAME}, or {METRICS_FILENAME} "
             f"found in {directory} or its subdirectories"
         )
-    return "\n".join(summarize_run(run, top=top) for run in runs)
+    sections = [summarize_run(run, top=top) for run in runs]
+    return "\n".join(sections + [_trace_gen_rollup(runs)])
+
+
+def _trace_gen_rollup(runs: List[Path]) -> str:
+    """The run-wide ``trace_gen`` count against the distinct traces built."""
+    builds = [
+        (span.attrs.get("trace"), span.attrs.get("trace_kind"), span.attrs.get("refs"))
+        for run in runs
+        for span in read_spans(run / TRACE_FILENAME)
+        if span.name == "trace_gen"
+    ]
+    calls, distinct = len(builds), len(set(builds))
+    lines = [
+        f"run-wide ({len(runs)} run{'s' if len(runs) != 1 else ''})",
+        f"  trace_gen: {calls} calls for {distinct} distinct (trace, kind, refs)",
+    ]
+    if calls > distinct:
+        lines.append(
+            f"  WARNING: {calls - distinct} trace_gen calls rebuilt a trace "
+            f"already built in this run"
+        )
+    return "\n".join(lines) + "\n"

@@ -9,8 +9,10 @@ long-lived worker processes speaking the NDJSON protocol of
   starts N of these, at most one per pending cell).  Where the
   platform's default multiprocessing start method is ``fork`` (Linux),
   it is a forked child serving :func:`~repro.perf.worker.worker_main`
-  over an ``os.pipe()`` pair, with every module the parent imported;
-  elsewhere it is ``python -m repro.cli worker``;
+  over an ``os.pipe()`` pair, with every module the parent imported
+  and every trace the sweep's pending cells need (the parent builds
+  them into its memo before the first fork); elsewhere it is
+  ``python -m repro.cli worker``, which builds its own;
 * ``user@host`` — ``ssh -o BatchMode=yes user@host python3 -m
   repro.cli worker`` (the repo must be importable on the remote);
 * anything containing whitespace — used verbatim as the worker command
@@ -52,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
+from .. import trace_cache
 from ..cells import CellOutcome
 from ..worker import worker_main
 from .base import SweepContext, merge_worker_obs, record_cell_span
@@ -166,16 +169,22 @@ class _ForkedWorker:
             os.kill(self.pid, signal.SIGKILL)
 
 
-def _start_worker(endpoint: str):
-    """Start one worker: ``local`` forks where the platform's default
-    multiprocessing start method is ``fork`` (as a process pool would);
-    everything else execs :func:`worker_command`."""
+def _forks(endpoint: str) -> bool:
+    """Whether ``endpoint``'s worker is forked from this process:
+    ``local`` where the platform's default multiprocessing start method
+    is ``fork`` (as a process pool would); everything else execs
+    :func:`worker_command`."""
     start_method = (
         multiprocessing.get_start_method(allow_none=True)
         or multiprocessing.get_all_start_methods()[0]
     )
+    return endpoint == "local" and start_method == "fork"
+
+
+def _start_worker(endpoint: str):
+    """Start one worker, forked or exec'd as :func:`_forks` says."""
     with _SPAWN_LOCK:
-        if endpoint == "local" and start_method == "fork":
+        if _forks(endpoint):
             process = _ForkedWorker()
         else:
             process = subprocess.Popen(
@@ -302,6 +311,9 @@ class FleetBackend:
         endpoints = list(ctx.fleet_hosts) or ["local"] * min(
             ctx.workers, len(pending)
         )
+        if any(_forks(endpoint) for endpoint in endpoints):
+            # Forked workers and their respawns inherit the built traces.
+            trace_cache.prebuild(ctx.cells[index][3] for index in pending)
         for slot, endpoint in enumerate(endpoints):
             self._spawn(slot, endpoint)
         ctx.workers = len(endpoints)

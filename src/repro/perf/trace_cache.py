@@ -3,8 +3,10 @@
 A figure sweep's cells parallelise trivially — except that shipping
 megabyte trace arrays to worker processes would swamp the win.
 Benchmark traces are deterministic functions of their ``(name, kind,
-max_refs)`` key, so :class:`TraceKey` sends the *key* instead and each
-worker regenerates (and memoises) the trace on first use.
+max_refs)`` key, so :class:`TraceKey` sends the *key* instead.  Before
+the fleet forks ``local`` workers, :func:`prebuild` builds a sweep's
+recipes into the parent's memo, which the forked children inherit; an
+exec'd or SSH worker builds (and memoises) each trace on first use.
 
 Any hashable, picklable recipe exposing ``name``/``kind``/``max_refs``
 attributes plus a ``load() -> Trace`` method works wherever a
@@ -16,7 +18,7 @@ every recipe through the same per-process cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Iterable, Union
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -27,10 +29,10 @@ from ..trace.trace import Trace
 class TraceKey:
     """A deterministic recipe for a benchmark trace.
 
-    Cheap to pickle (three scalars); :meth:`load` regenerates the trace
+    Cheap to pickle (three scalars); :meth:`load` builds the trace
     through :func:`repro.workloads.registry.trace_by_kind` and memoises
-    it per process, so a fleet worker builds each benchmark once no
-    matter how many sweep cells it executes.
+    it per process, so a process builds each benchmark once no matter
+    how many sweep cells it executes.
     """
 
     name: str
@@ -103,3 +105,21 @@ def as_trace(trace: TraceLike) -> Trace:
     else:
         obs_metrics.counter("trace.cache.hit")
     return cached
+
+
+def prebuild(traces: Iterable[TraceLike]) -> None:
+    """Build the distinct recipes among ``traces`` into this process's memo.
+
+    The fleet calls this before it forks ``local`` workers, which then
+    inherit the built traces copy-on-write instead of each building
+    its own.  Builds stop at the memo's capacity, past which each
+    would evict an earlier one.  A recipe whose build raises is left
+    to the process that runs its cell, where the cell fails in its
+    own envelope.
+    """
+    recipes = dict.fromkeys(trace for trace in traces if is_trace_recipe(trace))
+    for recipe in list(recipes)[:_TRACE_CACHE_LIMIT]:
+        try:
+            as_trace(recipe)
+        except Exception:
+            continue

@@ -229,7 +229,11 @@ def interleave_refs(
     instructions: List[int], data: List[DataRef]
 ) -> Iterator[Tuple[int, RefKind]]:
     """Merge a block's instruction fetches with its data references,
-    spreading the data references evenly between the instructions."""
+    spreading the data references evenly between the instructions.
+
+    This defines the order in which :class:`~repro.workloads.program.Block`
+    emits a whole block; the tests hold the block emitter to it.
+    """
     n_instr = len(instructions)
     n_data = len(data)
     if n_instr == 0:

@@ -26,11 +26,14 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..trace.reference import INSTRUCTION_SIZE, RefKind
-from ..trace.trace import Trace, TraceBuilder
-from .data_model import DataPattern, StackAccess, interleave_refs
+from ..trace.trace import Trace
+from .data_model import DataPattern, StackAccess
 
 #: Trip counts may be fixed or a (low, high) inclusive range.
 TripSpec = Union[int, Tuple[int, int]]
+
+#: One instruction fetch's kind byte.
+_IFETCH = bytes([RefKind.IFETCH])
 
 
 class _EmissionDone(Exception):
@@ -45,7 +48,13 @@ class Node:
 
 
 class Block(Node):
-    """``n_instr`` sequential instructions plus attached data patterns."""
+    """``n_instr`` sequential instructions plus attached data patterns.
+
+    One execution appends the whole block to the trace buffers: its
+    instruction addresses are computed once, at layout, and data
+    references are spliced between instruction slices in the order
+    :func:`~repro.workloads.data_model.interleave_refs` defines.
+    """
 
     def __init__(self, n_instr: int, data: Sequence[DataPattern] = ()) -> None:
         if n_instr < 0:
@@ -54,6 +63,8 @@ class Block(Node):
         self.data = list(data)
         self.address: Optional[int] = None
         self._addrs: List[int] = []
+        self._kinds = b""
+        self._slice_cache: Dict[int, List[Tuple[List[int], bytes]]] = {}
 
     def _assign_address(self, address: int) -> int:
         """Place the block at ``address``; returns the address after it."""
@@ -61,18 +72,46 @@ class Block(Node):
         self._addrs = [
             address + i * INSTRUCTION_SIZE for i in range(self.n_instr)
         ]
+        self._kinds = _IFETCH * self.n_instr
+        self._slice_cache = {}
         return address + self.n_instr * INSTRUCTION_SIZE
+
+    def _slices(self, n_data: int) -> List[Tuple[List[int], bytes]]:
+        """The instructions (addresses, kinds) emitted before each of
+        ``n_data`` data references, cached per count.
+
+        Data reference ``j`` follows the first ``ceil((j + 1) * n_instr
+        / n_data)`` instructions, so the last one follows the last
+        instruction and nothing trails it.
+        """
+        slices = self._slice_cache.get(n_data)
+        if slices is None:
+            n_instr, addrs, start = self.n_instr, self._addrs, 0
+            slices = []
+            for j in range(n_data):
+                cut = -(-(j + 1) * n_instr // n_data)
+                slices.append((addrs[start:cut], _IFETCH * (cut - start)))
+                start = cut
+            self._slice_cache[n_data] = slices
+        return slices
 
     def _emit(self, ctx: "_EmitContext") -> None:
         if self.address is None:
             raise RuntimeError("block executed before layout")
-        if self.data:
-            data_refs = []
-            for pattern in self.data:
-                data_refs.extend(pattern.emit())
-            ctx.emit_refs(interleave_refs(self._addrs, data_refs))
+        addrs, kinds = ctx.addrs, ctx.kinds
+        refs = [ref for pattern in self.data for ref in pattern.emit()]
+        if refs:
+            for (piece, piece_kinds), (addr, kind) in zip(
+                self._slices(len(refs)), refs
+            ):
+                addrs += piece
+                addrs.append(addr)
+                kinds += piece_kinds
+                kinds.append(kind)
         else:
-            ctx.emit_instructions(self._addrs)
+            addrs += self._addrs
+            kinds += self._kinds
+        ctx.check_budget()
 
 
 class Seq(Node):
@@ -228,45 +267,36 @@ class Program:
         ``max_refs`` references have been emitted).  Pattern state and
         the RNG are reset first, so emission is deterministic.
         """
+        if max_refs is not None and max_refs < 0:
+            raise ValueError(f"max_refs must be non-negative, got {max_refs}")
         self._reset_patterns()
-        builder = TraceBuilder()
-        ctx = _EmitContext(self, builder, max_refs)
+        ctx = _EmitContext(self, max_refs)
         try:
             for _ in range(repeat):
                 ctx.call(self.entry)
         except _EmissionDone:
             pass
-        trace = builder.build(name=name)
         if max_refs is not None:
-            return trace[:max_refs].with_name(name)
-        return trace
+            del ctx.addrs[max_refs:]
+            del ctx.kinds[max_refs:]
+        return Trace(ctx.addrs, ctx.kinds, name=name)
 
 
 class _EmitContext:
-    """Mutable state threaded through one emission run."""
+    """Mutable state threaded through one emission run: the trace
+    buffers, the RNG and the call depth."""
 
-    def __init__(self, program: Program, builder: TraceBuilder, max_refs: Optional[int]) -> None:
+    def __init__(self, program: Program, max_refs: Optional[int]) -> None:
         self.program = program
-        self.builder = builder
+        self.addrs: List[int] = []
+        self.kinds = bytearray()
         self.max_refs = max_refs
         self.rng = random.Random(program.seed)
         self.depth = 0
 
-    def _check_budget(self) -> None:
-        if self.max_refs is not None and len(self.builder) >= self.max_refs:
+    def check_budget(self) -> None:
+        if self.max_refs is not None and len(self.addrs) >= self.max_refs:
             raise _EmissionDone
-
-    def emit_instructions(self, addrs: List[int]) -> None:
-        builder = self.builder
-        for addr in addrs:
-            builder.ifetch(addr)
-        self._check_budget()
-
-    def emit_refs(self, refs: Iterable[Tuple[int, RefKind]]) -> None:
-        builder = self.builder
-        for addr, kind in refs:
-            builder.append(addr, kind)
-        self._check_budget()
 
     def call(self, name: str) -> None:
         program = self.program

@@ -45,6 +45,7 @@ def mixed_trace(name: str, max_refs: Optional[int] = DEFAULT_MAX_REFS) -> Trace:
     With a ``max_refs`` budget the program repeats until the budget is
     exhausted; with ``max_refs=None`` it runs exactly once.
     """
+    _require_budget(max_refs)
     program = build_program(name)
     repeat = 1 if max_refs is None else 1_000_000
     return program.trace(max_refs=max_refs, repeat=repeat, name=name)
@@ -56,6 +57,7 @@ def instruction_trace(name: str, max_refs: Optional[int] = DEFAULT_MAX_REFS) -> 
     ``max_refs`` bounds the *instruction* count, so an extra margin of
     mixed references is generated before filtering.
     """
+    _require_budget(max_refs)
     if max_refs is None:
         return only_instructions(mixed_trace(name, None))
     mixed = mixed_trace(name, max_refs * 2)
@@ -70,6 +72,7 @@ def data_trace(name: str, max_refs: Optional[int] = DEFAULT_MAX_REFS) -> Trace:
     budget is scaled up before filtering; the result may still be
     shorter than ``max_refs`` for instruction-heavy benchmarks.
     """
+    _require_budget(max_refs)
     if max_refs is None:
         return only_data(mixed_trace(name, None))
     mixed = mixed_trace(name, max_refs * 6)
@@ -98,3 +101,8 @@ def trace_by_kind(name: str, kind: str, max_refs: Optional[int] = DEFAULT_MAX_RE
 def _require_known(name: str) -> None:
     if name not in SPEC_BUILDERS:
         raise ValueError(f"unknown benchmark {name!r}; known: {SPEC_NAMES}")
+
+
+def _require_budget(max_refs: Optional[int]) -> None:
+    if max_refs is not None and max_refs < 0:
+        raise ValueError(f"max_refs must be non-negative, got {max_refs}")

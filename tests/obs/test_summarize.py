@@ -153,3 +153,43 @@ class TestSummarizeDirectory:
     def test_directory_without_runs_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="trace.jsonl"):
             summarize_directory(tmp_path)
+
+
+def _make_builds(directory, builds):
+    """A run whose sweep built ``builds``: (trace, kind, refs, shipped)
+    tuples, a shipped one recorded the way a fleet worker's is merged."""
+    with Tracer(directory) as tracer:
+        with tracer.span("experiment", spec=directory.name):
+            with tracer.span("sweep", engine="fast"):
+                for trace, kind, refs, shipped in builds:
+                    attrs = {"trace": trace, "trace_kind": kind, "refs": refs}
+                    if shipped:
+                        with tracer.span("cell", label="dm@1024", worker="local#0"):
+                            tracer.record(
+                                "trace_gen", 0.01, worker="local#0", pid=4242, **attrs
+                            )
+                    else:
+                        with tracer.span("trace_gen", **attrs):
+                            pass
+    return directory
+
+
+class TestTraceGenRollup:
+    def test_each_trace_built_once_reads_clean(self, tmp_path):
+        _make_builds(tmp_path / "fig04", [("gcc", "instruction", 4000, False),
+                                          ("li", "instruction", 4000, False)])
+        _make_builds(tmp_path / "fig14", [("gcc", "data", 4000, False)])
+        text = summarize_directory(tmp_path)
+        assert "run-wide (2 runs)" in text
+        assert "trace_gen: 3 calls for 3 distinct (trace, kind, refs)" in text
+        assert "WARNING" not in text
+
+    def test_a_rebuilt_trace_warns_and_counts_shipped_spans(self, tmp_path):
+        _make_builds(tmp_path / "fig04", [("gcc", "instruction", 4000, False)])
+        # Another run's worker rebuilt gcc, and li at a second budget.
+        _make_builds(tmp_path / "fig05", [("gcc", "instruction", 4000, True),
+                                          ("li", "instruction", 4000, True),
+                                          ("li", "instruction", 8000, False)])
+        text = summarize_directory(tmp_path)
+        assert "trace_gen: 4 calls for 3 distinct (trace, kind, refs)" in text
+        assert "WARNING: 1 trace_gen calls rebuilt a trace" in text

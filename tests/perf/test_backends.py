@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import metrics as obs_metrics
+from repro.perf import trace_cache
 from repro.perf.backends import fleet as fleet_backend
 from repro.perf.backends import live_workers, worker_command
 from repro.perf.parallel import (
@@ -536,11 +537,14 @@ class TestForkedLocalWorkers:
     def test_held_metrics_lock_does_not_stall_forked_workers(self, monkeypatch):
         # Every cell counts engine.dispatch under the registry lock; a
         # worker forked while another thread holds it must not inherit
-        # the held lock.
+        # the held lock.  The parent counts its own trace builds under
+        # that lock before the first fork, so the holder takes it once
+        # they are done.
         lock = obs_metrics.current_registry()._lock
         held, forked = threading.Event(), threading.Event()
         locked_at_fork = []
         real_fork = os.fork
+        real_prebuild = trace_cache.prebuild
 
         def fork():
             locked_at_fork.append(lock.locked())
@@ -554,10 +558,17 @@ class TestForkedLocalWorkers:
                 held.set()
                 forked.wait(timeout=30.0)
 
-        monkeypatch.setattr(os, "fork", fork)
         holder = threading.Thread(target=hold, daemon=True)
-        holder.start()
-        assert held.wait(timeout=30.0)
+
+        def prebuild(traces):
+            real_prebuild(traces)
+            assert not locked_at_fork, "a worker was forked before the build"
+            holder.start()
+            assert held.wait(timeout=30.0)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(trace_cache, "prebuild", prebuild)
+        trace_cache.clear_trace_cache()
         try:
             outcomes = run_labeled_cells(
                 _grid(WellBehavedFactory()), engine="fast", workers=2,
@@ -565,10 +576,51 @@ class TestForkedLocalWorkers:
             )
         finally:
             forked.set()
-            holder.join(timeout=60.0)
+            if holder.is_alive():
+                holder.join(timeout=60.0)
+        assert holder.ident is not None, "the parent built no traces before forking"
         assert not holder.is_alive()
         assert locked_at_fork[0], "the first worker was not forked under the lock"
         assert [o.error for o in outcomes if not o.ok] == []
+        # The workers inherited the grid's traces from the parent's memo.
+        assert set(TRACES) <= set(trace_cache._TRACE_CACHE)
+
+    def test_parent_builds_each_trace_once_before_forking(self, sweep_metrics):
+        trace_cache.clear_trace_cache()
+        outcomes = run_labeled_cells(
+            _grid(WellBehavedFactory()), engine="fast", workers=2,
+        )
+        assert all(outcome.ok for outcome in outcomes)
+        assert set(TRACES) <= set(trace_cache._TRACE_CACHE)
+        assert sweep_metrics.total("trace.cache.miss") == len(TRACES)
+
+    def test_exec_path_parent_builds_nothing(self, monkeypatch, sweep_metrics):
+        # Exec'd workers cannot inherit the parent's memo: they build
+        # their own traces, and the parent builds none for them.
+        monkeypatch.setattr(
+            multiprocessing, "get_start_method", lambda allow_none=False: "spawn"
+        )
+        trace_cache.clear_trace_cache()
+        outcomes = run_labeled_cells(
+            _grid(WellBehavedFactory()), engine="fast", workers=2,
+        )
+        assert all(outcome.ok for outcome in outcomes)
+        assert trace_cache._TRACE_CACHE == {}
+        assert not sweep_metrics.total("trace.cache.miss")
+
+    def test_unbuildable_trace_fails_only_its_cell(self):
+        # The parent's build of an unknown benchmark raises; the cell is
+        # left to its worker and fails in its envelope, as inline.
+        bad = TraceKey("nosuch", "instruction", 2_000)
+        cells = _grid(WellBehavedFactory()) + [
+            ("curve", WellBehavedFactory(), 1024, bad)
+        ]
+        inline = run_labeled_cells(cells, engine="fast", workers=1)
+        fleet = run_labeled_cells(cells, engine="fast", workers=2)
+        assert inline[-1].error.startswith("ValueError: unknown benchmark 'nosuch'")
+        assert fleet[-1].error == inline[-1].error
+        assert fleet[-1].worker.startswith("local#")
+        assert all(outcome.ok for outcome in fleet[:-1])
 
     def test_forked_workers_shed_an_inherited_profile_hook(self):
         # REPRO_PROFILE=1 runs the whole experiment under one cProfile,

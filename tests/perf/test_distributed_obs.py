@@ -17,7 +17,7 @@ from repro import obs
 from repro.experiments.common import StandardFactory
 from repro.obs import metrics as obs_metrics, tracing as obs_tracing
 from repro.perf.parallel import run_labeled_cells
-from repro.perf.trace_cache import TraceKey
+from repro.perf.trace_cache import TraceKey, clear_trace_cache
 
 FSM_SERIES = ("fsm.sticky_saves", "fsm.hit_last_loads", "fsm.exclusion_flips")
 
@@ -60,17 +60,28 @@ def _inline_fsm_totals():
 
 class TestFleetDistributedObs:
     def test_merged_trace_and_fsm_parity(self, tmp_path):
+        clear_trace_cache()
         spans, registry, outcomes = _traced_fleet_run(tmp_path)
         by_id = {span.span_id: span for span in spans}
         cells = [span for span in spans if span.name == "cell"]
         assert len(cells) == 3
 
+        # The parent builds the grid's one trace under the sweep span
+        # before it forks; the workers inherit it and build none.
+        builds = [span for span in spans if span.name == "trace_gen"]
+        assert len(builds) == 1
+        (build,) = builds
+        assert "pid" not in build.attrs
+        assert by_id[build.parent_id].name == "sweep"
+
         # Worker-side sub-phases arrived and nest under the cell spans
         # via the worker's cell_exec bracket.
         children = [
-            span for span in spans if span.name in ("simulate", "trace_gen")
+            span for span in spans
+            if span.name in ("simulate", "trace_gen") and "pid" in span.attrs
         ]
         assert children, "no worker spans were shipped home"
+        assert all(span.name == "simulate" for span in children)
         for span in children:
             parent = by_id[span.parent_id]
             assert parent.name == "cell_exec"

@@ -30,8 +30,24 @@ class TestTraceCommand:
         with pytest.raises(SystemExit):
             main(["trace", "quake", "--refs", "10"])
 
+    def test_negative_refs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "gcc", "--refs", "-5"])
+        assert exc.value.code == 2
+        assert "non-negative, got -5" in capsys.readouterr().err
+
+    def test_zero_refs_is_an_empty_trace(self, capsys):
+        assert main(["trace", "gcc", "--refs", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulateCommand:
+    def test_negative_refs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "gcc", "--refs", "-5"])
+        assert exc.value.code == 2
+        assert "non-negative, got -5" in capsys.readouterr().err
+
     def test_simulate_benchmark_by_name(self, capsys):
         assert main(["simulate", "tomcatv", "--refs", "2000",
                      "--size", "1024", "--line", "4"]) == 0

@@ -1,9 +1,16 @@
 """Tests for the synthetic program model."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.trace.reference import RefKind
-from repro.workloads.data_model import ScalarAccess, StackAccess
+from repro.workloads.data_model import (
+    DataPattern,
+    ScalarAccess,
+    StackAccess,
+    interleave_refs,
+)
 from repro.workloads.program import (
     Block,
     Call,
@@ -141,6 +148,14 @@ class TestEmission:
     def test_trace_name(self):
         assert simple_program().trace(name="x").name == "x"
 
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"got {budget}"):
+            simple_program().trace(max_refs=budget)
+
+    def test_zero_budget_is_empty(self):
+        assert len(simple_program().trace(max_refs=0)) == 0
+
 
 class TestDataIntegration:
     def test_block_data_patterns_emit(self):
@@ -169,6 +184,65 @@ class TestDataIntegration:
         first = program.trace()
         second = program.trace()
         assert first == second
+
+
+class _Fixed(DataPattern):
+    """Emits the same references on every activation."""
+
+    def __init__(self, refs):
+        self.refs = refs
+
+    def emit(self):
+        return list(self.refs)
+
+
+class TestBlockEmission:
+    """A block is emitted whole, in the order interleave_refs defines."""
+
+    @given(
+        n_instr=st.integers(0, 64),
+        kinds=st.lists(st.sampled_from([RefKind.LOAD, RefKind.STORE]), max_size=64),
+    )
+    @example(n_instr=0, kinds=[RefKind.LOAD] * 3)
+    @example(n_instr=2, kinds=[RefKind.STORE, RefKind.LOAD] * 3)
+    @example(n_instr=64, kinds=[RefKind.LOAD] * 64)
+    def test_order_matches_interleave_refs(self, n_instr, kinds):
+        data = [(0x9000 + 4 * j, kind) for j, kind in enumerate(kinds)]
+        block = Block(n_instr, data=[_Fixed(data)])
+        program = Program([Procedure("main", [block])], entry="main", code_base=0)
+        expected = [
+            (addr, int(kind)) for addr, kind in interleave_refs(block._addrs, data)
+        ]
+        assert list(program.trace().pairs()) == expected
+        # The slices cached for this data count give the same order again.
+        assert list(program.trace().pairs()) == expected
+
+    def test_data_count_may_change_between_executions(self):
+        # A pattern whose reference count varies gets one cut per count.
+        class Growing(DataPattern):
+            def __init__(self):
+                self.calls = 0
+
+            def emit(self):
+                self.calls += 1
+                return [(0x9000, RefKind.LOAD)] * self.calls
+
+            def reset(self):
+                self.calls = 0
+
+        pattern = Growing()
+        block = Block(3, data=[pattern])
+        trace = Program(
+            [Procedure("main", [Loop(block, 3)])], entry="main", code_base=0
+        ).trace()
+        expected = []
+        for calls in (1, 2, 3):
+            data = [(0x9000, RefKind.LOAD)] * calls
+            expected += [
+                (addr, int(kind))
+                for addr, kind in interleave_refs(block._addrs, data)
+            ]
+        assert list(trace.pairs()) == expected
 
 
 class TestValidation:

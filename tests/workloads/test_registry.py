@@ -71,6 +71,15 @@ class TestTraceKinds:
     def test_default_budget_is_sane(self):
         assert DEFAULT_MAX_REFS >= 100_000
 
+    @pytest.mark.parametrize("kind", ["instruction", "data", "mixed"])
+    def test_negative_budget_rejected(self, kind):
+        with pytest.raises(ValueError, match="got -5"):
+            trace_by_kind("gcc", kind, -5)
+
+    @pytest.mark.parametrize("kind", ["instruction", "data", "mixed"])
+    def test_zero_budget_is_empty(self, kind):
+        assert len(trace_by_kind("gcc", kind, 0)) == 0
+
 
 class TestUnboundedBudget:
     def test_none_budget_runs_program_once(self):

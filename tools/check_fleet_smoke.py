@@ -23,10 +23,15 @@ used — and the way it is meant to fail:
    pids, nested under the parent's ``cell`` spans (via the worker's
    ``cell_exec`` bracket), and the shipped spans hanging directly off
    each cell must cover at least 90% of its wall time;
-5. **resume** — the identical command again, traced into a second
+5. **one build per trace** — the parent builds the sweep's traces
+   before it forks the workers, which inherit them: the merged trace
+   holds no worker-shipped ``trace_gen`` span, and the parent's
+   ``trace_gen`` spans name each distinct trace recipe of the spec's
+   cells exactly once (even though the killed worker was respawned);
+6. **resume** — the identical command again, traced into a second
    directory, must replay every cell from the journal
    (``sweep.cells.cached == sweep.cells.total`` in its
-   ``metrics.json``) and recompute nothing.
+   ``metrics.json``), recompute nothing and build no trace.
 
 Exits non-zero with a named complaint on the first violation, so a CI
 failure reads as "rerun recomputed 12 cells", not as a stack trace.
@@ -211,6 +216,63 @@ def _check_merged_trace(trace_dir: Path, spec: str) -> "list[str]":
     return failures
 
 
+def _spec_recipes(spec_id: str) -> "set[tuple]":
+    """``(trace, kind, refs)`` of every trace recipe the cells of
+    ``spec_id`` (or of the grid specs it derives from) read."""
+    from repro.experiments import get_spec, grid_cells
+    from repro.perf.trace_cache import is_trace_recipe
+
+    spec = get_spec(spec_id)
+    if spec.kind != "grid":
+        return set().union(*(_spec_recipes(base) for base in spec.base))
+    return {
+        (str(trace.name), str(trace.kind), int(trace.max_refs))
+        for *_, trace in grid_cells(spec)[0]
+        if is_trace_recipe(trace)
+    }
+
+
+def _builds(spans) -> "list[tuple]":
+    """``(trace, kind, refs)`` of each ``trace_gen`` span in ``spans``."""
+    return [
+        (span.attrs.get("trace"), span.attrs.get("trace_kind"),
+         span.attrs.get("refs"))
+        for span in spans if span.name == "trace_gen"
+    ]
+
+
+def _check_trace_builds(trace_dir: Path, spec: str) -> "list[str]":
+    """Each trace recipe of the sweep was built once, by the parent.
+
+    Forked workers, respawned ones included, inherit the traces the
+    parent built before its first fork, so no worker ships a
+    ``trace_gen`` span home.
+    """
+    trace_path = trace_dir / spec / TRACE_FILENAME
+    if not trace_path.exists():
+        return [f"no merged trace at {trace_path}"]
+    spans = read_spans(trace_path)
+    shipped = [span for span in spans if "pid" in span.attrs]
+    failures = []
+    rebuilt = _builds(shipped)
+    if rebuilt:
+        failures.append(
+            f"workers built {len(rebuilt)} trace(s) the parent should have "
+            f"built before forking: {sorted(set(rebuilt))}"
+        )
+    parent = _builds(span for span in spans if "pid" not in span.attrs)
+    expected = _spec_recipes(spec)
+    if sorted(parent) != sorted(expected):
+        failures.append(
+            f"the parent made {len(parent)} trace_gen call(s) for the "
+            f"sweep's {len(expected)} distinct trace recipes"
+        )
+    if not failures:
+        print(f"PASS: the parent built each of the sweep's {len(expected)} "
+              f"traces once; workers built none")
+    return failures
+
+
 def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
     failures = []
     env = dict(os.environ)
@@ -267,6 +329,7 @@ def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
               f"({restarts:.0f} pool restart(s))")
 
     failures.extend(_check_merged_trace(trace_dir, spec))
+    failures.extend(_check_trace_builds(trace_dir, spec))
 
     # The rerun must answer entirely from the journal.
     rerun = subprocess.run(command + ["--trace-dir", str(rerun_dir)], env=env)
@@ -286,6 +349,11 @@ def check(spec: str, resume_dir: Path, trace_dir: Path) -> int:
         else:
             print(f"PASS: rerun replayed all {total:.0f} cells from the "
                   f"journal")
+        rebuilt = _builds(read_spans(rerun_dir / spec / TRACE_FILENAME))
+        if rebuilt:
+            failures.append(
+                f"the fully journaled rerun built {len(rebuilt)} trace(s)"
+            )
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
