@@ -10,13 +10,14 @@ whole trace in advance (the Belady-optimal cache) implement
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, FrozenSet, Optional
 
 from ..trace.reference import RefKind
 from ..trace.trace import Trace
+from ..trace.transforms import collapse_sequential_lines
 from .geometry import CacheGeometry
-from .stats import CacheStats
+from .stats import CacheStats, ExclusionEvents
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,10 @@ class AccessResult:
 
 class Cache(abc.ABC):
     """Abstract online cache simulator."""
+
+    #: The dynamic-exclusion FSM events this model counts (its own, or
+    #: its inner cache's for a wrapper); None for a model without them.
+    events: Optional[ExclusionEvents] = None
 
     def __init__(self, geometry: CacheGeometry, name: str = "") -> None:
         self.geometry = geometry
@@ -71,12 +76,20 @@ class Cache(abc.ABC):
         """Clear the cache arrays (subclass hook for :meth:`reset`)."""
 
     def simulate(self, trace: Trace) -> CacheStats:
-        """Run an entire trace through the cache and return the stats."""
+        """Run an entire trace through the cache and return the stats.
+
+        A model with FSM :attr:`events` publishes the ones this run
+        counted, as the dynamic-exclusion cache's own loop does.
+        """
+        events = self.events
+        before = replace(events) if events is not None else None
         access = self.access
         # ``kind`` is passed as a raw int (RefKind is an IntEnum) to keep
         # this hot loop cheap; no simulator branches on enum identity.
         for addr, kind in trace.pairs():
             access(addr, kind)  # type: ignore[arg-type]
+        if events is not None:
+            events.since(before).publish(trace.name, engine="reference")
         return self.stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -93,3 +106,30 @@ class OfflineCache(abc.ABC):
     @abc.abstractmethod
     def simulate(self, trace: Trace) -> CacheStats:
         """Run the whole trace and return the stats."""
+
+
+def simulate_line_events(
+    trace: Trace, line_size: int, simulate: Callable[[Trace], CacheStats]
+) -> CacheStats:
+    """The stats of a last-line buffer in front of a cold cache.
+
+    ``simulate`` runs the cache on the trace's line-reference events
+    (each run of consecutive references to one line collapsed into its
+    first, paper Section 6); the collapsed references are the buffer's
+    hits.  The cache's misses, bypasses, evictions and cold misses are
+    the wrapper's.
+    """
+    collapsed = collapse_sequential_lines(trace, line_size)
+    inner = simulate(collapsed)
+    buffer_hits = len(trace) - len(collapsed)
+    stats = CacheStats(
+        accesses=len(trace),
+        hits=inner.hits + buffer_hits,
+        misses=inner.misses,
+        bypasses=inner.bypasses,
+        evictions=inner.evictions,
+        buffer_hits=buffer_hits,
+        cold_misses=inner.cold_misses,
+    )
+    stats.check()
+    return stats

@@ -16,12 +16,12 @@ use is sooner than that.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
 from ..trace.trace import Trace
-from .base import OfflineCache
+from .base import OfflineCache, simulate_line_events
 from .geometry import CacheGeometry
 from .stats import CacheStats
 
@@ -167,27 +167,6 @@ class OptimalLastLineCache(OfflineCache):
         super().__init__(geometry, name=name or "optimal-last-line")
 
     def simulate(self, trace: Trace) -> CacheStats:
-        return self.simulate_with(trace, OptimalCache(self.geometry).simulate)
-
-    def simulate_with(
-        self, trace: Trace, belady: "Callable[[Trace], CacheStats]"
-    ) -> CacheStats:
-        """Run ``belady``, a Belady-with-bypass simulator for this
-        geometry, on the trace's line events and count the collapsed
-        references as buffer hits.  The fast engine passes its kernel."""
-        from ..trace.transforms import collapse_sequential_lines
-
-        collapsed = collapse_sequential_lines(trace, self.geometry.line_size)
-        inner = belady(collapsed)
-        buffer_hits = len(trace) - len(collapsed)
-        stats = CacheStats(
-            accesses=len(trace),
-            hits=inner.hits + buffer_hits,
-            misses=inner.misses,
-            bypasses=inner.bypasses,
-            evictions=inner.evictions,
-            buffer_hits=buffer_hits,
-            cold_misses=inner.cold_misses,
+        return simulate_line_events(
+            trace, self.geometry.line_size, OptimalCache(self.geometry).simulate
         )
-        stats.check()
-        return stats

@@ -91,6 +91,14 @@ class ExclusionEvents:
     hit_last_loads: int = 0
     exclusion_flips: int = 0
 
+    def since(self, earlier: "ExclusionEvents") -> "ExclusionEvents":
+        """The events counted after ``earlier``, a copy of these taken then."""
+        return ExclusionEvents(
+            sticky_saves=self.sticky_saves - earlier.sticky_saves,
+            hit_last_loads=self.hit_last_loads - earlier.hit_last_loads,
+            exclusion_flips=self.exclusion_flips - earlier.exclusion_flips,
+        )
+
     def as_dict(self) -> dict:
         return {
             "sticky_saves": self.sticky_saves,

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Set
+from typing import FrozenSet, Optional, Set
 
 from ..trace.reference import RefKind
 from .base import AccessResult, Cache
+from .stats import ExclusionEvents
 
 
 class WritePolicy(enum.Enum):
@@ -71,6 +72,10 @@ class WritePolicyCache(Cache):
         self.traffic = TrafficStats()
         self._offset_bits = inner.geometry.offset_bits
         self._dirty: Set[int] = set()
+
+    @property
+    def events(self) -> Optional[ExclusionEvents]:
+        return self.inner.events
 
     def _reset_state(self) -> None:
         self.inner.reset()

@@ -57,6 +57,10 @@ class IdealHitLastStore(HitLastStore):
     def reset(self) -> None:
         self._bits.clear()
 
+    def is_cold(self) -> bool:
+        """Whether no bit has been written since construction or reset."""
+        return not self._bits
+
     def __len__(self) -> int:
         return len(self._bits)
 
@@ -97,6 +101,10 @@ class HashedHitLastStore(HitLastStore):
 
     def reset(self) -> None:
         self._bits = [self.default] * self.num_bits
+
+    def is_cold(self) -> bool:
+        """Whether every bit still holds the cold default."""
+        return self._bits.count(self.default) == self.num_bits
 
 
 class L2BackedHitLastStore(HitLastStore):

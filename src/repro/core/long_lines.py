@@ -22,11 +22,24 @@ from typing import FrozenSet, List, Optional
 
 from ..caches.base import AccessResult, Cache
 from ..caches.geometry import CacheGeometry
+from ..caches.stats import CacheStats, ExclusionEvents
 from ..trace.reference import RefKind
 from .exclusion_cache import DynamicExclusionCache
 from .hitlast import HitLastStore
 
 _BUFFER_HIT = AccessResult(hit=True)
+
+
+def _count_miss(stats: CacheStats, result: AccessResult) -> None:
+    """Count a forwarded reference the inner cache missed, with the
+    inner's bypass, eviction or cold fill."""
+    stats.misses += 1
+    if result.bypassed:
+        stats.bypasses += 1
+    elif result.evicted_line is not None:
+        stats.evictions += 1
+    else:
+        stats.cold_misses += 1
 
 
 class LastLineBufferCache(Cache):
@@ -40,7 +53,8 @@ class LastLineBufferCache(Cache):
     cache, whose replacement policy decides whether the line is stored.
 
     The wrapper's stats cover all references; the inner cache's own
-    stats count only line-reference events.
+    stats count only line-reference events.  Its misses, bypasses,
+    evictions and cold misses are the inner cache's.
     """
 
     def __init__(self, inner: Cache, name: str = "") -> None:
@@ -49,9 +63,16 @@ class LastLineBufferCache(Cache):
         self._offset_bits = inner.geometry.offset_bits
         self._last_line: Optional[int] = None
 
+    @property
+    def events(self) -> Optional[ExclusionEvents]:
+        return self.inner.events
+
     def _reset_state(self) -> None:
         self.inner.reset()
         self._last_line = None
+
+    def is_empty(self) -> bool:
+        return self._last_line is None and self.inner.is_empty()
 
     def access(self, addr: int, kind: RefKind = RefKind.IFETCH) -> AccessResult:
         line = addr >> self._offset_bits
@@ -66,9 +87,7 @@ class LastLineBufferCache(Cache):
         if result.hit:
             stats.hits += 1
         else:
-            stats.misses += 1
-            if result.bypassed:
-                stats.bypasses += 1
+            _count_miss(stats, result)
         return result
 
     def resident_lines(self) -> FrozenSet[int]:
@@ -132,20 +151,20 @@ class ExclusionStreamBufferCache(Cache):
         if self._stream and self._stream[0] == line:
             # Prefetch hit: the line arrived from the next level before
             # it was needed.  The FSM still decides whether it is worth
-            # a cache frame, but no miss is charged.
+            # a cache frame, but no miss is charged; a line it displaces
+            # is still an eviction.
             stats.hits += 1
             stats.buffer_hits += 1
             self._stream.pop(0)
             self._stream.append(line + self.depth)
-            self.inner.access(addr, kind)
+            if self.inner.access(addr, kind).evicted_line is not None:
+                stats.evictions += 1
             return _BUFFER_HIT
         result = self.inner.access(addr, kind)
         if result.hit:
             stats.hits += 1
             return result
-        stats.misses += 1
-        if result.bypassed:
-            stats.bypasses += 1
+        _count_miss(stats, result)
         self._restart_stream(line)
         return result
 
@@ -190,9 +209,7 @@ class InstructionRegisterCache(Cache):
         if result.hit:
             stats.hits += 1
         else:
-            stats.misses += 1
-            if result.bypassed:
-                stats.bypasses += 1
+            _count_miss(stats, result)
         return result
 
     def resident_lines(self) -> FrozenSet[int]:

@@ -3,19 +3,23 @@
 :func:`simulate` is the one entry point the sweep/experiment layers go
 through.  Under ``engine="fast"``, the default everywhere, it consults
 the kernel registry: configurations with a set-partitioned
-kernel (:mod:`repro.perf.kernels`) — direct-mapped, dynamic exclusion
-with the ideal store, the Belady-optimal family, LRU set-associative,
-and two-level hierarchies of every hit-last strategy with one sticky
-bit and equal L1/L2 line sizes — run through it.  Everything else —
-victim caches, FIFO/random replacement, write-policy wrappers,
-non-ideal hit-last stores on a lone cache, multi-level sticky bits,
-hierarchies whose L2 lines are longer than L1's — falls back to the
-reference path, so callers never need to know which configurations are
-accelerated.  ``engine="reference"``, the per-reference loops that the
-kernels are tested against, is reached only through ``engine=``
-parameters, never a command-line flag.  Every call names the engine
-that actually ran: the ``simulate`` span's ``path`` attribute and the
-``engine.dispatch{model=,engine_used=}`` counter.
+kernel (:mod:`repro.perf.kernels`) — direct-mapped, victim caches,
+dynamic exclusion with one sticky bit and the ideal store or a hashed
+table of at least one bit per set, set-associative exclusion with one
+sticky bit and the ideal store, the Belady-optimal family, LRU
+set-associative, two-level hierarchies of every hit-last strategy with
+one sticky bit and equal L1/L2 line sizes, and a last-line buffer over
+any of the lone caches among them (the inner kernel run on the line
+events) — run through it.  Everything else — FIFO/random replacement,
+write-policy wrappers, hashed tables with fewer bits than sets,
+multi-level sticky bits, hierarchies whose L2 lines are longer than
+L1's — falls back to the reference path, so callers never need to know
+which configurations are accelerated.  ``engine="reference"``, the
+per-reference loops that the kernels are tested against, is reached
+only through ``engine=`` parameters, never a command-line flag.
+Every call names the engine that actually ran: the ``simulate`` span's
+``path`` attribute and the ``engine.dispatch{model=,engine_used=}``
+counter.
 
 Either way :func:`simulate` returns what the model's own ``simulate``
 returns: a :class:`~repro.caches.stats.CacheStats`, or a
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Dict, Optional, Union
 
-from ..caches.base import Cache, OfflineCache
+from ..caches.base import Cache, OfflineCache, simulate_line_events
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..caches.direct_mapped import DirectMappedCache
@@ -42,8 +46,11 @@ from ..caches.optimal import (
 )
 from ..caches.set_associative import SetAssociativeCache
 from ..caches.stats import CacheStats
+from ..caches.victim import VictimCache
 from ..core.exclusion_cache import DynamicExclusionCache
-from ..core.hitlast import IdealHitLastStore
+from ..core.hitlast import HashedHitLastStore, IdealHitLastStore
+from ..core.long_lines import LastLineBufferCache
+from ..core.set_assoc_exclusion import SetAssociativeExclusionCache
 from ..hierarchy.two_level import TwoLevelCache, TwoLevelResult
 from ..trace.trace import Trace
 from . import kernels
@@ -100,20 +107,59 @@ def _direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
     return lambda trace: kernels.simulate_direct_mapped(trace, geometry)
 
 
-@register_kernel(DynamicExclusionCache)
-def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    if cache.sticky_levels != 1:
-        return None
-    store = cache.store
-    if type(store) is not IdealHitLastStore or len(store) != 0:
-        return None
+@register_kernel(VictimCache)
+def _victim_kernel(cache: Simulator) -> Optional[KernelRunner]:
     if not _is_cold(cache):
         return None
     geometry = cache.geometry
+    entries = cache.entries
+    return lambda trace: kernels.simulate_victim(trace, geometry, entries)
+
+
+@register_kernel(DynamicExclusionCache)
+def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
+    if cache.sticky_levels != 1 or not _is_cold(cache):
+        return None
+    geometry = cache.geometry
+    store = cache.store
+    if type(store) is IdealHitLastStore:
+        num_bits = None
+    elif type(store) is HashedHitLastStore and store.num_bits >= geometry.num_sets:
+        # At least one bit per set: no bit is shared by two sets.
+        num_bits = store.num_bits
+    else:
+        return None
+    if not store.is_cold():
+        return None
     default = store.default
     return lambda trace: kernels.simulate_dynamic_exclusion(
+        trace, geometry, default_hit_last=default, num_bits=num_bits
+    )
+
+
+@register_kernel(SetAssociativeExclusionCache)
+def _set_associative_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
+    store = cache.store
+    if cache.sticky_levels != 1 or type(store) is not IdealHitLastStore:
+        return None
+    if not store.is_cold() or not _is_cold(cache):
+        return None
+    geometry = cache.geometry
+    default = store.default
+    return lambda trace: kernels.simulate_set_associative_exclusion(
         trace, geometry, default_hit_last=default
     )
+
+
+@register_kernel(LastLineBufferCache)
+def _last_line_buffer_kernel(cache: Simulator) -> Optional[KernelRunner]:
+    # The inner model's kernel runs on the line events; its matcher
+    # checks that the inner model is cold.
+    inner = kernel_for(cache.inner)
+    if inner is None or not _is_cold(cache):
+        return None
+    line_size = cache.geometry.line_size
+    return lambda trace: simulate_line_events(trace, line_size, inner)
 
 
 # OptimalDirectMappedCache only constrains the geometry; exact-type
@@ -127,8 +173,9 @@ def _optimal_kernel(cache: Simulator) -> Optional[KernelRunner]:
 
 @register_kernel(OptimalLastLineCache)
 def _optimal_last_line_kernel(cache: Simulator) -> Optional[KernelRunner]:
-    belady = functools.partial(kernels.simulate_belady, geometry=cache.geometry)
-    return lambda trace: cache.simulate_with(trace, belady)
+    geometry = cache.geometry
+    belady = functools.partial(kernels.simulate_belady, geometry=geometry)
+    return lambda trace: simulate_line_events(trace, geometry.line_size, belady)
 
 
 @register_kernel(SetAssociativeCache)

@@ -5,10 +5,11 @@ exactly: each set's behaviour depends only on the subsequence of
 references that map to it, and sets never interact.  Every kernel here
 goes through one seam:
 
-1. :func:`_set_partition` sorts the trace's line addresses by set index
-   (a stable argsort over a narrow integer dtype, so each set's
+1. :func:`_set_order` sorts the trace's references by set index (a
+   stable argsort over a narrow integer dtype, so each set's
    subsequence keeps its program order) and marks where each set group
-   starts;
+   starts; :func:`_set_partition` gathers the line addresses in that
+   order;
 2. :func:`_runs` compresses each group into runs of identical
    consecutive line addresses, as ``(words, lengths, new_set)`` arrays;
 3. the kernel's own decision loop runs once per run, not once per
@@ -16,9 +17,12 @@ goes through one seam:
 4. :func:`_stats` builds the :class:`~repro.caches.stats.CacheStats`
    from the loop's counts and checks it.
 
-:func:`simulate_direct_mapped` alone stops after step 1: with
-always-allocate replacement a hit is "same line as the predecessor
-within the set group", one vectorized compare.  Every kernel's result
+:func:`simulate_direct_mapped` and :func:`simulate_victim` stop after
+step 1: with always-allocate replacement a hit is "same line as the
+predecessor within the set group", one vectorized compare, and the
+victim buffer loops over the misses alone, in program order.  A last-line buffer needs no
+kernel of its own: :func:`~repro.caches.base.simulate_line_events` runs
+the inner model's kernel on the line events.  Every kernel's result
 is field-for-field identical to its reference simulator's
 (``tests/perf/test_engine_equivalence.py`` proves it differentially),
 and every result passes :meth:`~repro.caches.stats.CacheStats.check`
@@ -33,6 +37,7 @@ import numpy as np
 from ..caches.geometry import CacheGeometry
 from ..caches.optimal import NEVER, next_use_array
 from ..caches.stats import CacheStats, ExclusionEvents
+from ..core.hitlast import HashedHitLastStore
 from ..hierarchy.two_level import Strategy, TwoLevelResult
 from ..trace.trace import Trace
 
@@ -42,11 +47,11 @@ def _require_direct_mapped(geometry: CacheGeometry) -> None:
         raise ValueError("this set-partitioned kernel requires associativity 1")
 
 
-def _set_partition(trace: Trace, geometry: CacheGeometry):
-    """``(grouped_lines, new_set)``: line addresses reordered set-by-set
-    (program order preserved within a set) and the boolean mask marking
-    the first position of each set group.  Both are empty for an empty
-    trace.
+def _set_order(trace: Trace, geometry: CacheGeometry):
+    """``(order, new_set)``: the stable argsort of the trace's set
+    indices, which lists each set's positions in program order, set by
+    set, and the boolean mask marking the first position of each set
+    group in that order.  Both are empty for an empty trace.
 
     The set indices are narrowed to the smallest integer dtype before
     the stable argsort — numpy's radix sort is per-byte, so sorting
@@ -64,7 +69,15 @@ def _set_partition(trace: Trace, geometry: CacheGeometry):
     new_set = np.empty(len(lines), dtype=bool)
     new_set[:1] = True
     np.not_equal(grouped_sets[1:], grouped_sets[:-1], out=new_set[1:])
-    return lines[order], new_set
+    return order, new_set
+
+
+def _set_partition(trace: Trace, geometry: CacheGeometry):
+    """``(grouped_lines, new_set)``: line addresses reordered set-by-set
+    (program order preserved within a set) and the boolean mask marking
+    the first position of each set group."""
+    order, new_set = _set_order(trace, geometry)
+    return trace.lines(geometry.offset_bits)[order], new_set
 
 
 def _runs(trace: Trace, geometry: CacheGeometry):
@@ -81,7 +94,12 @@ def _runs(trace: Trace, geometry: CacheGeometry):
 
 
 def _stats(
-    n: int, hits: int, cold: int, evictions: int, bypasses: int = 0
+    n: int,
+    hits: int,
+    cold: int,
+    evictions: int,
+    bypasses: int = 0,
+    buffer_hits: int = 0,
 ) -> CacheStats:
     """A kernel's checked :class:`CacheStats` over ``n`` references."""
     stats = CacheStats(
@@ -90,6 +108,7 @@ def _stats(
         misses=n - hits,
         bypasses=bypasses,
         evictions=evictions,
+        buffer_hits=buffer_hits,
         cold_misses=cold,
     )
     stats.check()
@@ -113,20 +132,85 @@ def simulate_direct_mapped(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     return _stats(n, hits, cold, n - hits - cold)
 
 
+def simulate_victim(
+    trace: Trace, geometry: CacheGeometry, entries: int
+) -> CacheStats:
+    """Direct-mapped partition plus a loop over the L1 misses.
+
+    Models :class:`~repro.caches.victim.VictimCache`: a cold
+    direct-mapped L1 behind an ``entries``-deep LRU victim buffer.  L1
+    always takes the referenced line, on a miss and on a buffer hit
+    alike, so it holds what an always-allocate direct-mapped cache
+    holds: a reference misses L1 exactly when it differs from its
+    predecessor in its set group, and that predecessor is the line the
+    miss displaces into the buffer.  The first reference of a group is
+    a cold miss that displaces nothing, and a line never sits in L1
+    and the buffer at once.  Only the buffer needs program order: one
+    pass over the displacing misses runs it, and a miss that finds its
+    line there is a buffer hit.
+    """
+    _require_direct_mapped(geometry)
+    n = len(trace)
+    lines = trace.lines(geometry.offset_bits)
+    order, new_set = _set_order(trace, geometry)
+    grouped_lines = lines[order]
+    # Scatter each grouped position's flags and predecessor back to
+    # program order.
+    displacing = np.zeros(n, dtype=bool)
+    displacing[order[1:]] = (grouped_lines[1:] != grouped_lines[:-1]) & ~new_set[1:]
+    displaced = np.empty(n, dtype=lines.dtype)
+    displaced[order[1:]] = grouped_lines[:-1]
+    miss_lines = lines[displacing].tolist()
+    miss_victims = displaced[displacing].tolist()
+
+    # line -> None, least recently inserted first.
+    buffer: "dict[int, None]" = {}
+    buffer_hits = 0
+    for line, victim in zip(miss_lines, miss_victims):
+        if line in buffer:
+            del buffer[line]
+            buffer_hits += 1
+        elif len(buffer) == entries:
+            del buffer[next(iter(buffer))]
+        buffer[victim] = None
+    cold = int(np.count_nonzero(new_set))
+    l1_hits = n - cold - len(miss_lines)
+    return _stats(
+        n,
+        l1_hits + buffer_hits,
+        cold,
+        len(miss_lines) - buffer_hits,
+        buffer_hits=buffer_hits,
+    )
+
+
 def simulate_dynamic_exclusion(
     trace: Trace,
     geometry: CacheGeometry,
     default_hit_last: bool = True,
+    num_bits: "int | None" = None,
 ) -> CacheStats:
     """Run-compressed dynamic-exclusion simulation.
 
     Models :class:`~repro.core.exclusion_cache.DynamicExclusionCache`
-    with an :class:`~repro.core.hitlast.IdealHitLastStore` (cold value
-    ``default_hit_last``) and ``sticky_levels=1``, starting from a cold
-    cache and an empty store.
+    with ``sticky_levels=1``, starting from a cold cache and a fresh
+    store whose cold value is ``default_hit_last``: an
+    :class:`~repro.core.hitlast.IdealHitLastStore` when ``num_bits`` is
+    None, else a :class:`~repro.core.hitlast.HashedHitLastStore` of
+    ``num_bits`` bits.  The hashed table keys a word's bit by
+    ``word & (num_bits - 1)``; with at least one bit per set, words that
+    share a bit share a set, so each set group still runs alone.
     """
     _require_direct_mapped(geometry)
-    run_words, run_lengths, run_new_set = (a.tolist() for a in _runs(trace, geometry))
+    words, lengths, new_set = _runs(trace, geometry)
+    run_words = words.tolist()
+    # Each run's key into the store: the word itself, or its low bits.
+    run_keys = run_words
+    if num_bits is not None:
+        HashedHitLastStore.validate(num_bits)
+        if num_bits < geometry.num_sets:
+            raise ValueError("the hashed kernel needs at least one bit per set")
+        run_keys = (words & np.uint64(num_bits - 1)).tolist()
 
     bits: "dict[int, bool]" = {}
     bits_get = bits.get
@@ -139,10 +223,12 @@ def simulate_dynamic_exclusion(
     # Per-set FSM registers (sticky_levels == 1 throughout).  The store
     # is touched only on replacement decisions, so the dict costs scale
     # with conflict traffic, not trace length.
-    resident = -1
+    resident = resident_key = -1
     sticky = 0
     hit_last = False
-    for word, length, starts_set in zip(run_words, run_lengths, run_new_set):
+    for word, key, length, starts_set in zip(
+        run_words, run_keys, lengths.tolist(), new_set.tolist()
+    ):
         if starts_set:
             resident = -1
             sticky = 0
@@ -156,29 +242,29 @@ def simulate_dynamic_exclusion(
             # Cold set: allocate, then k-1 hits.
             cold += 1
             hits += length - 1
-            resident = word
+            resident, resident_key = word, key
             sticky = 1
             hit_last = True
         elif sticky == 0:
             # Unsticky resident: replace (write back its hl copy) with
             # the optimistic hl=1 start, then k-1 hits.
-            if bits_get(resident, default_hit_last) != hit_last:
+            if bits_get(resident_key, default_hit_last) != hit_last:
                 flips += 1
-            bits[resident] = hit_last
+            bits[resident_key] = hit_last
             evictions += 1
             hits += length - 1
-            resident = word
+            resident, resident_key = word, key
             sticky = 1
             hit_last = True
-        elif bits_get(word, default_hit_last):
+        elif bits_get(key, default_hit_last):
             # Sticky resident loses to a hit-last word: replace with the
             # pessimistic hl=0 start; any repeat is a hit (hl back to 1).
             hit_last_loads += 1
-            if bits_get(resident, default_hit_last) != hit_last:
+            if bits_get(resident_key, default_hit_last) != hit_last:
                 flips += 1
-            bits[resident] = hit_last
+            bits[resident_key] = hit_last
             evictions += 1
-            resident = word
+            resident, resident_key = word, key
             sticky = 1
             if length > 1:
                 hits += length - 1
@@ -191,12 +277,12 @@ def simulate_dynamic_exclusion(
             bypasses += 1
             sticky = 0
             if length > 1:
-                if bits_get(resident, default_hit_last) != hit_last:
+                if bits_get(resident_key, default_hit_last) != hit_last:
                     flips += 1
-                bits[resident] = hit_last
+                bits[resident_key] = hit_last
                 evictions += 1
                 hits += length - 2
-                resident = word
+                resident, resident_key = word, key
                 sticky = 1
                 hit_last = True
     ExclusionEvents(
@@ -332,6 +418,78 @@ def simulate_lru(trace: Trace, geometry: CacheGeometry) -> CacheStats:
             recency[word] = None
             hits += length - 1
     return _stats(len(trace), hits, cold, evictions)
+
+
+def simulate_set_associative_exclusion(
+    trace: Trace, geometry: CacheGeometry, default_hit_last: bool = True
+) -> CacheStats:
+    """Set-associative dynamic exclusion over run-compressed set groups.
+
+    Models :class:`~repro.core.set_assoc_exclusion.SetAssociativeExclusionCache`
+    with ``sticky_levels=1`` and a fresh
+    :class:`~repro.core.hitlast.IdealHitLastStore` (cold value
+    ``default_hit_last``) at any associativity.  Each set is a dict
+    from resident word to its hit-last copy, least recently used first,
+    as in :func:`simulate_lru`: the LRU way is the first key.  Every way
+    is sticky except possibly the LRU one, because only a bypass clears
+    a sticky bit, a bypass clears the LRU way's and leaves the order
+    alone, and every touch sets the touched way's sticky bit.  So one
+    word per set, ``unsticky``, carries the sticky state.  Runs follow
+    :func:`simulate_dynamic_exclusion`: a bypass leaves the LRU way
+    unsticky, so a run's second reference replaces it.  At
+    associativity 1 the result equals that kernel's.
+    """
+    run_words, run_lengths, run_new_set = (a.tolist() for a in _runs(trace, geometry))
+
+    ways = geometry.associativity
+    bits: "dict[int, bool]" = {}
+    bits_get = bits.get
+    hits = cold = evictions = bypasses = 0
+    content: "dict[int, bool]" = {}
+    unsticky = -1
+    for word, length, starts_set in zip(run_words, run_lengths, run_new_set):
+        if starts_set:
+            content = {}
+            unsticky = -1
+        if word in content:
+            # k hits: move to MRU, sticky, hl copy set.
+            hits += length
+            del content[word]
+            content[word] = True
+            if word == unsticky:
+                unsticky = -1
+        elif len(content) < ways:
+            # Empty way: fill, then k-1 hits.
+            cold += 1
+            hits += length - 1
+            content[word] = True
+        else:
+            victim = next(iter(content))
+            if victim == unsticky:
+                # Unsticky LRU way: replace with the optimistic hl=1.
+                bits[victim] = content.pop(victim)
+                evictions += 1
+                hits += length - 1
+                content[word] = True
+                unsticky = -1
+            elif bits_get(word, default_hit_last):
+                # Hit-last gate: replace with hl=0; a repeat hits.
+                bits[victim] = content.pop(victim)
+                evictions += 1
+                hits += length - 1
+                content[word] = length > 1
+            else:
+                # Sticky LRU way wins: bypass and clear its sticky bit;
+                # a repeat then replaces it and the rest hit.
+                bypasses += 1
+                if length > 1:
+                    bits[victim] = content.pop(victim)
+                    evictions += 1
+                    hits += length - 2
+                    content[word] = True
+                else:
+                    unsticky = victim
+    return _stats(len(trace), hits, cold, evictions, bypasses)
 
 
 def simulate_two_level(

@@ -40,6 +40,8 @@ def test_wrapper_equals_de_on_collapsed_trace(addrs, default):
     ).simulate(collapsed)
     assert wrapped.misses == plain.misses
     assert wrapped.bypasses == plain.bypasses
+    assert wrapped.evictions == plain.evictions
+    assert wrapped.cold_misses == plain.cold_misses
     assert wrapped.buffer_hits == len(trace) - len(collapsed)
 
 

@@ -13,6 +13,7 @@ from repro.core.long_lines import (
 )
 from repro.trace.reference import RefKind
 from repro.trace.trace import Trace
+from repro.workloads.registry import instruction_trace
 
 
 def itrace(addrs):
@@ -93,6 +94,18 @@ class TestLastLineBuffer:
         stats = wrapped.simulate(itrace([0, 4, 8, 12]))
         assert stats.misses == 1
 
+    def test_forwards_evictions_and_cold_misses(self):
+        # Every miss of the wrapper is an inner miss, so the inner's
+        # bypasses, evictions and cold fills are the wrapper's too.
+        trace = instruction_trace("gcc", 20_000)
+        cache = make_long_line_exclusion_cache(CacheGeometry(8 * 1024, 16))
+        stats = cache.simulate(trace)
+        inner = cache.inner.stats
+        assert stats.evictions == inner.evictions > 0
+        assert stats.cold_misses == inner.cold_misses > 0
+        assert stats.bypasses == inner.bypasses > 0
+        assert stats.misses == inner.misses
+
 
 def geometry_lines(cache):
     return set(cache.resident_lines())
@@ -127,3 +140,11 @@ class TestInstructionRegister:
         cache.access(0)
         cache.reset()
         assert cache.stats.accesses == 0
+
+    def test_forwards_evictions_and_cold_misses(self):
+        cache = InstructionRegisterCache(DynamicExclusionCache(CacheGeometry(64, 16)))
+        stats = cache.simulate(itrace([0, 4, 64, 68, 0, 128, 0, 192, 0]))
+        inner = cache.inner.stats
+        assert stats.evictions == inner.evictions > 0
+        assert stats.cold_misses == inner.cold_misses == 1
+        stats.check()

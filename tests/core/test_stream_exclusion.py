@@ -69,6 +69,17 @@ class TestBasics:
         stats = make_cache().simulate(itrace(addrs))
         stats.check()
 
+    def test_forwards_evictions_and_cold_misses(self):
+        cache = make_cache()
+        # Lines 1-4 arrive as prefetch hits; line 4 displaces line 0.
+        stats = cache.simulate(itrace([0, 16, 32, 48, 64, 0, 128]))
+        inner = cache.inner.stats
+        # Every inner eviction is the wrapper's, a prefetch hit's too,
+        # but only a miss that fills an empty frame is a cold miss.
+        assert stats.evictions == inner.evictions > 0
+        assert stats.cold_misses == 1 < inner.cold_misses
+        stats.check()
+
     def test_reset(self):
         cache = make_cache()
         cache.simulate(itrace([0, 16, 32]))

@@ -4,7 +4,10 @@ Every supported configuration is checked for field-for-field
 :class:`~repro.caches.stats.CacheStats` equality on all ten SPEC
 analogue traces and on seeded random traces, across three geometries
 (1KB / 32KB / 256KB at b=4) and — for the associativity-capable models
-(Belady, LRU) — associativities 1, 2, and 4.  Two-level hierarchies are
+(Belady, LRU, set-associative exclusion) — associativities 1, 2, and
+4.  Victim caches run with 1 and 4 entries, hashed hit-last tables
+with 1, 4 and 16 bits per line, and the last-line buffer at 16 and
+32 B lines over the ideal and the hashed store.  Two-level hierarchies are
 checked for :class:`~repro.hierarchy.two_level.TwoLevelResult` equality
 for every strategy at 1KB / 32KB L1s and L2/L1 ratios 1, 4 and 64.
 Unsupported configurations must fall back to the reference engine
@@ -26,7 +29,10 @@ from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.victim import VictimCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
+from repro.core.long_lines import LastLineBufferCache
+from repro.core.set_assoc_exclusion import SetAssociativeExclusionCache
 from repro.experiments import ext_split
+from repro.experiments.common import StandardFactory
 from repro.experiments.ext_split import SplitEvaluator, SplitFactory, SplitPair
 from repro.experiments.ext_traffic import TrafficEvaluator, TrafficFactory
 from repro.experiments.hierarchy_sweep import HierarchyEvaluator, HierarchyFactory
@@ -107,6 +113,56 @@ class TestSpecEquivalence:
         fast = engine.simulate(SetAssociativeCache(shaped), trace, engine="fast")
         assert fast == reference
 
+    @pytest.mark.parametrize("entries", [1, 4])
+    def test_victim(self, name, geometry, entries):
+        assert_kernel_matches(
+            lambda: VictimCache(geometry, entries=entries), spec_trace(name)
+        )
+
+    @pytest.mark.parametrize("default", [True, False])
+    @pytest.mark.parametrize("ways", ASSOCIATIVITIES)
+    def test_set_associative_exclusion(self, name, geometry, ways, default):
+        shaped = CacheGeometry(geometry.size, geometry.line_size, associativity=ways)
+        assert_kernel_matches(
+            lambda: SetAssociativeExclusionCache(
+                shaped, store=IdealHitLastStore(default=default)
+            ),
+            spec_trace(name),
+        )
+
+    @pytest.mark.parametrize("bits_per_line", [1, 4, 16])
+    def test_hashed_dynamic_exclusion(self, name, geometry, bits_per_line):
+        assert_kernel_matches(
+            lambda: hashed_exclusion(geometry, bits_per_line), spec_trace(name)
+        )
+
+    @pytest.mark.parametrize("store", ["ideal", "hashed"])
+    @pytest.mark.parametrize("line_size", [16, 32])
+    def test_last_line(self, name, geometry, line_size, store):
+        shaped = CacheGeometry(geometry.size, line_size)
+
+        def inner():
+            if store == "ideal":
+                return DynamicExclusionCache(shaped, store=IdealHitLastStore())
+            return hashed_exclusion(shaped, 4)
+
+        assert_kernel_matches(
+            lambda: LastLineBufferCache(inner()), spec_trace(name)
+        )
+
+
+def assert_kernel_matches(build, trace):
+    """The kernel of a fresh ``build()`` runs and equals its reference."""
+    model = build()
+    assert engine.has_kernel(model)
+    assert engine.simulate(model, trace, engine="fast") == build().simulate(trace)
+
+
+def hashed_exclusion(geometry, bits_per_line):
+    """DE over a hashed table of ``bits_per_line`` bits per cache line."""
+    store = HashedHitLastStore(int(geometry.num_lines * bits_per_line))
+    return DynamicExclusionCache(geometry, store=store)
+
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=geometry_id)
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -164,6 +220,45 @@ class TestRandomEquivalence:
         assert (
             engine.simulate(SetAssociativeCache(shaped), trace, engine="fast")
             == reference
+        )
+
+    def _runs_trace(self, seed):
+        """Runs of one to four references to 4096 words: repeats exercise
+        run compression, and a 1KB cache sees dense conflicts."""
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 4096, size=2_000)
+        repeats = rng.integers(1, 5, size=2_000)
+        addrs = (np.repeat(words, repeats) * 4).tolist()
+        return Trace(addrs, [0] * len(addrs))
+
+    @pytest.mark.parametrize("entries", [1, 4])
+    def test_victim(self, seed, geometry, entries):
+        assert_kernel_matches(
+            lambda: VictimCache(geometry, entries=entries), self._runs_trace(seed)
+        )
+
+    @pytest.mark.parametrize("default", [True, False])
+    @pytest.mark.parametrize("ways", ASSOCIATIVITIES)
+    def test_set_associative_exclusion(self, seed, geometry, ways, default):
+        shaped = CacheGeometry(geometry.size, geometry.line_size, associativity=ways)
+        assert_kernel_matches(
+            lambda: SetAssociativeExclusionCache(
+                shaped, store=IdealHitLastStore(default=default)
+            ),
+            self._runs_trace(seed),
+        )
+
+    @pytest.mark.parametrize("bits_per_line", [1, 4])
+    def test_hashed_dynamic_exclusion(self, seed, geometry, bits_per_line):
+        assert_kernel_matches(
+            lambda: hashed_exclusion(geometry, bits_per_line), self._runs_trace(seed)
+        )
+
+    def test_last_line(self, seed, geometry):
+        shaped = CacheGeometry(geometry.size, 16)
+        assert_kernel_matches(
+            lambda: LastLineBufferCache(hashed_exclusion(shaped, 1)),
+            self._runs_trace(seed),
         )
 
 
@@ -309,6 +404,20 @@ class TestEvaluatorDispatch:
         TrafficEvaluator()(TrafficFactory("direct-mapped")(4096), trace, "fast")
         assert self.dispatched(registry) == {("WritePolicyCache", "reference"): 1}
 
+    def test_last_line_exclusion_cells_publish_fsm_events(self, registry):
+        # fig11-13 wrap DE in a last-line buffer, which the kernel runs;
+        # ext-traffic wraps that in a write-policy cache, which runs the
+        # reference loop.  Both publish the wrapped DE's events.
+        trace = mixed_trace("gcc", 5_000)
+        engine.simulate(StandardFactory("dynamic-exclusion", 16)(8192), trace)
+        TrafficEvaluator()(TrafficFactory("dynamic-exclusion")(8192), trace, "fast")
+        assert self.dispatched(registry) == {
+            ("LastLineBufferCache", "fast"): 1,
+            ("WritePolicyCache", "reference"): 1,
+        }
+        assert registry.total("fsm.sticky_saves", engine="fast") > 0
+        assert registry.total("fsm.sticky_saves", engine="reference") > 0
+
 
 class TestKernelRegistry:
     def test_supported_configurations(self):
@@ -330,16 +439,31 @@ class TestKernelRegistry:
         )
         for strategy in Strategy:
             assert engine.has_kernel(hierarchy(1, 64, strategy))
+        assert engine.has_kernel(VictimCache(geometry, entries=4))
+        # A hashed table with one bit per set is the smallest eligible.
+        assert engine.has_kernel(
+            DynamicExclusionCache(geometry, store=HashedHitLastStore(256))
+        )
+        assert engine.has_kernel(
+            SetAssociativeExclusionCache(CacheGeometry(1024, 4, associativity=2))
+        )
+        assert engine.has_kernel(
+            LastLineBufferCache(DynamicExclusionCache(CacheGeometry(1024, 16)))
+        )
+        assert engine.has_kernel(LastLineBufferCache(DirectMappedCache(geometry)))
 
     def test_registered_kernel_types(self):
         assert set(engine.registered_kernel_types()) == {
             DirectMappedCache,
             DynamicExclusionCache,
+            LastLineBufferCache,
             OptimalCache,
             OptimalDirectMappedCache,
             OptimalLastLineCache,
             SetAssociativeCache,
+            SetAssociativeExclusionCache,
             TwoLevelCache,
+            VictimCache,
         }
 
     def test_multi_sticky_falls_back(self):
@@ -356,12 +480,20 @@ class TestKernelRegistry:
         assert cache.stats.accesses == 200
 
     def test_victim_cache_falls_back(self):
-        cache = VictimCache(CacheGeometry(1024, 4), entries=4)
+        # Only a cold victim cache has a kernel; a warm one (here with a
+        # line in its buffer) runs the reference and keeps its state.
+        def warm():
+            cache = VictimCache(CacheGeometry(1024, 4), entries=4)
+            cache.access(0)
+            cache.access(1024)
+            return cache
+
+        cache = warm()
         assert not engine.has_kernel(cache)
-        trace = Trace([0, 1024] * 20, [0] * 40)
+        trace = Trace([0, 1024, 2048] * 20, [0] * 60)
         fast = engine.simulate(cache, trace, engine="fast")
-        reference = VictimCache(CacheGeometry(1024, 4), entries=4).simulate(trace)
-        assert fast == reference
+        assert fast == warm().simulate(trace)
+        assert fast is cache.stats
 
     def test_non_lru_set_associative_falls_back(self):
         geometry = CacheGeometry(1024, 4, associativity=2)
@@ -384,11 +516,51 @@ class TestKernelRegistry:
         )
 
     def test_hashed_store_falls_back(self):
+        geometry = CacheGeometry(1024, 4)  # 256 sets
+        # Half a bit per line, as in ext-hashed: two sets share a bit,
+        # so the sets no longer run independently.
+        small = DynamicExclusionCache(geometry, store=HashedHitLastStore(128))
+        assert not engine.has_kernel(small)
+        trace = Trace([0, 1024, 512, 1536] * 20, [0] * 80)
+        assert engine.simulate(small, trace, engine="fast") == DynamicExclusionCache(
+            geometry, store=HashedHitLastStore(128)
+        ).simulate(trace)
+        # A table that already holds a written bit is not cold.
+        touched = HashedHitLastStore(1024)
+        touched.update(7, False)
+        assert not engine.has_kernel(DynamicExclusionCache(geometry, store=touched))
+
+    def test_set_associative_exclusion_falls_back(self):
+        geometry = CacheGeometry(1024, 4, associativity=2)
         assert not engine.has_kernel(
-            DynamicExclusionCache(
-                CacheGeometry(1024, 4), store=HashedHitLastStore(256)
-            )
+            SetAssociativeExclusionCache(geometry, sticky_levels=2)
         )
+        assert not engine.has_kernel(
+            SetAssociativeExclusionCache(geometry, store=HashedHitLastStore(512))
+        )
+        prefilled = IdealHitLastStore()
+        prefilled.update(7, False)
+        assert not engine.has_kernel(
+            SetAssociativeExclusionCache(geometry, store=prefilled)
+        )
+
+    def test_last_line_falls_back_with_its_inner_model(self):
+        geometry = CacheGeometry(1024, 16)
+
+        def build():
+            return LastLineBufferCache(
+                DynamicExclusionCache(geometry, sticky_levels=2)
+            )
+
+        wrapper = build()
+        assert not engine.has_kernel(wrapper)
+        trace = Trace([0, 4, 1024, 1028, 0, 2048] * 20, [0] * 120)
+        assert engine.simulate(wrapper, trace, engine="fast") == build().simulate(trace)
+        # A warm wrapper over a cold inner model falls back as well.
+        warm = LastLineBufferCache(DynamicExclusionCache(geometry))
+        warm.access(0)
+        warm.inner.reset()
+        assert not engine.has_kernel(warm)
 
     def test_warm_cache_falls_back(self):
         cache = DirectMappedCache(CacheGeometry(1024, 4))

@@ -12,7 +12,8 @@ Two invariants, enforced over randomly generated traces and geometries:
 
 An empty trace, which the random traces reach only by chance, also
 gets its own check: equal results and equal ``fsm.*`` series on both
-engines for every registered type.
+engines for every registered type.  A benchmark trace checks the
+series' values too.
 
 Two-level hierarchies get their own property over all five hit-last
 strategies at tiny geometries, where L1 and L2 conflicts are dense.
@@ -30,13 +31,17 @@ from repro.caches.optimal import (
     OptimalLastLineCache,
 )
 from repro.caches.set_associative import SetAssociativeCache
+from repro.caches.victim import VictimCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
+from repro.core.long_lines import LastLineBufferCache
+from repro.core.set_assoc_exclusion import SetAssociativeExclusionCache
 from repro.hierarchy.two_level import Strategy, TwoLevelCache
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import engine
 from repro.trace.trace import Trace
+from repro.workloads.registry import instruction_trace
 
 def _direct_mapped(geometry):
     return CacheGeometry(geometry.size, geometry.line_size)
@@ -58,6 +63,16 @@ FACTORIES = {
         _direct_mapped(g),
         CacheGeometry(g.size * 4, g.line_size),
         strategy="assume-miss",
+    ),
+    VictimCache: lambda g: VictimCache(_direct_mapped(g), entries=2),
+    SetAssociativeExclusionCache: lambda g: SetAssociativeExclusionCache(
+        g, store=IdealHitLastStore(default=False)
+    ),
+    LastLineBufferCache: lambda g: LastLineBufferCache(
+        DynamicExclusionCache(
+            _direct_mapped(g),
+            store=HashedHitLastStore(_direct_mapped(g).num_lines),
+        )
     ),
 }
 
@@ -107,6 +122,36 @@ def test_empty_trace_is_equal_on_both_engines(model_type):
     fast = _run_empty(factory(GEOMETRIES[0]), "fast")
     reference = _run_empty(factory(GEOMETRIES[0]), "reference")
     assert fast == reference
+
+
+def _run_counted(model, trace, engine_name):
+    """The ``fsm.*`` counts a run published, keyed by series name and
+    benchmark; the engine label is left out, so both engines compare."""
+    registry = obs_metrics.install_registry(MetricsRegistry())
+    try:
+        engine.simulate(model, trace, engine=engine_name)
+    finally:
+        obs_metrics.uninstall_registry()
+    counts = {}
+    for entry in registry.export():
+        if entry["name"].startswith("fsm."):
+            assert entry["labels"]["engine"] == engine_name
+            counts[entry["name"], entry["labels"]["benchmark"]] = entry["value"]
+    return counts
+
+
+@pytest.mark.parametrize("model_type", list(FACTORIES), ids=lambda t: t.__name__)
+def test_fsm_counts_are_equal_on_both_engines(model_type):
+    geometry = CacheGeometry(1024, 16, associativity=2)
+    trace = instruction_trace("gcc", 20_000)
+    fast = _run_counted(FACTORIES[model_type](geometry), trace, "fast")
+    reference = _run_counted(FACTORIES[model_type](geometry), trace, "reference")
+    assert fast == reference
+    publishes = model_type in (DynamicExclusionCache, LastLineBufferCache)
+    assert bool(fast) == publishes
+    if publishes:
+        # The mechanism fires on this trace, so equal counts say something.
+        assert fast["fsm.sticky_saves", "gcc"] > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,12 +217,38 @@ def test_two_level_fast_equals_reference_for_every_strategy(
         assert engine.simulate(model, trace, engine="fast") == build().simulate(trace)
 
 
+@settings(max_examples=100, deadline=None)
+@given(trace=dense_traces, bits_per_set=st.sampled_from([1, 2, 4]))
+def test_hashed_dynamic_exclusion_fast_equals_reference(trace, bits_per_set):
+    # Eight words per set share 1-4 bits of the table: collisions in
+    # every set, but never across sets.
+    geometry = CacheGeometry(64, 4)
+
+    def build():
+        store = HashedHitLastStore(geometry.num_sets * bits_per_set)
+        return DynamicExclusionCache(geometry, store=store)
+
+    model = build()
+    assert engine.has_kernel(model)
+    assert engine.simulate(model, trace, engine="fast") == build().simulate(trace)
+
+
 def test_unsupported_stores_and_policies_fall_back():
     geometry = GEOMETRIES[0]
+    # Fewer hashed bits (8) than sets (16): a bit spans two sets.
     assert not engine.has_kernel(
-        DynamicExclusionCache(geometry, store=HashedHitLastStore(64))
+        DynamicExclusionCache(geometry, store=HashedHitLastStore(8))
     )
     assert not engine.has_kernel(DynamicExclusionCache(geometry, sticky_levels=2))
+    assert not engine.has_kernel(
+        SetAssociativeExclusionCache(geometry, store=HashedHitLastStore(64))
+    )
+    assert not engine.has_kernel(
+        SetAssociativeExclusionCache(geometry, sticky_levels=2)
+    )
+    assert not engine.has_kernel(
+        LastLineBufferCache(DynamicExclusionCache(geometry, sticky_levels=2))
+    )
     assert not engine.has_kernel(SetAssociativeCache(geometry, policy="fifo"))
     assert not engine.has_kernel(SetAssociativeCache(geometry, policy="random"))
     assert not engine.has_kernel(
