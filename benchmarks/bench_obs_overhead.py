@@ -54,7 +54,7 @@ def _measure(make_cache, trace, tmp_path):
     drift (CPU contention, thermal) hits both sides equally."""
     tracer = obs.Tracer(tmp_path)
     registry = MetricsRegistry()
-    # Warm both paths (trace cache, numpy kernels, first-span file open)
+    # Warm both paths (trace cache, kernel library, first-span file open)
     # outside the timed region.
     _round_seconds(make_cache, trace)
     obs.install_tracer(tracer)

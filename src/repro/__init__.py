@@ -13,7 +13,7 @@ The package is organised as:
 * :mod:`repro.hierarchy` — two-level hierarchies with the Section-5
   hit-last storage strategies;
 * :mod:`repro.analysis` — 3C classification, sweeps, tables, charts;
-* :mod:`repro.perf` — fast set-partitioned simulation kernels, engine
+* :mod:`repro.perf` — fast compiled simulation kernels, engine
   dispatch, and the process-parallel sweep runner;
 * :mod:`repro.experiments` — one module per paper figure/table, plus a
   CLI (``python -m repro.experiments``).

@@ -5,7 +5,7 @@ set of traces, collecting miss rates into a
 :class:`SweepResult` that the report/plot modules can render directly.
 
 Sweeps execute through :mod:`repro.perf`: the ``engine`` argument picks
-the fast set-partitioned kernels or the reference simulators (results
+the fast compiled kernels or the reference simulators (results
 are identical), and ``workers`` fans the independent (parameter,
 policy, trace) cells out to fleet workers.  Traces may be given as
 :class:`~repro.trace.trace.Trace` objects or as cheap

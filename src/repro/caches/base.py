@@ -38,6 +38,18 @@ class AccessResult:
         return not self.hit
 
 
+def count_miss(stats: CacheStats, result: AccessResult) -> None:
+    """Count, for a wrapper, a reference its inner cache missed, with the
+    inner's bypass, eviction or cold fill."""
+    stats.misses += 1
+    if result.bypassed:
+        stats.bypasses += 1
+    elif result.evicted_line is not None:
+        stats.evictions += 1
+    else:
+        stats.cold_misses += 1
+
+
 class Cache(abc.ABC):
     """Abstract online cache simulator."""
 

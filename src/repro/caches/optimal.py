@@ -46,27 +46,6 @@ def next_use_times(line_addrs: "np.ndarray | List[int]") -> List[int]:
     return next_use
 
 
-def next_use_array(lines: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`next_use_times` over a line-address array.
-
-    A stable argsort groups the positions of each distinct line in
-    increasing order, so within a group each position's next use is
-    simply its successor; the last position of every group keeps
-    :data:`NEVER`.  ``NEVER`` (``sys.maxsize``) is exactly ``int64``
-    max, so the sentinel survives the dtype round-trip and compares
-    identically to the Python implementation's.
-    """
-    n = int(lines.shape[0])
-    next_use = np.full(n, NEVER, dtype=np.int64)
-    if n == 0:
-        return next_use
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    same = sorted_lines[1:] == sorted_lines[:-1]
-    next_use[order[:-1][same]] = order[1:][same]
-    return next_use
-
-
 class OptimalCache(OfflineCache):
     """Belady replacement with bypass, any associativity."""
 

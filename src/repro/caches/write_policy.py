@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Set
 
 from ..trace.reference import RefKind
-from .base import AccessResult, Cache
+from .base import AccessResult, Cache, count_miss
 from .stats import ExclusionEvents
 
 
@@ -112,17 +112,13 @@ class WritePolicyCache(Cache):
         if result.hit:
             stats.hits += 1
         else:
-            stats.misses += 1
-            if result.bypassed:
-                stats.bypasses += 1
-                # Exclusion avoids *storing* the line, not fetching it:
-                # a bypassed load/ifetch still transfers the line (the
-                # word goes to the CPU, long lines to the side buffer).
-                # A bypassed store writes its word instead.
-                if is_store:
-                    self.traffic.words_written_through += 1
-                else:
-                    self.traffic.lines_fetched += 1
+            count_miss(stats, result)
+            # Exclusion avoids *storing* the line, not fetching it: a
+            # bypassed load/ifetch still transfers the line (the word
+            # goes to the CPU, long lines to the side buffer).  A
+            # bypassed store writes its word instead.
+            if result.bypassed and is_store:
+                self.traffic.words_written_through += 1
             else:
                 self.traffic.lines_fetched += 1
         if is_store and self.policy is WritePolicy.WRITE_BACK:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional
 
-from ..caches.base import AccessResult, Cache
+from ..caches.base import AccessResult, Cache, count_miss
 from ..caches.geometry import CacheGeometry
 from ..caches.stats import CacheStats, ExclusionEvents
 from ..trace.reference import RefKind
@@ -28,18 +28,6 @@ from .exclusion_cache import DynamicExclusionCache
 from .hitlast import HitLastStore
 
 _BUFFER_HIT = AccessResult(hit=True)
-
-
-def _count_miss(stats: CacheStats, result: AccessResult) -> None:
-    """Count a forwarded reference the inner cache missed, with the
-    inner's bypass, eviction or cold fill."""
-    stats.misses += 1
-    if result.bypassed:
-        stats.bypasses += 1
-    elif result.evicted_line is not None:
-        stats.evictions += 1
-    else:
-        stats.cold_misses += 1
 
 
 class LastLineBufferCache(Cache):
@@ -87,7 +75,7 @@ class LastLineBufferCache(Cache):
         if result.hit:
             stats.hits += 1
         else:
-            _count_miss(stats, result)
+            count_miss(stats, result)
         return result
 
     def resident_lines(self) -> FrozenSet[int]:
@@ -164,7 +152,7 @@ class ExclusionStreamBufferCache(Cache):
         if result.hit:
             stats.hits += 1
             return result
-        _count_miss(stats, result)
+        count_miss(stats, result)
         self._restart_stream(line)
         return result
 
@@ -209,7 +197,7 @@ class InstructionRegisterCache(Cache):
         if result.hit:
             stats.hits += 1
         else:
-            _count_miss(stats, result)
+            count_miss(stats, result)
         return result
 
     def resident_lines(self) -> FrozenSet[int]:

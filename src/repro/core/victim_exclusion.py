@@ -24,6 +24,7 @@ from typing import FrozenSet, Optional
 
 from ..caches.base import AccessResult, Cache
 from ..caches.geometry import CacheGeometry
+from ..caches.stats import ExclusionEvents
 from ..trace.reference import RefKind
 from .exclusion_cache import DynamicExclusionCache
 from .hitlast import HitLastStore
@@ -52,6 +53,10 @@ class ExclusionVictimCache(Cache):
         self._offset_bits = geometry.offset_bits
         # line -> None, ordered LRU-first.
         self._buffer: "OrderedDict[int, None]" = OrderedDict()
+
+    @property
+    def events(self) -> Optional[ExclusionEvents]:
+        return self.inner.events
 
     def _reset_state(self) -> None:
         self.inner.reset()

@@ -1,9 +1,10 @@
-"""Fast simulation: set-partitioned kernels, engine dispatch, parallel sweeps.
+"""Fast simulation: compiled kernels, engine dispatch, parallel sweeps.
 
-* :mod:`repro.perf.kernels` — numpy set-partitioned kernels for the
-  direct-mapped, dynamic-exclusion, Belady-optimal (any associativity)
-  and LRU set-associative caches, and for the two-level hierarchy of
-  every hit-last strategy;
+* :mod:`repro.perf.kernels` — compiled program-order kernels (one C
+  file, built on first use) for the direct-mapped, victim,
+  dynamic-exclusion, set-associative exclusion, Belady-optimal (any
+  associativity) and LRU set-associative caches, and for the two-level
+  hierarchy of every hit-last strategy;
 * :mod:`repro.perf.engine` — ``simulate(model, trace, engine=...)``
   dispatch with a kernel registry and automatic reference fallback
   (the last-line optimal model reaches the Belady kernel here);

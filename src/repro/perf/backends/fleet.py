@@ -54,7 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
-from .. import trace_cache
+from .. import kernels, trace_cache
 from ..cells import CellOutcome
 from ..worker import worker_main
 from .base import SweepContext, merge_worker_obs, record_cell_span
@@ -312,8 +312,10 @@ class FleetBackend:
             ctx.workers, len(pending)
         )
         if any(_forks(endpoint) for endpoint in endpoints):
-            # Forked workers and their respawns inherit the built traces.
+            # Forked workers and their respawns inherit the built traces
+            # and the loaded kernel library.
             trace_cache.prebuild(ctx.cells[index][3] for index in pending)
+            kernels.library()
         for slot, endpoint in enumerate(endpoints):
             self._spawn(slot, endpoint)
         ctx.workers = len(endpoints)

@@ -1,25 +1,25 @@
-"""Simulation-engine dispatch: fast kernels with reference fallback.
+"""Simulation-engine dispatch: compiled kernels with reference fallback.
 
 :func:`simulate` is the one entry point the sweep/experiment layers go
 through.  Under ``engine="fast"``, the default everywhere, it consults
-the kernel registry: configurations with a set-partitioned
-kernel (:mod:`repro.perf.kernels`) — direct-mapped, victim caches,
-dynamic exclusion with one sticky bit and the ideal store or a hashed
-table of at least one bit per set, set-associative exclusion with one
-sticky bit and the ideal store, the Belady-optimal family, LRU
-set-associative, two-level hierarchies of every hit-last strategy with
-one sticky bit and equal L1/L2 line sizes, and a last-line buffer over
-any of the lone caches among them (the inner kernel run on the line
-events) — run through it.  Everything else — FIFO/random replacement,
-write-policy wrappers, hashed tables with fewer bits than sets,
+the kernel registry: configurations with a compiled kernel
+(:mod:`repro.perf.kernels`) — direct-mapped, victim caches, dynamic
+exclusion with one sticky bit and the ideal store or a hashed table of
+any size, set-associative exclusion with one sticky bit and the ideal
+store, the Belady-optimal family, LRU set-associative, two-level
+hierarchies of every hit-last strategy with one sticky bit and equal
+L1/L2 line sizes, and a last-line buffer over any of the lone caches
+among them (the inner kernel run on the line events) — run through
+it.  Everything else — FIFO/random replacement, write-policy wrappers,
 multi-level sticky bits, hierarchies whose L2 lines are longer than
-L1's — falls back to the reference path, so callers never need to know
-which configurations are accelerated.  ``engine="reference"``, the
-per-reference loops that the kernels are tested against, is reached
-only through ``engine=`` parameters, never a command-line flag.
-Every call names the engine that actually ran: the ``simulate`` span's
-``path`` attribute and the ``engine.dispatch{model=,engine_used=}``
-counter.
+L1's — falls back to the reference path, and so does every model when
+the kernel library cannot be built (:func:`repro.perf.kernels.library`
+is None), so callers never need to know which configurations are
+accelerated.  ``engine="reference"``, the per-reference loops that the
+kernels are tested against, is reached only through ``engine=``
+parameters, never a command-line flag.  Every call names the engine
+that actually ran: the ``simulate`` span's ``path`` attribute and the
+``engine.dispatch{model=,engine_used=}`` counter.
 
 Either way :func:`simulate` returns what the model's own ``simulate``
 returns: a :class:`~repro.caches.stats.CacheStats`, or a
@@ -63,7 +63,7 @@ class KernelExecutionError(RuntimeError):
     """A fast kernel raised mid-simulation.
 
     Wraps the original exception (available as ``__cause__``) with the
-    model type and trace identity, so a failure deep inside a vectorized
+    model type and trace identity, so a failure deep inside a compiled
     kernel during a 500-cell sweep is attributable without a debugger.
     """
 
@@ -124,8 +124,7 @@ def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
     store = cache.store
     if type(store) is IdealHitLastStore:
         num_bits = None
-    elif type(store) is HashedHitLastStore and store.num_bits >= geometry.num_sets:
-        # At least one bit per set: no bit is shared by two sets.
+    elif type(store) is HashedHitLastStore:
         num_bits = store.num_bits
     else:
         return None
@@ -188,8 +187,7 @@ def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
 
 @register_kernel(TwoLevelCache)
 def _two_level_kernel(model: Simulator) -> Optional[KernelRunner]:
-    # Equal line sizes keep each L2 set inside one L1 set, which is what
-    # lets the kernel run the L1 set groups independently.
+    # The kernel takes an L2 line to be one L1 line.
     if model.sticky_levels != 1:
         return None
     l1, l2 = model.l1_geometry, model.l2_geometry
@@ -208,9 +206,10 @@ def registered_kernel_types() -> "tuple[type, ...]":
 
 
 def kernel_for(simulator: Simulator) -> Optional[KernelRunner]:
-    """The fast kernel for this exact configuration, or ``None``."""
+    """The fast kernel for this exact configuration, or ``None`` (also
+    for every model when the kernel library cannot be built)."""
     matcher = _KERNEL_FACTORIES.get(type(simulator))
-    if matcher is None:
+    if matcher is None or kernels.library() is None:
         return None
     return matcher(simulator)
 

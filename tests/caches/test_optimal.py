@@ -1,6 +1,5 @@
 """Tests for the Belady-with-bypass optimal caches."""
 
-import numpy as np
 import pytest
 
 from repro.caches.direct_mapped import DirectMappedCache
@@ -10,7 +9,6 @@ from repro.caches.optimal import (
     OptimalCache,
     OptimalDirectMappedCache,
     OptimalLastLineCache,
-    next_use_array,
     next_use_times,
 )
 from repro.trace.trace import Trace
@@ -32,29 +30,6 @@ class TestNextUseTimes:
 
     def test_empty(self):
         assert next_use_times([]) == []
-
-
-class TestNextUseArray:
-    def test_matches_reference_scan(self):
-        rng = np.random.default_rng(0)
-        for size in (1, 2, 7, 100, 1000):
-            lines = rng.integers(0, 20, size=size, dtype=np.int64)
-            expected = next_use_times(lines.tolist())
-            assert next_use_array(lines).tolist() == expected
-
-    def test_empty(self):
-        result = next_use_array(np.array([], dtype=np.int64))
-        assert result.tolist() == []
-        assert result.dtype == np.int64
-
-    def test_all_distinct_is_never(self):
-        assert next_use_array(np.array([3, 1, 2])).tolist() == [NEVER] * 3
-
-    def test_never_fits_in_int64(self):
-        # NEVER is sys.maxsize == int64 max; the array must hold it
-        # without overflow so kernel comparisons stay exact.
-        result = next_use_array(np.array([5], dtype=np.int64))
-        assert int(result[0]) == NEVER
 
 
 class TestOptimalDirectMapped:

@@ -9,6 +9,7 @@ from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import IdealHitLastStore
 from repro.trace.reference import RefKind
 from repro.trace.trace import Trace
+from repro.workloads.registry import mixed_trace
 
 GEOMETRY = CacheGeometry(64, 16)
 
@@ -74,6 +75,18 @@ class TestWriteBack:
         stats = cache.simulate(trace)
         stats.check()
         assert stats.misses == cache.inner.stats.misses
+
+
+@pytest.mark.parametrize("policy", list(WritePolicy))
+def test_counts_inner_evictions_and_cold_fills(policy):
+    # A write-through store miss never reaches the inner cache, so
+    # under both policies the inner cache's evictions and cold fills
+    # are the wrapper's.
+    cache = WritePolicyCache(DirectMappedCache(CacheGeometry(8192, 16)), policy)
+    stats = cache.simulate(mixed_trace("gcc", 20_000))
+    stats.check()
+    assert stats.evictions == cache.inner.stats.evictions > 0
+    assert stats.cold_misses == cache.inner.stats.cold_misses > 0
 
 
 class TestWriteThrough:

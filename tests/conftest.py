@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import metrics as obs_metrics
+from repro.perf import kernels
 
 
 @pytest.fixture
@@ -12,3 +13,18 @@ def sweep_metrics():
     registry = obs_metrics.install_registry(obs_metrics.MetricsRegistry())
     yield registry
     obs_metrics.uninstall_registry()
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels():
+    """The compiled kernel library, for tests of the kernel path.
+
+    Skips only when no C compiler is on ``PATH``; with one there, a
+    failed build fails the test instead of letting every model fall
+    back to the reference loop, which would pass every comparison.
+    """
+    if kernels._compiler() is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    library = kernels.library()
+    assert library is not None, "the kernel library failed to build"
+    return library

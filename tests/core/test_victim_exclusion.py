@@ -10,7 +10,11 @@ from repro.caches.victim import VictimCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import IdealHitLastStore
 from repro.core.victim_exclusion import ExclusionVictimCache
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
+from repro.perf import engine
 from repro.trace.trace import Trace
+from repro.workloads.registry import instruction_trace
 
 GEOMETRY = CacheGeometry(64, 4)
 
@@ -63,6 +67,22 @@ class TestBasics:
         cache.reset()
         assert cache.stats.accesses == 0
         assert cache.resident_lines() == frozenset()
+
+
+def test_publishes_the_inner_caches_fsm_events():
+    cache = ExclusionVictimCache(CacheGeometry(1024, 4), entries=4)
+    registry = obs_metrics.install_registry(MetricsRegistry())
+    try:
+        engine.simulate(cache, instruction_trace("gcc", 20_000))
+    finally:
+        obs_metrics.uninstall_registry()
+    assert cache.events is cache.inner.events
+    published = {
+        name: registry.total(f"fsm.{name}", benchmark="gcc", engine="reference")
+        for name in cache.inner.events.as_dict()
+    }
+    assert published == cache.inner.events.as_dict()
+    assert published["sticky_saves"] > 0
 
 
 class TestAgainstComponents:

@@ -24,6 +24,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.engine import simulate
 from repro.workloads.registry import trace_by_kind
 
+pytestmark = pytest.mark.usefixtures("compiled_kernels")
+
 REFS = 20_000
 FSM_COUNTERS = ("sticky_saves", "hit_last_loads", "exclusion_flips")
 

@@ -6,7 +6,7 @@ analogue traces and on seeded random traces, across three geometries
 (1KB / 32KB / 256KB at b=4) and — for the associativity-capable models
 (Belady, LRU, set-associative exclusion) — associativities 1, 2, and
 4.  Victim caches run with 1 and 4 entries, hashed hit-last tables
-with 1, 4 and 16 bits per line, and the last-line buffer at 16 and
+with 1/4 to 16 bits per line, and the last-line buffer at 16 and
 32 B lines over the ideal and the hashed store.  Two-level hierarchies are
 checked for :class:`~repro.hierarchy.two_level.TwoLevelResult` equality
 for every strategy at 1KB / 32KB L1s and L2/L1 ratios 1, 4 and 64.
@@ -43,6 +43,8 @@ from repro.perf import engine
 from repro.trace.reference import RefKind
 from repro.trace.trace import Trace
 from repro.workloads.registry import benchmark_names, instruction_trace, mixed_trace
+
+pytestmark = pytest.mark.usefixtures("compiled_kernels")
 
 GEOMETRIES = [CacheGeometry(kb * 1024, 4) for kb in (1, 32, 256)]
 ASSOCIATIVITIES = [1, 2, 4]
@@ -130,7 +132,7 @@ class TestSpecEquivalence:
             spec_trace(name),
         )
 
-    @pytest.mark.parametrize("bits_per_line", [1, 4, 16])
+    @pytest.mark.parametrize("bits_per_line", [0.25, 1, 4, 16])
     def test_hashed_dynamic_exclusion(self, name, geometry, bits_per_line):
         assert_kernel_matches(
             lambda: hashed_exclusion(geometry, bits_per_line), spec_trace(name)
@@ -248,7 +250,7 @@ class TestRandomEquivalence:
             self._runs_trace(seed),
         )
 
-    @pytest.mark.parametrize("bits_per_line", [1, 4])
+    @pytest.mark.parametrize("bits_per_line", [0.5, 1, 4])
     def test_hashed_dynamic_exclusion(self, seed, geometry, bits_per_line):
         assert_kernel_matches(
             lambda: hashed_exclusion(geometry, bits_per_line), self._runs_trace(seed)
@@ -517,14 +519,16 @@ class TestKernelRegistry:
 
     def test_hashed_store_falls_back(self):
         geometry = CacheGeometry(1024, 4)  # 256 sets
-        # Half a bit per line, as in ext-hashed: two sets share a bit,
-        # so the sets no longer run independently.
-        small = DynamicExclusionCache(geometry, store=HashedHitLastStore(128))
-        assert not engine.has_kernel(small)
-        trace = Trace([0, 1024, 512, 1536] * 20, [0] * 80)
-        assert engine.simulate(small, trace, engine="fast") == DynamicExclusionCache(
-            geometry, store=HashedHitLastStore(128)
-        ).simulate(trace)
+        # Half a bit per line, as in ext-hashed, or one bit for the
+        # whole cache: sets share bits, which the program-order kernel
+        # runs like any other table.
+        trace = Trace([0, 1024, 512, 1536, 4, 1028] * 20, [0] * 120)
+        for num_bits in (1, 128):
+            small = DynamicExclusionCache(geometry, store=HashedHitLastStore(num_bits))
+            assert engine.has_kernel(small)
+            assert engine.simulate(small, trace) == DynamicExclusionCache(
+                geometry, store=HashedHitLastStore(num_bits)
+            ).simulate(trace)
         # A table that already holds a written bit is not cold.
         touched = HashedHitLastStore(1024)
         touched.update(7, False)

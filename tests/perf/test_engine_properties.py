@@ -43,6 +43,9 @@ from repro.perf import engine
 from repro.trace.trace import Trace
 from repro.workloads.registry import instruction_trace
 
+pytestmark = pytest.mark.usefixtures("compiled_kernels")
+
+
 def _direct_mapped(geometry):
     return CacheGeometry(geometry.size, geometry.line_size)
 
@@ -218,14 +221,14 @@ def test_two_level_fast_equals_reference_for_every_strategy(
 
 
 @settings(max_examples=100, deadline=None)
-@given(trace=dense_traces, bits_per_set=st.sampled_from([1, 2, 4]))
-def test_hashed_dynamic_exclusion_fast_equals_reference(trace, bits_per_set):
-    # Eight words per set share 1-4 bits of the table: collisions in
-    # every set, but never across sets.
+@given(trace=dense_traces, num_bits=st.sampled_from([1, 4, 16, 32, 64]))
+def test_hashed_dynamic_exclusion_fast_equals_reference(trace, num_bits):
+    # Eight words in each of 16 sets share 1-64 bits of the table:
+    # collisions within every set and, below 16 bits, across sets.
     geometry = CacheGeometry(64, 4)
 
     def build():
-        store = HashedHitLastStore(geometry.num_sets * bits_per_set)
+        store = HashedHitLastStore(num_bits)
         return DynamicExclusionCache(geometry, store=store)
 
     model = build()
@@ -235,10 +238,6 @@ def test_hashed_dynamic_exclusion_fast_equals_reference(trace, bits_per_set):
 
 def test_unsupported_stores_and_policies_fall_back():
     geometry = GEOMETRIES[0]
-    # Fewer hashed bits (8) than sets (16): a bit spans two sets.
-    assert not engine.has_kernel(
-        DynamicExclusionCache(geometry, store=HashedHitLastStore(8))
-    )
     assert not engine.has_kernel(DynamicExclusionCache(geometry, sticky_levels=2))
     assert not engine.has_kernel(
         SetAssociativeExclusionCache(geometry, store=HashedHitLastStore(64))

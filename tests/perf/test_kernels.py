@@ -1,4 +1,12 @@
-"""Unit tests for the set-partitioned kernels on hand-checkable traces."""
+"""Unit tests for the compiled kernels on hand-checkable traces, and
+for how the kernel library is built, cached and replaced by the
+reference loops when it cannot be built."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +17,9 @@ from repro.caches.stats import CacheStats
 from repro.caches.victim import VictimCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
+from repro.perf import engine, kernels
 from repro.perf.kernels import (
     simulate_direct_mapped,
     simulate_dynamic_exclusion,
@@ -16,6 +27,9 @@ from repro.perf.kernels import (
     simulate_victim,
 )
 from repro.trace.trace import Trace
+from repro.workloads.registry import instruction_trace
+
+from .test_engine_properties import FACTORIES
 
 
 def itrace(addrs):
@@ -25,6 +39,7 @@ def itrace(addrs):
 GEOMETRY = CacheGeometry(64, 4)  # 16 lines, so 64 aliases with 0
 
 
+@pytest.mark.usefixtures("compiled_kernels")
 class TestDirectMappedKernel:
     def test_empty_trace(self):
         assert simulate_direct_mapped(Trace.empty(), GEOMETRY) == CacheStats()
@@ -58,6 +73,7 @@ class TestDirectMappedKernel:
         ).simulate(trace)
 
 
+@pytest.mark.usefixtures("compiled_kernels")
 class TestDynamicExclusionKernel:
     def test_empty_trace(self):
         assert simulate_dynamic_exclusion(Trace.empty(), GEOMETRY) == CacheStats()
@@ -121,6 +137,7 @@ def runs_trace(seed, words=256):
     return itrace((np.repeat(rng.integers(0, words, size=n), repeats) * 4).tolist())
 
 
+@pytest.mark.usefixtures("compiled_kernels")
 class TestHashedDynamicExclusionKernel:
     def test_shared_bit_matches_reference(self):
         # 16 sets, 16 bits: 0 and 64 share set 0 *and* bit 0, so the
@@ -135,13 +152,27 @@ class TestHashedDynamicExclusionKernel:
             )
             assert fast == reference
 
-    @pytest.mark.parametrize("num_bits", [8, 24])
-    def test_rejects_tables_sets_would_share(self, num_bits):
-        # Fewer bits than sets, or not a power of two.
+    @pytest.mark.parametrize("num_bits", [1, 8])
+    def test_tables_smaller_than_the_cache_match_reference(self, num_bits):
+        # 16 sets share 1 or 8 bits, so words of different sets share
+        # a bit; program order needs no independence between sets.
+        for seed in range(10):
+            trace = runs_trace(seed)
+            for default in (True, False):
+                reference = DynamicExclusionCache(
+                    GEOMETRY, store=HashedHitLastStore(num_bits, default=default)
+                ).simulate(trace)
+                fast = simulate_dynamic_exclusion(
+                    trace, GEOMETRY, default_hit_last=default, num_bits=num_bits
+                )
+                assert fast == reference
+
+    def test_rejects_non_power_of_two_tables(self):
         with pytest.raises(ValueError):
-            simulate_dynamic_exclusion(itrace([0]), GEOMETRY, num_bits=num_bits)
+            simulate_dynamic_exclusion(itrace([0]), GEOMETRY, num_bits=24)
 
 
+@pytest.mark.usefixtures("compiled_kernels")
 class TestSetAssociativeExclusionKernel:
     @pytest.mark.parametrize("default", [True, False])
     def test_one_way_equals_dynamic_exclusion(self, default):
@@ -165,6 +196,7 @@ class TestSetAssociativeExclusionKernel:
         assert stats.bypasses > 0
 
 
+@pytest.mark.usefixtures("compiled_kernels")
 class TestVictimKernel:
     def test_swap_pair_hits_in_the_buffer(self):
         # 0 and 64 alias in L1: after the two cold-ish misses every
@@ -186,3 +218,126 @@ class TestVictimKernel:
 
     def test_empty_trace(self):
         assert simulate_victim(Trace.empty(), GEOMETRY, 4) == CacheStats()
+
+
+# -- building, caching and falling back ----------------------------------------
+
+SRC = Path(kernels.__file__).resolve().parents[2]
+
+#: Loads the library from the two build directories named on the
+#: command line and runs one kernel; with ``--no-compiler`` a build
+#: would fail, and with ``--wait FILE`` it starts once FILE exists.
+CHILD = """
+import sys, time
+from pathlib import Path
+from repro.caches.geometry import CacheGeometry
+from repro.perf import kernels
+from repro.trace.trace import Trace
+
+package, private, *flags = sys.argv[1:]
+kernels._build_dirs = lambda: (Path(package), Path(private))
+if "--no-compiler" in flags:
+    kernels._compiler = lambda: None
+if "--wait" in flags:
+    go = Path(flags[flags.index("--wait") + 1])
+    while not go.exists():
+        time.sleep(0.001)
+if kernels.library() is None:
+    sys.exit("no library")
+trace = Trace([0, 64, 0, 64, 4, 0], [0] * 6)
+print(kernels.simulate_dynamic_exclusion(trace, CacheGeometry(64, 4)))
+"""
+
+
+@pytest.fixture
+def build_dirs(monkeypatch, tmp_path):
+    """Empty build directories for the library, and no library loaded."""
+    dirs = (tmp_path / "package", tmp_path / "private")
+    monkeypatch.setattr(kernels, "_build_dirs", lambda: dirs)
+    kernels.library.cache_clear()
+    yield dirs
+    kernels.library.cache_clear()
+
+
+def child(dirs, *flags):
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD, *map(str, dirs), *flags],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def finish(process):
+    out, err = process.communicate(timeout=120)
+    assert process.returncode == 0, err
+    return out
+
+
+def expected_child_output():
+    trace = Trace([0, 64, 0, 64, 4, 0], [0] * 6)
+    return f"{DynamicExclusionCache(CacheGeometry(64, 4)).simulate(trace)}\n"
+
+
+def test_failed_build_runs_every_model_on_the_reference(build_dirs, monkeypatch):
+    compiler = build_dirs[0].parent / "cc"
+    compiler.write_text("#!/bin/sh\necho 'cc: simulated failure' >&2\nexit 1\n")
+    compiler.chmod(0o755)
+    monkeypatch.setattr(kernels, "_compiler", lambda: str(compiler))
+    geometry = CacheGeometry(1024, 16, associativity=2)
+    trace = instruction_trace("gcc", 5_000)
+    registry = obs_metrics.install_registry(MetricsRegistry())
+    try:
+        with pytest.warns(RuntimeWarning, match="simulated failure") as caught:
+            for factory in FACTORIES.values():
+                model = factory(geometry)
+                assert engine.kernel_for(model) is None
+                fast = engine.simulate(model, trace)
+                assert fast == factory(geometry).simulate(trace)
+    finally:
+        obs_metrics.uninstall_registry()
+    assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+    dispatched = {
+        (entry["labels"]["model"], entry["labels"]["engine_used"])
+        for entry in registry.export()
+        if entry["name"] == "engine.dispatch"
+    }
+    assert dispatched == {(model.__name__, "reference") for model in FACTORIES}
+    assert not list(build_dirs[0].iterdir()), "a failed build left files"
+
+
+@pytest.mark.usefixtures("compiled_kernels")
+def test_fresh_process_loads_the_built_library_without_compiling(build_dirs):
+    assert kernels.library() is not None
+    (built,) = build_dirs[0].iterdir()
+    stamp = built.stat().st_mtime_ns
+    # The child has no compiler: it can only load what is there.
+    assert finish(child(build_dirs, "--no-compiler")) == expected_child_output()
+    assert [path.name for path in build_dirs[0].iterdir()] == [built.name]
+    assert built.stat().st_mtime_ns == stamp
+
+
+@pytest.mark.usefixtures("compiled_kernels")
+def test_concurrent_builds_both_load_a_complete_library(build_dirs):
+    go = build_dirs[0].parent / "go"
+    processes = [child(build_dirs, "--wait", go) for _ in range(2)]
+    time.sleep(0.5)  # both children are waiting at the start line
+    go.touch()
+    outputs = [finish(process) for process in processes]
+    assert outputs == [expected_child_output()] * 2
+    # One finished library, no partial file left behind.
+    assert [path.suffix for path in build_dirs[0].iterdir()] == [".so"]
+
+
+@pytest.mark.usefixtures("compiled_kernels")
+def test_unwritable_package_directory_builds_in_the_private_one(
+    build_dirs, monkeypatch, tmp_path
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    private = tmp_path / "private"
+    monkeypatch.setattr(kernels, "_build_dirs", lambda: (blocker / "sub", private))
+    assert kernels.library() is not None
+    assert [path.suffix for path in private.iterdir()] == [".so"]
+    assert private.stat().st_mode & 0o077 == 0
