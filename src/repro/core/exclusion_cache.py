@@ -1,10 +1,13 @@
 """The dynamic-exclusion direct-mapped cache (the paper's contribution).
 
-This is the production simulator: a direct-mapped cache whose
-replacement decisions follow the FSM of :mod:`repro.core.fsm`.  The FSM
-logic is inlined here for speed (these loops run millions of times in
-the figure sweeps); ``tests/core/test_exclusion_cache.py`` checks this
-implementation reference-by-reference against the readable FSM.
+This is the reference model, the oracle that the compiled kernel
+(:func:`repro.perf.kernels.simulate_dynamic_exclusion`, which the fast
+engine runs) is differentially tested against: a direct-mapped cache
+whose replacement decisions follow the FSM of :mod:`repro.core.fsm`.
+``access`` writes the FSM's transitions out instead of calling
+:meth:`repro.core.fsm.DynamicExclusionFSM.step`;
+``tests/core/test_exclusion_cache.py`` checks this implementation
+reference-by-reference against the readable FSM.
 
 Each geometry *line* is one exclusion unit.  With ``line_size=4`` every
 line is a single instruction — the paper's Sections 3-5 configuration.

@@ -2,8 +2,9 @@
 
 This module is the *readable reference implementation* of the FSM: a
 pure decision function plus a tiny per-line state record.  The
-production simulator (:mod:`repro.core.exclusion_cache`) inlines the same
-logic for speed; the test suite differentially checks the two against
+reference model (:mod:`repro.core.exclusion_cache`, the oracle the
+compiled kernels are tested against) writes the same transitions out in
+its ``access``; the test suite differentially checks the two against
 each other.
 
 Per cache line the FSM keeps:

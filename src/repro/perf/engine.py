@@ -71,35 +71,12 @@ Simulator = Union[Cache, OfflineCache, TwoLevelCache]
 SimulationStats = Union[CacheStats, TwoLevelResult]
 KernelRunner = Callable[[Trace], SimulationStats]
 
-#: Exact model type -> matcher returning a kernel runner (or None when
-#: the particular instance is not kernel-eligible).
-_KERNEL_FACTORIES: Dict[type, Callable[[Simulator], Optional[KernelRunner]]] = {}
-
-
-def register_kernel(cache_type: type):
-    """Class decorator target: register a kernel matcher for a model type.
-
-    The matcher receives the model *instance* and returns a callable
-    ``trace -> stats`` (of the type the model's own ``simulate``
-    returns) when the instance's configuration is supported, else
-    ``None``.  Matching is by exact type, so subclasses
-    with changed behaviour never inherit a kernel silently.
-    """
-
-    def decorator(matcher: Callable[[Simulator], Optional[KernelRunner]]):
-        _KERNEL_FACTORIES[cache_type] = matcher
-        return matcher
-
-    return decorator
-
-
 def _is_cold(cache: Cache) -> bool:
     """Freshly built: no accesses counted and nothing resident."""
     stats = cache.stats
     return stats.accesses == 0 and stats.misses == 0 and cache.is_empty()
 
 
-@register_kernel(DirectMappedCache)
 def _direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
     if not cache.allocate_on_miss or not _is_cold(cache):
         return None
@@ -107,7 +84,6 @@ def _direct_mapped_kernel(cache: Simulator) -> Optional[KernelRunner]:
     return lambda trace: kernels.simulate_direct_mapped(trace, geometry)
 
 
-@register_kernel(VictimCache)
 def _victim_kernel(cache: Simulator) -> Optional[KernelRunner]:
     if not _is_cold(cache):
         return None
@@ -116,7 +92,6 @@ def _victim_kernel(cache: Simulator) -> Optional[KernelRunner]:
     return lambda trace: kernels.simulate_victim(trace, geometry, entries)
 
 
-@register_kernel(DynamicExclusionCache)
 def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
     if cache.sticky_levels != 1 or not _is_cold(cache):
         return None
@@ -136,7 +111,6 @@ def _dynamic_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
     )
 
 
-@register_kernel(SetAssociativeExclusionCache)
 def _set_associative_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner]:
     store = cache.store
     if cache.sticky_levels != 1 or type(store) is not IdealHitLastStore:
@@ -150,7 +124,6 @@ def _set_associative_exclusion_kernel(cache: Simulator) -> Optional[KernelRunner
     )
 
 
-@register_kernel(LastLineBufferCache)
 def _last_line_buffer_kernel(cache: Simulator) -> Optional[KernelRunner]:
     # The inner model's kernel runs on the line events; its matcher
     # checks that the inner model is cold.
@@ -161,23 +134,17 @@ def _last_line_buffer_kernel(cache: Simulator) -> Optional[KernelRunner]:
     return lambda trace: simulate_line_events(trace, line_size, inner)
 
 
-# OptimalDirectMappedCache only constrains the geometry; exact-type
-# matching needs it registered as well.
-@register_kernel(OptimalDirectMappedCache)
-@register_kernel(OptimalCache)
 def _optimal_kernel(cache: Simulator) -> Optional[KernelRunner]:
     geometry = cache.geometry
     return lambda trace: kernels.simulate_belady(trace, geometry)
 
 
-@register_kernel(OptimalLastLineCache)
 def _optimal_last_line_kernel(cache: Simulator) -> Optional[KernelRunner]:
     geometry = cache.geometry
     belady = functools.partial(kernels.simulate_belady, geometry=geometry)
     return lambda trace: simulate_line_events(trace, geometry.line_size, belady)
 
 
-@register_kernel(SetAssociativeCache)
 def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
     if cache.policy_name != "lru" or not _is_cold(cache):
         return None
@@ -185,7 +152,6 @@ def _lru_set_associative_kernel(cache: Simulator) -> Optional[KernelRunner]:
     return lambda trace: kernels.simulate_lru(trace, geometry)
 
 
-@register_kernel(TwoLevelCache)
 def _two_level_kernel(model: Simulator) -> Optional[KernelRunner]:
     # The kernel takes an L2 line to be one L1 line.
     if model.sticky_levels != 1:
@@ -200,6 +166,25 @@ def _two_level_kernel(model: Simulator) -> Optional[KernelRunner]:
     )
 
 
+#: Exact model type -> matcher: given the model *instance*, a callable
+#: ``trace -> stats`` (of the type the model's own ``simulate`` returns)
+#: when the instance's configuration is supported, else None.
+#: OptimalDirectMappedCache only constrains the geometry; exact-type
+#: matching needs it listed as well.
+_KERNEL_FACTORIES: Dict[type, Callable[[Simulator], Optional[KernelRunner]]] = {
+    DirectMappedCache: _direct_mapped_kernel,
+    VictimCache: _victim_kernel,
+    DynamicExclusionCache: _dynamic_exclusion_kernel,
+    SetAssociativeExclusionCache: _set_associative_exclusion_kernel,
+    LastLineBufferCache: _last_line_buffer_kernel,
+    OptimalCache: _optimal_kernel,
+    OptimalDirectMappedCache: _optimal_kernel,
+    OptimalLastLineCache: _optimal_last_line_kernel,
+    SetAssociativeCache: _lru_set_associative_kernel,
+    TwoLevelCache: _two_level_kernel,
+}
+
+
 def registered_kernel_types() -> "tuple[type, ...]":
     """The exact model types with a registered kernel matcher."""
     return tuple(_KERNEL_FACTORIES)
@@ -207,7 +192,9 @@ def registered_kernel_types() -> "tuple[type, ...]":
 
 def kernel_for(simulator: Simulator) -> Optional[KernelRunner]:
     """The fast kernel for this exact configuration, or ``None`` (also
-    for every model when the kernel library cannot be built)."""
+    for every model when the kernel library cannot be built).  Matching
+    is by exact type, so subclasses with changed behaviour never inherit
+    a kernel silently."""
     matcher = _KERNEL_FACTORIES.get(type(simulator))
     if matcher is None or kernels.library() is None:
         return None

@@ -10,6 +10,14 @@
  * from forked processes.  Each returns 0, or -1 when an allocation
  * fails.
  *
+ * Each cache organisation has one loop body: direct_mapped() runs the
+ * direct-mapped cache, dynamic exclusion (the paper's Figure 1 FSM) and
+ * the two-level hierarchy, set_associative() runs LRU and
+ * set-associative exclusion.  The entry points call their body with
+ * constant arguments, and the bodies are always_inline, so each entry
+ * point still compiles to its own loop with the unused branches gone.
+ * The victim cache and Belady have loops of their own.
+ *
  * repro/perf/kernels.py builds this file on first use with
  * `cc -O2 -shared -fPIC` and calls it through ctypes.
  */
@@ -21,7 +29,7 @@
 typedef uint64_t u64;
 typedef int64_t i64;
 
-/* Per-line flags of the direct-mapped loops: FULL marks a filled set;
+/* Per-line flags of the direct-mapped loop: FULL marks a filled set;
    STICKY and HIT_LAST are the dynamic-exclusion FSM's sticky bit and
    the resident word's hit-last copy (sticky_levels == 1). */
 enum { FULL = 1, STICKY = 2, HIT_LAST = 4 };
@@ -145,32 +153,210 @@ static int write_back(map_t *bits, unsigned char *table, u64 table_mask,
     return 0;
 }
 
-/* -- direct-mapped ---------------------------------------------------- */
+/* -- the direct-mapped loop ---------------------------------------------- */
 
-/* out: hits, cold misses, evictions. */
-int sim_direct_mapped(const u64 *lines, i64 n, u64 sets, i64 *out) {
-    u64 mask = sets - 1;
-    u64 *tag = calloc(sets, sizeof *tag);
-    unsigned char *full = calloc(sets, 1);
-    i64 hits = 0, cold = 0, evictions = 0;
-    if (!tag || !full) goto fail;
+/* repro.hierarchy.two_level.Strategy, in the order kernels.py passes. */
+enum { DIRECT_MAPPED, IDEAL, ASSUME_HIT, ASSUME_MISS, HASHED };
+
+typedef struct {
+    u64 mask;
+    u64 *tag;
+    unsigned char *full;
+} level_t;
+
+static int holds(const level_t *l2, u64 line) {
+    u64 set = line & l2->mask;
+    return l2->full[set] && l2->tag[set] == line;
+}
+
+/* A direct-mapped L1 (with dynamic exclusion unless the strategy is
+   DIRECT_MAPPED) over a direct-mapped L2 with the same line size, or
+   over nothing when l2_sets is 0.  Hit-last bits live in a hashed table
+   of table_bits bits (a power of two) keyed by the word's low bits when
+   table_bits is not 0 (HASHED; words that share a bit may map to
+   different sets: program order handles that), else in a per-word map
+   (IDEAL) or with the L2 line (ASSUME_*), where they die when L2 drops
+   the line; a word's cold bit is `missing`.  ASSUME_MISS and HASHED keep
+   L2 exclusive: it takes L1 victims and bypassed words, never misses.
+   Each entry point below is one call of this body with constant
+   arguments; always_inline makes each its own specialised loop.
+   out: L1 hits, cold misses, evictions, bypasses, hit-last loads,
+   flips, then L2 hits, cold misses, evictions, bypasses. */
+static inline __attribute__((always_inline)) int
+direct_mapped(const u64 *lines, i64 n, u64 l1_sets, u64 l2_sets, int strategy,
+              int missing, u64 table_bits, i64 *out) {
+    int exclusion = strategy != DIRECT_MAPPED;
+    int exclusive = strategy == ASSUME_MISS || strategy == HASHED;
+    int l2_backed = strategy == ASSUME_HIT || strategy == ASSUME_MISS;
+    u64 l1_mask = l1_sets - 1, table_mask = table_bits - 1;
+    u64 *tag = calloc(l1_sets, sizeof *tag);
+    unsigned char *state = calloc(l1_sets, 1);
+    level_t l2 = {l2_sets - 1, NULL, NULL};
+    unsigned char *table = NULL;
+    map_t bits = {0};
+    i64 hits = 0, cold = 0, evictions = 0, bypasses = 0, loads = 0, flips = 0;
+    i64 l2_hits = 0, l2_cold = 0, l2_evictions = 0, l2_bypasses = 0;
+    if (!tag || !state) goto fail;
+    if (l2_sets && (!(l2.tag = calloc(l2_sets, sizeof(u64))) || !(l2.full = calloc(l2_sets, 1))))
+        goto fail;
+    if (exclusion && table_bits) {
+        if (!(table = malloc(table_bits))) goto fail;
+        memset(table, missing, table_bits);
+    } else if (exclusion && map_init(&bits, 10)) {
+        goto fail;
+    }
     for (i64 i = 0; i < n; i++) {
-        u64 line = lines[i], set = line & mask;
-        if (full[set] && tag[set] == line) {
+        u64 line = lines[i], set = line & l1_mask;
+        unsigned char s = state[set];
+        if (tag[set] == line && s) {
             hits++;
+            if (exclusion) state[set] = FULL | STICKY | HIT_LAST;
             continue;
         }
-        if (full[set]) evictions++;
-        else cold++;
-        full[set] = 1;
-        tag[set] = line;
+        int bypassed = 0, evicted = 0;
+        u64 victim = tag[set];
+        if (!s) {
+            cold++;
+        } else if (exclusion && s & STICKY &&
+                   !(table ? table[line & table_mask]
+                     : l2_backed && !holds(&l2, line) ? missing
+                     : map_get(&bits, line, missing))) {
+            /* Sticky resident, and the incoming word's bit is clear. */
+            bypassed = 1;
+            bypasses++;
+            state[set] = s & ~STICKY;
+            if (!l2_sets) continue; /* nothing left to do without an L2 */
+        } else {
+            /* Replace; assume-hit drops write-backs of words L2 lacks. */
+            loads += exclusion && s & STICKY;
+            if (exclusion && (strategy != ASSUME_HIT || holds(&l2, victim)) &&
+                write_back(&bits, table, table_mask, missing, victim, (s & HIT_LAST) != 0, &flips))
+                goto fail;
+            evicted = 1;
+            evictions++;
+        }
+        if (!bypassed) {
+            tag[set] = line;
+            /* A hit-last load over a sticky resident starts its copy at 0. */
+            state[set] = exclusion && s & STICKY ? FULL | STICKY : FULL | STICKY | HIT_LAST;
+        }
+        if (!l2_sets) continue;
+        u64 l2_set = line & l2.mask;
+        if (holds(&l2, line)) {
+            l2_hits++;
+        } else if (exclusive) {
+            l2_bypasses++;
+        } else {
+            if (l2.full[l2_set]) {
+                l2_evictions++;
+                if (l2_backed) map_del(&bits, l2.tag[l2_set]);
+            } else {
+                l2_cold++;
+            }
+            l2.full[l2_set] = 1;
+            l2.tag[l2_set] = line;
+        }
+        if (!exclusive || !(bypassed || evicted)) continue;
+        /* An exclusive L2 takes the bypassed word or the L1 victim. */
+        u64 moved = bypassed ? line : victim;
+        l2_set = moved & l2.mask;
+        if (l2_backed && l2.full[l2_set] && l2.tag[l2_set] != moved)
+            map_del(&bits, l2.tag[l2_set]);
+        l2.full[l2_set] = 1;
+        l2.tag[l2_set] = moved;
     }
-    out[0] = hits, out[1] = cold, out[2] = evictions;
-    free(tag), free(full);
+    out[0] = hits, out[1] = cold, out[2] = evictions, out[3] = bypasses;
+    out[4] = loads, out[5] = flips;
+    out[6] = l2_hits, out[7] = l2_cold, out[8] = l2_evictions, out[9] = l2_bypasses;
+    free(tag), free(state), free(l2.tag), free(l2.full), free(table), free(bits.slots);
     return 0;
 fail:
-    free(tag), free(full);
+    free(tag), free(state), free(l2.tag), free(l2.full), free(table), free(bits.slots);
     return -1;
+}
+
+int sim_direct_mapped(const u64 *lines, i64 n, u64 sets, i64 *out) {
+    return direct_mapped(lines, n, sets, 0, DIRECT_MAPPED, 1, 0, out);
+}
+
+/* One sticky bit per line over the ideal store (table_bits 0) or a
+   hashed table. */
+int sim_dynamic_exclusion(const u64 *lines, i64 n, u64 sets, int missing,
+                          u64 table_bits, i64 *out) {
+    return direct_mapped(lines, n, sets, 0, IDEAL, missing, table_bits, out);
+}
+
+int sim_two_level(const u64 *lines, i64 n, u64 l1_sets, u64 l2_sets, int strategy,
+                  u64 table_bits, i64 *out) {
+    return direct_mapped(lines, n, l1_sets, l2_sets, strategy, strategy != ASSUME_MISS,
+                         table_bits, out);
+}
+
+/* -- the set-associative loop -------------------------------------------- */
+
+/* LRU sets of `ways` ways, each set's filled ways kept least recently
+   used first.  With `exclusion`, each way has its own sticky bit and
+   hit-last copy over an ideal store whose cold bit is `missing`, and
+   the LRU way is the candidate victim; without it, plain LRU.
+   out: hits, cold misses, evictions, bypasses. */
+static inline __attribute__((always_inline)) int
+set_associative(const u64 *lines, i64 n, u64 sets, i64 ways, int exclusion,
+                int missing, i64 *out) {
+    u64 mask = sets - 1;
+    u64 *tags = calloc(sets * ways, sizeof *tags);
+    unsigned char *states = exclusion ? calloc(sets * ways, 1) : NULL;
+    i64 *filled = calloc(sets, sizeof *filled);
+    map_t bits = {0};
+    i64 hits = 0, cold = 0, evictions = 0, bypasses = 0, unused = 0;
+    if (!tags || !filled || (exclusion && (!states || map_init(&bits, 10)))) goto fail;
+    for (i64 i = 0; i < n; i++) {
+        u64 line = lines[i], set = line & mask;
+        u64 *tag = tags + set * ways;
+        unsigned char *state = exclusion ? states + set * ways : NULL;
+        unsigned char fresh = STICKY | HIT_LAST;
+        i64 count = filled[set];
+        i64 at = find(tag, count, line);
+        if (at >= 0) {
+            hits++;
+            remove_at(tag, sizeof *tag, count, at);
+            if (exclusion) remove_at(state, 1, count, at);
+        } else if (count < ways) {
+            cold++;
+            filled[set] = ++count;
+        } else {
+            if (exclusion && state[0] & STICKY) {
+                if (!map_get(&bits, line, missing)) {
+                    bypasses++;
+                    state[0] &= ~STICKY;
+                    continue;
+                }
+                fresh = STICKY; /* hit-last gate: the copy starts clear */
+            }
+            if (exclusion &&
+                write_back(&bits, NULL, 0, missing, tag[0], (state[0] & HIT_LAST) != 0, &unused))
+                goto fail;
+            evictions++;
+            remove_at(tag, sizeof *tag, count, 0);
+            if (exclusion) remove_at(state, 1, count, 0);
+        }
+        tag[count - 1] = line;
+        if (exclusion) state[count - 1] = fresh;
+    }
+    out[0] = hits, out[1] = cold, out[2] = evictions, out[3] = bypasses;
+    free(tags), free(states), free(filled), free(bits.slots);
+    return 0;
+fail:
+    free(tags), free(states), free(filled), free(bits.slots);
+    return -1;
+}
+
+int sim_lru(const u64 *lines, i64 n, u64 sets, i64 ways, i64 *out) {
+    return set_associative(lines, n, sets, ways, 0, 1, out);
+}
+
+int sim_set_associative_exclusion(const u64 *lines, i64 n, u64 sets, i64 ways,
+                                  int missing, i64 *out) {
+    return set_associative(lines, n, sets, ways, 1, missing, out);
 }
 
 /* -- victim cache ----------------------------------------------------- */
@@ -220,160 +406,6 @@ int sim_victim(const u64 *lines, i64 n, u64 sets, i64 entries, i64 *out) {
     return 0;
 fail:
     free(tag), free(full), free(buffer);
-    return -1;
-}
-
-/* -- dynamic exclusion ------------------------------------------------ */
-
-/* One sticky bit per line; the hit-last store is the ideal per-word
-   store when table_bits is 0, else a hashed table of table_bits bits
-   (a power of two) keyed by the word's low bits.  Words that share a
-   bit may map to different sets: program order handles that.
-   out: hits, cold misses, evictions, bypasses, hit-last loads, flips. */
-int sim_dynamic_exclusion(const u64 *lines, i64 n, u64 sets, int missing,
-                          u64 table_bits, i64 *out) {
-    u64 mask = sets - 1, table_mask = table_bits - 1;
-    u64 *tag = calloc(sets, sizeof *tag);
-    unsigned char *state = calloc(sets, 1);
-    unsigned char *table = NULL;
-    map_t bits = {0};
-    i64 hits = 0, cold = 0, evictions = 0, bypasses = 0, loads = 0, flips = 0;
-    if (!tag || !state) goto fail;
-    if (table_bits) {
-        if (!(table = malloc(table_bits))) goto fail;
-        memset(table, missing, table_bits);
-    } else if (map_init(&bits, 10)) {
-        goto fail;
-    }
-    for (i64 i = 0; i < n; i++) {
-        u64 line = lines[i], set = line & mask;
-        unsigned char s = state[set];
-        if (s && tag[set] == line) {
-            hits++;
-            state[set] = FULL | STICKY | HIT_LAST;
-            continue;
-        }
-        if (!s) {
-            cold++;
-            tag[set] = line;
-            state[set] = FULL | STICKY | HIT_LAST;
-            continue;
-        }
-        if (s & STICKY) {
-            /* Sticky resident: the incoming word needs its hit-last bit. */
-            int bit = table ? table[line & table_mask] : (int)map_get(&bits, line, missing);
-            if (!bit) {
-                bypasses++;
-                state[set] = s & ~STICKY;
-                continue;
-            }
-            loads++;
-        }
-        if (write_back(&bits, table, table_mask, missing, tag[set], (s & HIT_LAST) != 0, &flips))
-            goto fail;
-        evictions++;
-        tag[set] = line;
-        /* A hit-last load over a sticky resident starts its copy at 0. */
-        state[set] = s & STICKY ? FULL | STICKY : FULL | STICKY | HIT_LAST;
-    }
-    out[0] = hits, out[1] = cold, out[2] = evictions;
-    out[3] = bypasses, out[4] = loads, out[5] = flips;
-    free(tag), free(state), free(table), free(bits.slots);
-    return 0;
-fail:
-    free(tag), free(state), free(table), free(bits.slots);
-    return -1;
-}
-
-/* -- set-associative exclusion ----------------------------------------- */
-
-/* LRU sets of `ways` ways, each way with its own sticky bit and
-   hit-last copy; the LRU way is the candidate victim.  Each set's
-   filled ways are kept least recently used first.
-   out: hits, cold misses, evictions, bypasses. */
-int sim_set_associative_exclusion(const u64 *lines, i64 n, u64 sets, i64 ways,
-                                  int missing, i64 *out) {
-    u64 mask = sets - 1;
-    u64 *tags = calloc(sets * ways, sizeof *tags);
-    unsigned char *states = calloc(sets * ways, 1);
-    i64 *filled = calloc(sets, sizeof *filled);
-    map_t bits = {0};
-    i64 hits = 0, cold = 0, evictions = 0, bypasses = 0, unused = 0;
-    if (!tags || !states || !filled || map_init(&bits, 10)) goto fail;
-    for (i64 i = 0; i < n; i++) {
-        u64 line = lines[i], set = line & mask;
-        u64 *tag = tags + set * ways;
-        unsigned char *state = states + set * ways;
-        i64 count = filled[set];
-        i64 at = find(tag, count, line);
-        if (at >= 0) {
-            hits++;
-            remove_at(tag, sizeof *tag, count, at);
-            remove_at(state, 1, count, at);
-        } else if (count < ways) {
-            cold++;
-            filled[set] = ++count;
-        } else {
-            unsigned char fresh = STICKY | HIT_LAST;
-            if (state[0] & STICKY) {
-                if (!map_get(&bits, line, missing)) {
-                    bypasses++;
-                    state[0] &= ~STICKY;
-                    continue;
-                }
-                fresh = STICKY; /* hit-last gate: the copy starts clear */
-            }
-            if (write_back(&bits, NULL, 0, missing, tag[0], (state[0] & HIT_LAST) != 0, &unused))
-                goto fail;
-            evictions++;
-            remove_at(tag, sizeof *tag, count, 0);
-            remove_at(state, 1, count, 0);
-            tag[count - 1] = line;
-            state[count - 1] = fresh;
-            continue;
-        }
-        tag[count - 1] = line;
-        state[count - 1] = STICKY | HIT_LAST;
-    }
-    out[0] = hits, out[1] = cold, out[2] = evictions, out[3] = bypasses;
-    free(tags), free(states), free(filled), free(bits.slots);
-    return 0;
-fail:
-    free(tags), free(states), free(filled), free(bits.slots);
-    return -1;
-}
-
-/* -- LRU set-associative ------------------------------------------------ */
-
-/* out: hits, cold misses, evictions. */
-int sim_lru(const u64 *lines, i64 n, u64 sets, i64 ways, i64 *out) {
-    u64 mask = sets - 1;
-    u64 *tags = calloc(sets * ways, sizeof *tags); /* per set, LRU first */
-    i64 *filled = calloc(sets, sizeof *filled);
-    i64 hits = 0, cold = 0, evictions = 0;
-    if (!tags || !filled) goto fail;
-    for (i64 i = 0; i < n; i++) {
-        u64 line = lines[i], set = line & mask;
-        u64 *tag = tags + set * ways;
-        i64 count = filled[set];
-        i64 at = find(tag, count, line);
-        if (at >= 0) {
-            hits++;
-            remove_at(tag, sizeof *tag, count, at);
-        } else if (count < ways) {
-            cold++;
-            filled[set] = ++count;
-        } else {
-            evictions++;
-            remove_at(tag, sizeof *tag, count, 0);
-        }
-        tag[count - 1] = line;
-    }
-    out[0] = hits, out[1] = cold, out[2] = evictions;
-    free(tags), free(filled);
-    return 0;
-fail:
-    free(tags), free(filled);
     return -1;
 }
 
@@ -436,113 +468,5 @@ int sim_belady(const u64 *lines, i64 n, u64 sets, i64 ways, i64 *out) {
     return 0;
 fail:
     free(next), free(tags), free(uses), free(filled), free(seen.slots);
-    return -1;
-}
-
-/* -- two-level hierarchy ------------------------------------------------ */
-
-/* repro.hierarchy.two_level.Strategy, in the order kernels.py passes. */
-enum { DIRECT_MAPPED, IDEAL, ASSUME_HIT, ASSUME_MISS, HASHED };
-
-typedef struct {
-    u64 mask;
-    u64 *tag;
-    unsigned char *full;
-} level_t;
-
-static int holds(const level_t *l2, u64 line) {
-    u64 set = line & l2->mask;
-    return l2->full[set] && l2->tag[set] == line;
-}
-
-/* A direct-mapped L1 (with dynamic exclusion unless the strategy is
-   DIRECT_MAPPED) over a direct-mapped L2 with the same line size.
-   Hit-last bits live in a per-word map (IDEAL), a hashed table of
-   table_bits bits (HASHED) or with the L2 line (ASSUME_*), where they
-   die when L2 drops the line.  ASSUME_MISS and HASHED keep L2
-   exclusive: it takes L1 victims and bypassed words, never misses.
-   out: L1 hits, cold misses, evictions, bypasses, then L2's. */
-int sim_two_level(const u64 *lines, i64 n, u64 l1_sets, u64 l2_sets, int strategy,
-                  u64 table_bits, i64 *out) {
-    int exclusion = strategy != DIRECT_MAPPED;
-    int exclusive = strategy == ASSUME_MISS || strategy == HASHED;
-    int l2_backed = strategy == ASSUME_HIT || strategy == ASSUME_MISS;
-    int missing = strategy != ASSUME_MISS;
-    u64 l1_mask = l1_sets - 1, table_mask = table_bits - 1;
-    u64 *tag = calloc(l1_sets, sizeof *tag);
-    unsigned char *state = calloc(l1_sets, 1);
-    level_t l2 = {l2_sets - 1, calloc(l2_sets, sizeof(u64)), calloc(l2_sets, 1)};
-    unsigned char *table = NULL;
-    map_t bits = {0};
-    i64 hits = 0, cold = 0, evictions = 0, bypasses = 0, unused = 0;
-    i64 l2_hits = 0, l2_cold = 0, l2_evictions = 0, l2_bypasses = 0;
-    if (!tag || !state || !l2.tag || !l2.full) goto fail;
-    if (strategy == HASHED) {
-        if (!(table = malloc(table_bits))) goto fail;
-        memset(table, 1, table_bits);
-    } else if (map_init(&bits, 10)) {
-        goto fail;
-    }
-    for (i64 i = 0; i < n; i++) {
-        u64 line = lines[i], set = line & l1_mask;
-        unsigned char s = state[set];
-        if (s && tag[set] == line) {
-            hits++;
-            state[set] = FULL | STICKY | HIT_LAST;
-            continue;
-        }
-        int bypassed = 0, evicted = 0;
-        u64 victim = tag[set];
-        if (!s) {
-            cold++;
-        } else if (exclusion && s & STICKY &&
-                   !(table ? table[line & table_mask]
-                     : l2_backed && !holds(&l2, line) ? missing
-                     : map_get(&bits, line, missing))) {
-            bypassed = 1;
-            bypasses++;
-            state[set] = s & ~STICKY;
-        } else {
-            /* Replace; assume-hit drops write-backs of words L2 lacks. */
-            if (exclusion && (strategy != ASSUME_HIT || holds(&l2, victim)) &&
-                write_back(&bits, table, table_mask, missing, victim, (s & HIT_LAST) != 0, &unused))
-                goto fail;
-            evicted = 1;
-            evictions++;
-        }
-        if (!bypassed) {
-            tag[set] = line;
-            state[set] = s & STICKY ? FULL | STICKY : FULL | STICKY | HIT_LAST;
-        }
-        u64 l2_set = line & l2.mask;
-        if (holds(&l2, line)) {
-            l2_hits++;
-        } else if (exclusive) {
-            l2_bypasses++;
-        } else {
-            if (l2.full[l2_set]) {
-                l2_evictions++;
-                if (l2_backed) map_del(&bits, l2.tag[l2_set]);
-            } else {
-                l2_cold++;
-            }
-            l2.full[l2_set] = 1;
-            l2.tag[l2_set] = line;
-        }
-        if (!exclusive || !(bypassed || evicted)) continue;
-        /* An exclusive L2 takes the bypassed word or the L1 victim. */
-        u64 moved = bypassed ? line : victim;
-        l2_set = moved & l2.mask;
-        if (l2_backed && l2.full[l2_set] && l2.tag[l2_set] != moved)
-            map_del(&bits, l2.tag[l2_set]);
-        l2.full[l2_set] = 1;
-        l2.tag[l2_set] = moved;
-    }
-    out[0] = hits, out[1] = cold, out[2] = evictions, out[3] = bypasses;
-    out[4] = l2_hits, out[5] = l2_cold, out[6] = l2_evictions, out[7] = l2_bypasses;
-    free(tag), free(state), free(l2.tag), free(l2.full), free(table), free(bits.slots);
-    return 0;
-fail:
-    free(tag), free(state), free(l2.tag), free(l2.full), free(table), free(bits.slots);
     return -1;
 }

@@ -23,9 +23,10 @@ The library is built on first use with the system ``cc -O2 -shared
 writable, a per-user directory under :func:`tempfile.gettempdir`),
 named by a digest of the source and the platform, and moved into
 place atomically, so concurrent builders never load a partial file and
-later processes only load it.  Without a compiler, or when the build
-fails, :func:`library` warns once, with the compiler's output, and
-returns None; the engine then runs every model's reference loop.
+later processes only load it; the compile is the ``kernels.build``
+span.  Without a compiler, or when the build fails, :func:`library`
+warns once, with the compiler's output, and returns None; the engine
+then runs every model's reference loop.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from ..caches.geometry import CacheGeometry
 from ..caches.stats import CacheStats, ExclusionEvents
 from ..core.hitlast import HashedHitLastStore
 from ..hierarchy.two_level import Strategy, TwoLevelResult
+from ..obs import tracing as obs_tracing
 from ..trace.trace import Trace
 
 _SOURCE = Path(__file__).with_name("kernels.c")
@@ -71,6 +73,12 @@ _SIGNATURES = {
     "sim_belady": (_U64, _I64),
     "sim_two_level": (_U64, _U64, _INT, _U64),
 }
+
+#: What the direct-mapped loop behind ``sim_direct_mapped``,
+#: ``sim_dynamic_exclusion`` and ``sim_two_level`` counts: L1 hits, cold
+#: misses, evictions, bypasses, hit-last loads and flips, then L2 hits,
+#: cold misses, evictions and bypasses.
+_DIRECT_MAPPED_COUNTS = 10
 
 #: The order ``sim_two_level`` numbers the hit-last strategies in.
 _STRATEGIES = (
@@ -116,7 +124,9 @@ def _private(directory: Path) -> Path:
 
 def _build(directory: Path, name: str) -> Path:
     """Compile the library into ``directory``; the finished file replaces
-    ``name`` atomically, so no process ever loads a partial one."""
+    ``name`` atomically, so no process ever loads a partial one.  The
+    compile is a span of its own, so a first-use build does not hide in
+    the self time of whatever span asked for the library."""
     compiler = _compiler()
     if compiler is None:
         raise BuildError("no C compiler (cc) on PATH")
@@ -125,11 +135,12 @@ def _build(directory: Path, name: str) -> Path:
     os.close(fd)
     try:
         try:
-            done = subprocess.run(
-                [compiler, *_FLAGS, "-o", partial, str(_SOURCE)],
-                capture_output=True,
-                text=True,
-            )
+            with obs_tracing.span("kernels.build", library=name):
+                done = subprocess.run(
+                    [compiler, *_FLAGS, "-o", partial, str(_SOURCE)],
+                    capture_output=True,
+                    text=True,
+                )
         except OSError as exc:
             raise BuildError(f"{compiler} could not be started: {exc}") from exc
         if done.returncode != 0:
@@ -222,13 +233,13 @@ def simulate_direct_mapped(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     """Models :class:`~repro.caches.direct_mapped.DirectMappedCache`
     (always-allocate)."""
     _require_direct_mapped(geometry)
-    hits, cold, evictions = _run(
+    counts = _run(
         "sim_direct_mapped",
         trace.lines(geometry.offset_bits),
         geometry.num_sets,
-        counts=3,
+        counts=_DIRECT_MAPPED_COUNTS,
     )
-    return _stats(len(trace), hits, cold, evictions)
+    return _stats(len(trace), *counts[:3])
 
 
 def simulate_victim(
@@ -265,13 +276,13 @@ def simulate_dynamic_exclusion(
     _require_direct_mapped(geometry)
     if num_bits is not None:
         HashedHitLastStore.validate(num_bits)
-    hits, cold, evictions, bypasses, loads, flips = _run(
+    hits, cold, evictions, bypasses, loads, flips, *_ = _run(
         "sim_dynamic_exclusion",
         trace.lines(geometry.offset_bits),
         geometry.num_sets,
         int(default_hit_last),
         num_bits or 0,
-        counts=6,
+        counts=_DIRECT_MAPPED_COUNTS,
     )
     ExclusionEvents(
         sticky_saves=bypasses, hit_last_loads=loads, exclusion_flips=flips
@@ -296,14 +307,14 @@ def simulate_belady(trace: Trace, geometry: CacheGeometry) -> CacheStats:
 def simulate_lru(trace: Trace, geometry: CacheGeometry) -> CacheStats:
     """Models :class:`~repro.caches.set_associative.SetAssociativeCache`
     with the ``lru`` policy at any associativity."""
-    hits, cold, evictions = _run(
+    counts = _run(
         "sim_lru",
         trace.lines(geometry.offset_bits),
         geometry.num_sets,
         geometry.associativity,
-        counts=3,
+        counts=4,
     )
-    return _stats(len(trace), hits, cold, evictions)
+    return _stats(len(trace), *counts)
 
 
 def simulate_set_associative_exclusion(
@@ -352,8 +363,8 @@ def simulate_two_level(
         l2_geometry.num_sets,
         _STRATEGIES.index(strategy),
         table_bits,
-        counts=8,
+        counts=_DIRECT_MAPPED_COUNTS,
     )
     l1 = _stats(len(trace), *counts[:4])
-    l2 = _stats(l1.misses, *counts[4:])
+    l2 = _stats(l1.misses, *counts[6:])
     return TwoLevelResult(strategy=strategy, l1=l1, l2=l2)

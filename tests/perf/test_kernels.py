@@ -1,6 +1,7 @@
-"""Unit tests for the compiled kernels on hand-checkable traces, and
-for how the kernel library is built, cached and replaced by the
-reference loops when it cannot be built."""
+"""Unit tests for the compiled kernels on hand-checkable traces, of the
+two-level kernel's L1 against the lone-cache kernels, and of how the
+kernel library is built, cached and replaced by the reference loops
+when it cannot be built."""
 
 import os
 import subprocess
@@ -17,18 +18,23 @@ from repro.caches.stats import CacheStats
 from repro.caches.victim import VictimCache
 from repro.core.exclusion_cache import DynamicExclusionCache
 from repro.core.hitlast import HashedHitLastStore, IdealHitLastStore
+from repro.hierarchy.two_level import Strategy
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.perf import engine, kernels
 from repro.perf.kernels import (
     simulate_direct_mapped,
     simulate_dynamic_exclusion,
     simulate_set_associative_exclusion,
+    simulate_two_level,
     simulate_victim,
 )
 from repro.trace.trace import Trace
-from repro.workloads.registry import instruction_trace
+from repro.workloads.registry import benchmark_names, instruction_trace
 
+from .test_engine_equivalence import spec_trace
 from .test_engine_properties import FACTORIES
 
 
@@ -220,6 +226,24 @@ class TestVictimKernel:
         assert simulate_victim(Trace.empty(), GEOMETRY, 4) == CacheStats()
 
 
+@pytest.mark.usefixtures("compiled_kernels")
+@pytest.mark.parametrize("ratio", [1, 4, 64])
+@pytest.mark.parametrize("kb", [1, 32, 256])
+@pytest.mark.parametrize("name", benchmark_names())
+def test_two_level_l1_is_the_lone_cache(name, kb, ratio):
+    # Neither L1 reads L2: the direct-mapped L1 keeps no bits, and the
+    # ideal store keeps them apart from L2's contents.
+    trace = spec_trace(name)
+    l1 = CacheGeometry(kb * 1024, 4)
+    l2 = CacheGeometry(kb * 1024 * ratio, 4)
+    assert simulate_two_level(
+        trace, l1, l2, Strategy.DIRECT_MAPPED
+    ).l1 == simulate_direct_mapped(trace, l1)
+    assert simulate_two_level(trace, l1, l2, Strategy.IDEAL).l1 == (
+        simulate_dynamic_exclusion(trace, l1, default_hit_last=True)
+    )
+
+
 # -- building, caching and falling back ----------------------------------------
 
 SRC = Path(kernels.__file__).resolve().parents[2]
@@ -305,6 +329,20 @@ def test_failed_build_runs_every_model_on_the_reference(build_dirs, monkeypatch)
     }
     assert dispatched == {(model.__name__, "reference") for model in FACTORIES}
     assert not list(build_dirs[0].iterdir()), "a failed build left files"
+
+
+@pytest.mark.usefixtures("compiled_kernels")
+def test_a_build_is_one_span_and_a_load_none(build_dirs):
+    tracer = obs_tracing.install_tracer(Tracer())
+    try:
+        assert kernels.library() is not None
+        builds = [span for span in tracer.spans if span.name == "kernels.build"]
+        assert len(builds) == 1
+        kernels.library.cache_clear()
+        assert kernels.library() is not None  # loads what the build left
+    finally:
+        obs_tracing.uninstall_tracer()
+    assert [span for span in tracer.spans if span.name == "kernels.build"] == builds
 
 
 @pytest.mark.usefixtures("compiled_kernels")
